@@ -32,7 +32,7 @@ probs /= probs.sum(axis=2, keepdims=True)
 
 print("=== slot-gold similarity (smooth IoU) ===")
 sim = similarity_matrix(probs, grid)
-print(np.round(sim.values, 3))
+print(np.round(sim, 3))
 
 assignment = hungarian_max(sim)
 print("optimal assignment:", assignment.pairs, f"total={assignment.total:.3f}")

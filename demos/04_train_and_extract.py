@@ -75,6 +75,5 @@ for n_slots in (20, 100):
     bias = probe.head.bias.data.reshape(n_slots, 4)
     bias[:, 0] += 4.0  # background-dominant regime, as after training
     speed = measure_speed(probe, sentences)
-    print(f"   N={n_slots:3d}: {speed.sentences_per_second:7.0f} sentences/sec "
-          f"(batch {speed.batch_size})")
+    print(f"   N={n_slots:3d}: {speed.sentences_per_second:7.0f} sentences/sec")
 print(f"final training-set macro F1: {f1:.4f}")

@@ -29,7 +29,6 @@ from .matching import (
     Assignment,
     LossConfig,
     ShapeError,
-    SimilarityMatrix,
     TooManyGold,
     hungarian_max,
     loss_assignment_gradient,

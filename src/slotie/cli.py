@@ -4,8 +4,8 @@ Every command resolves its settings as defaults < config file < explicit
 flags, and embeds the resolved configuration in its output artifacts (JSON
 reports directly, TSV outputs via a ``<out>.meta.json`` sidecar) so runs
 are reproducible from the artifacts alone.  All randomness flows from the
-command-level seed.  Exit codes: 0 success, 1 usage, 2 data error, 3
-numeric failure.
+command-level seed.  Exit codes: 0 success, 1 usage, 3 numeric failure,
+and 2 for every other slotie error and for unreadable or malformed input.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .core import BadAnnotation, EmptyInput, tokenize
+from .core import SlotieError, tokenize
 from .data import (
     AlignedRecord,
     ConfigError,
@@ -39,7 +39,7 @@ from .data import (
     write_tuples_tsv,
 )
 from .matching import LossConfig
-from .model import CheckpointError, ModelConfig, SlotTagger, TooLong, decode
+from .model import ModelConfig, SlotTagger, decode
 from .scoring import SCHEMES, auc_single_point
 from .train import NumericalError, TrainConfig, train
 
@@ -47,18 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_DATA_ERRORS = (
-    FormatError,
-    BadAnnotation,
-    EmptyInput,
-    ConfigError,
-    CheckpointError,
-    TooLong,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -109,7 +97,7 @@ def _write_meta(out_path, command: str, config: dict, extra: dict | None = None)
 # -- convert -------------------------------------------------------------------
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    config = _resolve(args, "convert", {"format": None, "n_slots": 20})
+    config = _resolve(args, "convert", {"format": None})
     fmt = config["format"]
     skipped: list[dict] = []
     converted: list[AlignedRecord] = []
@@ -275,35 +263,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # -- extract ---------------------------------------------------------------------
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args, "extract", {"require_all_parts": True, "batch_size": 32}
-    )
+    config = _resolve(args, "extract", {"require_all_parts": True})
     model = SlotTagger.load(args.checkpoint)
     lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
     sentences = [line for line in lines if line.strip()]
     records: list[GenerativeRecord] = []
     skipped_long = 0
     elapsed = 0.0
-    batch_size = int(config["batch_size"])
-    for start in range(0, len(sentences), batch_size):
-        for sentence in sentences[start : start + batch_size]:
-            seq = tokenize(sentence, append_placeholders=True)
-            if len(seq) > model.config.max_len:
-                skipped_long += 1
-                print(
-                    f"warning: skipping over-length sentence ({len(seq)} tokens): "
-                    f"{sentence[:60]}...",
-                    file=sys.stderr,
-                )
-                continue
-            tick = time.perf_counter()
-            probs = model.predict(seq)
-            extractions = decode(
-                probs, seq, require_all_parts=bool(config["require_all_parts"])
+    for sentence in sentences:
+        seq = tokenize(sentence, append_placeholders=True)
+        if len(seq) > model.config.max_len:
+            skipped_long += 1
+            print(
+                f"warning: skipping over-length sentence ({len(seq)} tokens): "
+                f"{sentence[:60]}...",
+                file=sys.stderr,
             )
-            elapsed += time.perf_counter() - tick
-            if extractions:
-                records.append(GenerativeRecord(sentence, tuple(extractions)))
+            continue
+        tick = time.perf_counter()
+        probs = model.predict(seq)
+        extractions = decode(
+            probs, seq, require_all_parts=bool(config["require_all_parts"])
+        )
+        elapsed += time.perf_counter() - tick
+        if extractions:
+            records.append(GenerativeRecord(sentence, tuple(extractions)))
     write_tuples_tsv(args.out, records)
     _write_meta(
         args.out,
@@ -318,11 +302,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     )
     processed = len(sentences) - skipped_long
     if processed and elapsed > 0:
-        print(
-            f"throughput: {processed / elapsed:.1f} sentences/sec "
-            f"(batch size {batch_size})",
-            file=sys.stderr,
-        )
+        print(f"throughput: {processed / elapsed:.1f} sentences/sec", file=sys.stderr)
     if skipped_long:
         print(f"skipped {skipped_long} over-length sentences", file=sys.stderr)
     return EXIT_OK
@@ -334,6 +314,15 @@ def _cmd_score(args: argparse.Namespace) -> int:
     config = _resolve(args, "score", {"scheme": None})
     scheme = config["scheme"]
     gold_records = read_tuples_tsv(args.gold)
+    for record in gold_records:
+        for ext in record.tuples:
+            # Predictions may carry empty parts (extract --no-require-all-parts);
+            # gold may not: no scheme could ever match it.
+            if not all(part.strip() for part in ext.as_tuple()):
+                raise FormatError(
+                    f"{args.gold}: gold tuple {ext.as_tuple()} has an empty part "
+                    f"(sentence: {record.sentence[:60]})"
+                )
     pred_records = read_tuples_tsv(args.pred)
     gold = {r.sentence: list(r.tuples) for r in gold_records}
     pred = {}
@@ -418,7 +407,6 @@ def build_parser() -> _Parser:
         action=argparse.BooleanOptionalAction,
         default=None,
     )
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_extract)
 
@@ -449,7 +437,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"data error: missing key {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _DATA_ERRORS as exc:
+    except SlotieError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError) as exc:

@@ -38,8 +38,6 @@ class LossConfig:
     """
 
     class_weights: tuple[float, float, float, float] = (1.0, 2.0, 2.0, 2.0)
-    exclude_background_in_iou: bool = True
-    unmatched_target: TokenClass = TokenClass.BACKGROUND
     reduction: str = "mean"
     focal_gamma: float | None = None
     eps: float = 1e-12
@@ -49,27 +47,10 @@ class LossConfig:
             raise ValueError(f"need {N_CLASSES} class weights")
         if any(w < 0 for w in self.class_weights):
             raise ValueError("class weights must be non-negative")
-        if self.unmatched_target != TokenClass.BACKGROUND:
-            raise ValueError("all-Background is the only supported unmatched-slot target")
         if self.reduction not in ("mean", "sum"):
             raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Slot-by-gold smooth-IoU values, shape (N, M)."""
-
-    values: np.ndarray
-
-    @property
-    def n_slots(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_gold(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -122,12 +103,9 @@ def smooth_iou(p_slot: np.ndarray, l_mask: np.ndarray, exclude_background: bool 
     return inter / union if union > 0.0 else 0.0
 
 
-def similarity_matrix(
-    p: PredictionTensor | np.ndarray,
-    gold: LabelGrid,
-    cfg: LossConfig = LossConfig(),
-) -> SimilarityMatrix:
-    """Smooth IoU between every slot and every gold mask, shape (N, M)."""
+def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.ndarray:
+    """Smooth IoU between every slot and every gold mask, shape (N, M),
+    over the non-Background classes."""
     probs = _as_probs(p)
     if gold.n_gold == 0:
         raise ValueError("similarity matrix needs at least one gold mask")
@@ -135,13 +113,11 @@ def similarity_matrix(
         raise ShapeError(
             f"grid covers {gold.seq_length} tokens but predictions cover {probs.shape[0]}"
         )
-    start = 1 if cfg.exclude_background_in_iou else 0
-    pred = probs[:, :, start:]
-    masks = one_hot_masks(gold)[:, :, start:]
+    pred = probs[:, :, 1:]
+    masks = one_hot_masks(gold)[:, :, 1:]
     inter = np.einsum("tnc,mtc->nm", pred, masks)
     union = pred.sum(axis=(0, 2))[:, None] + masks.sum(axis=(1, 2))[None, :] - inter
-    values = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-    return SimilarityMatrix(values)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
 def _optimal_total(values: np.ndarray) -> float:
@@ -151,7 +127,7 @@ def _optimal_total(values: np.ndarray) -> float:
     return float(values[rows, cols].sum())
 
 
-def hungarian_max(sim: SimilarityMatrix | np.ndarray) -> Assignment:
+def hungarian_max(sim: np.ndarray) -> Assignment:
     """Assignment of slots to gold masks maximizing total similarity.
 
     Requires at least as many slots as gold masks; every gold mask gets
@@ -159,7 +135,7 @@ def hungarian_max(sim: SimilarityMatrix | np.ndarray) -> Assignment:
     slot index, then the lowest gold index, so ties resolve
     deterministically.
     """
-    values = sim.values if isinstance(sim, SimilarityMatrix) else np.asarray(sim, dtype=np.float64)
+    values = np.asarray(sim, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeError(f"similarity matrix must be 2-D, got shape {values.shape}")
     n_slots, n_gold = values.shape
@@ -203,14 +179,15 @@ def _targets(shape: tuple[int, int, int], gold: LabelGrid, assignment: Assignmen
     return targets
 
 
-def _match(probs: np.ndarray, gold: LabelGrid, cfg: LossConfig) -> Assignment:
+def optimal_assignment(probs: np.ndarray, gold: LabelGrid) -> Assignment:
+    """The loss-optimal slot-to-gold assignment; empty when there is no gold."""
     if gold.n_gold == 0:
         return Assignment((), 0.0)
     if gold.n_gold > probs.shape[1]:
         raise TooManyGold(
             f"{gold.n_gold} gold masks exceed the {probs.shape[1]} available slots"
         )
-    return hungarian_max(similarity_matrix(probs, gold, cfg))
+    return hungarian_max(similarity_matrix(probs, gold))
 
 
 def loss_given_assignment(
@@ -244,7 +221,7 @@ def order_agnostic_loss(
     probs = _as_probs(p)
     if gold.n_gold and gold.seq_length != probs.shape[0]:
         raise ShapeError("gold grid and predictions cover different token counts")
-    assignment = _match(probs, gold, cfg)
+    assignment = optimal_assignment(probs, gold)
     return loss_given_assignment(probs, gold, assignment, cfg), assignment
 
 
@@ -272,7 +249,7 @@ def loss_assignment_gradient(
     probs = _as_probs(p)
     if gold.n_gold and gold.seq_length != probs.shape[0]:
         raise ShapeError("gold grid and predictions cover different token counts")
-    assignment = _match(probs, gold, cfg)
+    assignment = optimal_assignment(probs, gold)
     targets = _targets(probs.shape, gold, assignment)
     weights = np.asarray(cfg.class_weights, dtype=np.float64)[targets]
     p_target = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]

@@ -10,8 +10,12 @@ matching strategy:
 * ``carb_1to1_score`` — same pair similarity, but a single optimal
   one-to-one matching drives both precision and recall.
 * ``oie2016_score`` — tuples match when the per-element heads agree; the
-  head extractor is pluggable (the default heuristic takes the last
-  non-stopword token and is intentionally parser-free).
+  head is a fixed heuristic (the last non-stopword token) and is
+  intentionally parser-free.
+
+One driver, ``_score``, runs the sentence loop and assembles the report;
+each scheme supplies only its per-sentence fields and how its totals give
+precision and recall.
 
 All scorers take ``{sentence: [Extraction, ...]}`` maps for gold and
 predictions, keyed by the exact sentence string.  Sentences present only
@@ -68,8 +72,8 @@ def scoring_tokens(text: str, drop_stopwords: bool = False) -> list[str]:
     return tokens
 
 
-def _overlap(a: Sequence[str], b: Sequence[str]) -> int:
-    return sum((Counter(a) & Counter(b)).values())
+def _ratio(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator else 0.0
 
 
 def _harmonic(precision: float, recall: float) -> float:
@@ -188,7 +192,61 @@ def token_macro_f1(pred: LabelGrid, gold: LabelGrid, assignment: Assignment) -> 
     return acc.value()
 
 
-# -- WiRe57-style scoring --------------------------------------------------------
+# -- pair similarity and matching -----------------------------------------------------
+
+_Parts = tuple[Counter, Counter, Counter]
+
+
+def _tokenized(exts: Sequence[Extraction], drop_stopwords: bool = False) -> list[_Parts]:
+    """Per extraction, the token multiset of each of arg1, rel and arg2."""
+    return [
+        tuple(Counter(scoring_tokens(x, drop_stopwords)) for x in e.as_tuple())
+        for e in exts
+    ]
+
+
+def _size(parts: _Parts) -> int:
+    return sum(sum(p.values()) for p in parts)
+
+
+# Pair gates over the (arg1, rel, arg2) overlaps: wire57 needs every part
+# to overlap, CaRB only the relation.
+_Gate = Callable[[list[int]], bool]
+_every_part: _Gate = all
+
+
+def _relation(overlaps: list[int]) -> bool:
+    return overlaps[1] > 0
+
+
+def _scored_pair(
+    t_parts: _Parts, g_parts: _Parts, pred_index: int, gold_index: int, gate: _Gate
+) -> ScoredPair | None:
+    """Summed per-part multiset overlap over the prediction's token count
+    (precision) and the gold's (recall); None unless ``gate`` accepts the
+    per-part overlaps."""
+    overlaps = [sum((tp & gp).values()) for tp, gp in zip(t_parts, g_parts)]
+    if not gate(overlaps):
+        return None
+    overlap = sum(overlaps)
+    t_size = _size(t_parts)
+    g_size = _size(g_parts)
+    precision = _ratio(overlap, t_size)
+    recall = _ratio(overlap, g_size)
+    return ScoredPair(
+        pred_index, gold_index, precision, recall, _harmonic(precision, recall),
+        overlap=overlap, pred_size=t_size, gold_size=g_size,
+    )
+
+
+def _pairs(t_parts: list[_Parts], g_parts: list[_Parts], gate: _Gate) -> list[ScoredPair]:
+    """Every (prediction, gold) pair of one sentence that ``gate`` accepts."""
+    pairs = [
+        _scored_pair(tp, gp, i, j, gate)
+        for i, tp in enumerate(t_parts) for j, gp in enumerate(g_parts)
+    ]
+    return [p for p in pairs if p is not None]
+
 
 def wire57_pair(
     t: Extraction, g: Extraction, pred_index: int = 0, gold_index: int = 0
@@ -200,29 +258,26 @@ def wire57_pair(
     per-part multiset overlaps by the prediction's token count, recall by
     the gold's token count.
     """
-    t_parts = [scoring_tokens(x) for x in t.as_tuple()]
-    g_parts = [scoring_tokens(x) for x in g.as_tuple()]
-    overlaps = [_overlap(tp, gp) for tp, gp in zip(t_parts, g_parts)]
-    if any(o == 0 for o in overlaps):
-        return None
-    overlap = sum(overlaps)
-    t_size = sum(len(p) for p in t_parts)
-    g_size = sum(len(p) for p in g_parts)
-    precision = overlap / t_size if t_size else 0.0
-    recall = overlap / g_size if g_size else 0.0
-    return ScoredPair(
-        pred_index, gold_index, precision, recall, _harmonic(precision, recall),
-        overlap=overlap, pred_size=t_size, gold_size=g_size,
-    )
+    (t_parts,), (g_parts,) = _tokenized([t]), _tokenized([g])
+    return _scored_pair(t_parts, g_parts, pred_index, gold_index, _every_part)
 
 
-def _greedy_by_f1(pairs: list[ScoredPair]) -> list[ScoredPair]:
-    """Repeatedly take the highest-F1 pair (ties: lowest pred index, then
-    lowest gold index), removing both sides."""
+def carb_pair(
+    t: Extraction, g: Extraction, pred_index: int = 0, gold_index: int = 0
+) -> ScoredPair | None:
+    """Stopword-filtered token-overlap scores; the pair qualifies only when
+    the relation fields share at least one (filtered) token."""
+    (t_parts,), (g_parts,) = _tokenized([t], True), _tokenized([g], True)
+    return _scored_pair(t_parts, g_parts, pred_index, gold_index, _relation)
+
+
+def _greedy(pairs: list[ScoredPair], key: str) -> list[ScoredPair]:
+    """Repeatedly take the pair with the highest ``key`` score (ties: lowest
+    pred index, then lowest gold index), removing both sides."""
     chosen: list[ScoredPair] = []
     used_pred: set[int] = set()
     used_gold: set[int] = set()
-    for pair in sorted(pairs, key=lambda p: (-p.f1, p.pred_index, p.gold_index)):
+    for pair in sorted(pairs, key=lambda p: (-getattr(p, key), p.pred_index, p.gold_index)):
         if pair.pred_index in used_pred or pair.gold_index in used_gold:
             continue
         chosen.append(pair)
@@ -231,90 +286,123 @@ def _greedy_by_f1(pairs: list[ScoredPair]) -> list[ScoredPair]:
     return chosen
 
 
-def wire57_score(
-    gold: Mapping[str, Sequence[Extraction]],
-    pred: Mapping[str, Sequence[Extraction]],
+def _optimal(pairs: list[ScoredPair], n_pred: int, n_gold: int) -> list[ScoredPair]:
+    """The one-to-one matching with maximum total pair F1, in the order the
+    assignment lists it (by the index of the longer side)."""
+    if not pairs:
+        return []
+    by_index = {(p.pred_index, p.gold_index): p for p in pairs}
+    similarity = np.zeros((n_pred, n_gold))
+    for (i, j), pair in by_index.items():
+        similarity[i, j] = pair.f1
+    if n_pred >= n_gold:
+        chosen = hungarian_max(similarity).pairs
+    else:
+        chosen = tuple((i, j) for j, i in hungarian_max(similarity.T).pairs)
+    return [by_index[ij] for ij in chosen if ij in by_index]
+
+
+# -- the corpus driver ----------------------------------------------------------------
+
+_Corpus = Mapping[str, Sequence[Extraction]]
+
+
+def _score(
+    scheme: str,
+    gold: _Corpus,
+    pred: _Corpus,
+    sentence_fn: Callable[[list[Extraction], Sequence[Extraction]], tuple[int, dict]],
+    sums: dict,
+    finish: Callable[[dict], tuple[float, float, dict]],
 ) -> BenchmarkReport:
-    """Corpus score: greedy per-sentence matching, micro-averaged token
-    overlap over all predicted and gold tokens."""
-    matched_overlap = 0
-    pred_tokens_total = 0
-    gold_tokens_total = 0
-    matched = gold_count = pred_count = 0
+    """Run ``sentence_fn`` over every gold sentence and assemble the report.
+
+    ``sentence_fn(pred_exts, gold_exts)`` returns the sentence's matched
+    count and its scheme fields, which join the per-sentence row.  ``sums``
+    gives the starting total of each scheme field; the driver adds the
+    rows into them, next to the "matched", "gold" and "pred" counts, and
+    ``finish(sums)`` turns the totals into (precision, recall, totals).
+    """
+    sums = {"matched": 0, "gold": 0, "pred": 0, **sums}
     per_sentence: list[dict] = []
     for sentence, gold_exts in gold.items():
         pred_exts = list(pred.get(sentence, ()))
-        pairs = []
-        for i, t in enumerate(pred_exts):
-            for j, g in enumerate(gold_exts):
-                pair = wire57_pair(t, g, i, j)
-                if pair is not None:
-                    pairs.append(pair)
-        chosen = _greedy_by_f1(pairs)
-        sent_overlap = sum(p.overlap for p in chosen)
-        sent_pred_tokens = sum(
-            sum(len(scoring_tokens(x)) for x in t.as_tuple()) for t in pred_exts
-        )
-        sent_gold_tokens = sum(
-            sum(len(scoring_tokens(x)) for x in g.as_tuple()) for g in gold_exts
-        )
-        matched_overlap += sent_overlap
-        pred_tokens_total += sent_pred_tokens
-        gold_tokens_total += sent_gold_tokens
-        matched += len(chosen)
-        gold_count += len(gold_exts)
-        pred_count += len(pred_exts)
-        per_sentence.append(
-            {
-                "sentence": sentence,
-                "matched": len(chosen),
-                "gold": len(gold_exts),
-                "pred": len(pred_exts),
-                "overlap": sent_overlap,
-                "pred_tokens": sent_pred_tokens,
-                "gold_tokens": sent_gold_tokens,
-            }
-        )
-    precision = matched_overlap / pred_tokens_total if pred_tokens_total else 0.0
-    recall = matched_overlap / gold_tokens_total if gold_tokens_total else 0.0
+        matched, fields = sentence_fn(pred_exts, gold_exts)
+        row = {
+            "sentence": sentence,
+            "matched": matched,
+            "gold": len(gold_exts),
+            "pred": len(pred_exts),
+            **fields,
+        }
+        for key in sums:
+            sums[key] += row[key]
+        per_sentence.append(row)
+    precision, recall, totals = finish(sums)
     return BenchmarkReport(
-        "wire57", precision, recall, _harmonic(precision, recall),
-        matched=matched, gold_count=gold_count, pred_count=pred_count,
-        per_sentence=per_sentence,
-        totals={
-            "matched_overlap": matched_overlap,
-            "pred_tokens": pred_tokens_total,
-            "gold_tokens": gold_tokens_total,
+        scheme, precision, recall, _harmonic(precision, recall),
+        matched=sums["matched"], gold_count=sums["gold"], pred_count=sums["pred"],
+        per_sentence=per_sentence, totals=totals,
+    )
+
+
+def _precision_recall_sums(sums: dict) -> tuple[float, float, dict]:
+    return (
+        _ratio(sums["precision_sum"], sums["pred"]),
+        _ratio(sums["recall_sum"], sums["gold"]),
+        {"precision_sum": sums["precision_sum"], "recall_sum": sums["recall_sum"]},
+    )
+
+
+# -- WiRe57-style scoring --------------------------------------------------------
+
+def _wire57_sentence(pred_exts, gold_exts):
+    t_parts, g_parts = _tokenized(pred_exts), _tokenized(gold_exts)
+    chosen = _greedy(_pairs(t_parts, g_parts, _every_part), "f1")
+    return len(chosen), {
+        "overlap": sum(p.overlap for p in chosen),
+        "pred_tokens": sum(_size(p) for p in t_parts),
+        "gold_tokens": sum(_size(p) for p in g_parts),
+    }
+
+
+def _wire57_totals(sums: dict) -> tuple[float, float, dict]:
+    return (
+        _ratio(sums["overlap"], sums["pred_tokens"]),
+        _ratio(sums["overlap"], sums["gold_tokens"]),
+        {
+            "matched_overlap": sums["overlap"],
+            "pred_tokens": sums["pred_tokens"],
+            "gold_tokens": sums["gold_tokens"],
         },
+    )
+
+
+def wire57_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
+    """Corpus score: greedy per-sentence matching, micro-averaged token
+    overlap over all predicted and gold tokens."""
+    return _score(
+        "wire57", gold, pred, _wire57_sentence,
+        {"overlap": 0, "pred_tokens": 0, "gold_tokens": 0}, _wire57_totals,
     )
 
 
 # -- CaRB-style scoring ------------------------------------------------------------
 
-def carb_pair(
-    t: Extraction, g: Extraction, pred_index: int = 0, gold_index: int = 0
-) -> ScoredPair | None:
-    """Stopword-filtered token-overlap scores; the pair qualifies only when
-    the relation fields share at least one (filtered) token."""
-    t_parts = [scoring_tokens(x, drop_stopwords=True) for x in t.as_tuple()]
-    g_parts = [scoring_tokens(x, drop_stopwords=True) for x in g.as_tuple()]
-    if _overlap(t_parts[1], g_parts[1]) == 0:
-        return None
-    overlap = sum(_overlap(tp, gp) for tp, gp in zip(t_parts, g_parts))
-    t_size = sum(len(p) for p in t_parts)
-    g_size = sum(len(p) for p in g_parts)
-    precision = overlap / t_size if t_size else 0.0
-    recall = overlap / g_size if g_size else 0.0
-    return ScoredPair(
-        pred_index, gold_index, precision, recall, _harmonic(precision, recall),
-        overlap=overlap, pred_size=t_size, gold_size=g_size,
-    )
+def _carb_sentence(pred_exts, gold_exts):
+    pairs = _pairs(_tokenized(pred_exts, True), _tokenized(gold_exts, True), _relation)
+    recall_sum = 0.0
+    for j in range(len(gold_exts)):
+        row = [p.recall for p in pairs if p.gold_index == j]
+        recall_sum += max(row) if row else 0.0
+    chosen = _greedy(pairs, "precision")
+    precision_sum = 0.0
+    for pair in chosen:
+        precision_sum += pair.precision
+    return len(chosen), {"recall_sum": recall_sum, "precision_sum": precision_sum}
 
 
-def carb_score(
-    gold: Mapping[str, Sequence[Extraction]],
-    pred: Mapping[str, Sequence[Extraction]],
-) -> BenchmarkReport:
+def carb_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """CaRB-style corpus score.
 
     Recall is the mean, over gold tuples, of the best matched recall in
@@ -322,118 +410,29 @@ def carb_score(
     one-to-one (greedy by pair precision, each gold used once) and is the
     mean over predictions of their matched precision.
     """
-    recall_sum = 0.0
-    precision_sum = 0.0
-    matched = gold_count = pred_count = 0
-    per_sentence: list[dict] = []
-    for sentence, gold_exts in gold.items():
-        pred_exts = list(pred.get(sentence, ()))
-        pairs = []
-        for i, t in enumerate(pred_exts):
-            for j, g in enumerate(gold_exts):
-                pair = carb_pair(t, g, i, j)
-                if pair is not None:
-                    pairs.append(pair)
-        sent_recall = 0.0
-        for j in range(len(gold_exts)):
-            row = [p.recall for p in pairs if p.gold_index == j]
-            sent_recall += max(row) if row else 0.0
-        used_gold: set[int] = set()
-        used_pred: set[int] = set()
-        sent_precision = 0.0
-        sent_matched = 0
-        for pair in sorted(pairs, key=lambda p: (-p.precision, p.pred_index, p.gold_index)):
-            if pair.pred_index in used_pred or pair.gold_index in used_gold:
-                continue
-            used_pred.add(pair.pred_index)
-            used_gold.add(pair.gold_index)
-            sent_precision += pair.precision
-            sent_matched += 1
-        recall_sum += sent_recall
-        precision_sum += sent_precision
-        matched += sent_matched
-        gold_count += len(gold_exts)
-        pred_count += len(pred_exts)
-        per_sentence.append(
-            {
-                "sentence": sentence,
-                "matched": sent_matched,
-                "gold": len(gold_exts),
-                "pred": len(pred_exts),
-                "recall_sum": sent_recall,
-                "precision_sum": sent_precision,
-            }
-        )
-    precision = precision_sum / pred_count if pred_count else 0.0
-    recall = recall_sum / gold_count if gold_count else 0.0
-    return BenchmarkReport(
-        "carb", precision, recall, _harmonic(precision, recall),
-        matched=matched, gold_count=gold_count, pred_count=pred_count,
-        per_sentence=per_sentence,
-        totals={"precision_sum": precision_sum, "recall_sum": recall_sum},
+    return _score(
+        "carb", gold, pred, _carb_sentence,
+        {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
     )
 
 
-def carb_1to1_score(
-    gold: Mapping[str, Sequence[Extraction]],
-    pred: Mapping[str, Sequence[Extraction]],
-) -> BenchmarkReport:
-    """CaRB similarity with a single optimal one-to-one matching (maximum
-    total pair F1) driving both precision and recall."""
+def _carb11_sentence(pred_exts, gold_exts):
+    pairs = _pairs(_tokenized(pred_exts, True), _tokenized(gold_exts, True), _relation)
+    chosen = _optimal(pairs, len(pred_exts), len(gold_exts))
     precision_sum = 0.0
     recall_sum = 0.0
-    matched = gold_count = pred_count = 0
-    per_sentence: list[dict] = []
-    for sentence, gold_exts in gold.items():
-        pred_exts = list(pred.get(sentence, ()))
-        pair_map: dict[tuple[int, int], ScoredPair] = {}
-        for i, t in enumerate(pred_exts):
-            for j, g in enumerate(gold_exts):
-                pair = carb_pair(t, g, i, j)
-                if pair is not None:
-                    pair_map[(i, j)] = pair
-        sent_matched = 0
-        sent_precision = 0.0
-        sent_recall = 0.0
-        if pair_map:
-            similarity = np.zeros((len(pred_exts), len(gold_exts)))
-            for (i, j), pair in pair_map.items():
-                similarity[i, j] = pair.f1
-            if similarity.shape[0] >= similarity.shape[1]:
-                assignment = hungarian_max(similarity)
-                chosen = assignment.pairs
-            else:
-                assignment = hungarian_max(similarity.T)
-                chosen = tuple((i, j) for j, i in assignment.pairs)
-            for i, j in chosen:
-                pair = pair_map.get((i, j))
-                if pair is None:
-                    continue
-                sent_matched += 1
-                sent_precision += pair.precision
-                sent_recall += pair.recall
-        precision_sum += sent_precision
-        recall_sum += sent_recall
-        matched += sent_matched
-        gold_count += len(gold_exts)
-        pred_count += len(pred_exts)
-        per_sentence.append(
-            {
-                "sentence": sentence,
-                "matched": sent_matched,
-                "gold": len(gold_exts),
-                "pred": len(pred_exts),
-                "precision_sum": sent_precision,
-                "recall_sum": sent_recall,
-            }
-        )
-    precision = precision_sum / pred_count if pred_count else 0.0
-    recall = recall_sum / gold_count if gold_count else 0.0
-    return BenchmarkReport(
-        "carb11", precision, recall, _harmonic(precision, recall),
-        matched=matched, gold_count=gold_count, pred_count=pred_count,
-        per_sentence=per_sentence,
-        totals={"precision_sum": precision_sum, "recall_sum": recall_sum},
+    for pair in chosen:
+        precision_sum += pair.precision
+        recall_sum += pair.recall
+    return len(chosen), {"precision_sum": precision_sum, "recall_sum": recall_sum}
+
+
+def carb_1to1_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
+    """CaRB similarity with a single optimal one-to-one matching (maximum
+    total pair F1) driving both precision and recall."""
+    return _score(
+        "carb11", gold, pred, _carb11_sentence,
+        {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
     )
 
 
@@ -448,46 +447,28 @@ def default_head(text: str) -> str:
     return pick[-1] if pick else ""
 
 
-def oie2016_score(
-    gold: Mapping[str, Sequence[Extraction]],
-    pred: Mapping[str, Sequence[Extraction]],
-    head_fn: Callable[[str], str] = default_head,
-) -> BenchmarkReport:
-    """Tuples match when arg1, rel and arg2 heads all agree; one-to-one
-    greedy matching by index order; precision/recall over matched counts."""
-    matched = gold_count = pred_count = 0
-    per_sentence: list[dict] = []
-    for sentence, gold_exts in gold.items():
-        pred_exts = list(pred.get(sentence, ()))
-        gold_heads = [tuple(head_fn(x) for x in g.as_tuple()) for g in gold_exts]
-        used_gold: set[int] = set()
-        sent_matched = 0
-        for t in pred_exts:
-            t_heads = tuple(head_fn(x) for x in t.as_tuple())
-            for j, g_heads in enumerate(gold_heads):
-                if j not in used_gold and t_heads == g_heads:
-                    used_gold.add(j)
-                    sent_matched += 1
-                    break
-        matched += sent_matched
-        gold_count += len(gold_exts)
-        pred_count += len(pred_exts)
-        per_sentence.append(
-            {
-                "sentence": sentence,
-                "matched": sent_matched,
-                "gold": len(gold_exts),
-                "pred": len(pred_exts),
-            }
-        )
-    precision = matched / pred_count if pred_count else 0.0
-    recall = matched / gold_count if gold_count else 0.0
-    return BenchmarkReport(
-        "oie2016", precision, recall, _harmonic(precision, recall),
-        matched=matched, gold_count=gold_count, pred_count=pred_count,
-        per_sentence=per_sentence,
-        totals={"matched": matched},
-    )
+def _oie2016_sentence(pred_exts, gold_exts):
+    gold_heads = [tuple(default_head(x) for x in g.as_tuple()) for g in gold_exts]
+    used_gold: set[int] = set()
+    for t in pred_exts:
+        t_heads = tuple(default_head(x) for x in t.as_tuple())
+        for j, g_heads in enumerate(gold_heads):
+            if j not in used_gold and t_heads == g_heads:
+                used_gold.add(j)
+                break
+    return len(used_gold), {}
+
+
+def _oie2016_totals(sums: dict) -> tuple[float, float, dict]:
+    matched = sums["matched"]
+    return _ratio(matched, sums["pred"]), _ratio(matched, sums["gold"]), {"matched": matched}
+
+
+def oie2016_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
+    """Tuples match when the :func:`default_head` of arg1, rel and arg2 all
+    agree; one-to-one greedy matching by index order; precision/recall
+    over matched counts."""
+    return _score("oie2016", gold, pred, _oie2016_sentence, {}, _oie2016_totals)
 
 
 SCHEMES: dict[str, Callable[..., BenchmarkReport]] = {

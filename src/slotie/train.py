@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LabelGrid, SlotieError, TokenSequence, tokenize
-from .matching import LossConfig, loss_assignment_gradient, similarity_matrix, hungarian_max, Assignment
+from .matching import LossConfig, loss_assignment_gradient, optimal_assignment
 from .model import ModelConfig, SlotTagger, build_vocab, decode, decode_grid
 from .scoring import MacroF1Accumulator
 from .autodiff import Tensor
@@ -109,24 +109,16 @@ class TrainResult:
     diagnostics: str = ""
 
 
-def validation_assignment(probs, grid: LabelGrid, loss_cfg: LossConfig) -> Assignment:
-    """The loss-optimal slot-to-gold assignment for evaluation."""
-    if grid.n_gold == 0:
-        return Assignment((), 0.0)
-    return hungarian_max(similarity_matrix(probs, grid, loss_cfg))
-
-
 def evaluate_macro_f1(
     model: SlotTagger,
     dataset: Sequence[tuple[TokenSequence, LabelGrid]],
-    loss_cfg: LossConfig = LossConfig(),
 ) -> float:
     """Token-wise macro F1 of argmax-decoded grids against gold, aggregated
     over the dataset under the loss-optimal assignments."""
     acc = MacroF1Accumulator()
     for seq, grid in dataset:
         probs = model.predict(seq)
-        acc.add(decode_grid(probs), grid, validation_assignment(probs, grid, loss_cfg))
+        acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
     return acc.value()
 
 
@@ -188,7 +180,7 @@ def train(
             diverged = True
             diagnostics = str(exc)
             break
-        val_f1 = evaluate_macro_f1(model, val_set, loss_cfg)
+        val_f1 = evaluate_macro_f1(model, val_set)
         is_best = val_f1 > best_f1
         if is_best:
             best_f1 = val_f1
@@ -209,26 +201,22 @@ def train(
 class SpeedReport:
     sentences_per_second: float
     n_sentences: int
-    batch_size: int
     elapsed_seconds: float
 
 
 def measure_speed(
     model: SlotTagger,
     sentences: Sequence[str],
-    batch_size: int = 32,
     require_all_parts: bool = True,
 ) -> SpeedReport:
-    """Wall-clock throughput of forward + decode over a corpus, processed in
-    batches of ``batch_size`` (an accounting convention here: sentences run
-    one at a time within a batch)."""
+    """Wall-clock throughput of forward + decode over a corpus, one
+    sentence at a time."""
     if not sentences:
         raise ValueError("need at least one sentence")
     sequences = [tokenize(s, append_placeholders=True) for s in sentences]
     start = time.perf_counter()
-    for chunk_start in range(0, len(sequences), batch_size):
-        for seq in sequences[chunk_start : chunk_start + batch_size]:
-            probs = model.predict(seq)
-            decode(probs, seq, require_all_parts=require_all_parts)
+    for seq in sequences:
+        probs = model.predict(seq)
+        decode(probs, seq, require_all_parts=require_all_parts)
     elapsed = time.perf_counter() - start
-    return SpeedReport(len(sentences) / elapsed, len(sentences), batch_size, elapsed)
+    return SpeedReport(len(sentences) / elapsed, len(sentences), elapsed)

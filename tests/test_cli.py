@@ -157,6 +157,23 @@ class TestTrainCommand:
         metrics2 = json.loads(Path(str(out2) + ".metrics.json").read_text())
         assert metrics2["config"]["seed"] == 9
 
+    def test_more_gold_than_slots_is_data_error(self, tmp_path, capsys):
+        tsv = tmp_path / "synth60.tsv"
+        grids = tmp_path / "grids60.jsonl"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", 60, "--seed", 0,
+                   "--out", tsv) == 0
+        assert run("convert", "--format", "tuples", "--in", tsv, "--out", grids,
+                   "--report", tmp_path / "report.json") == 0
+        capsys.readouterr()
+        code = run("train", "--data", grids, "--out", tmp_path / "m.npz", "--n-slots", 2,
+                   "--hidden", 16, "--blocks", 1, "--epochs", 1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("data error:")] == [
+            err.strip()
+        ]
+        assert "Traceback" not in err
+
 
 class TestExtractCommand:
     def test_empty_input_writes_empty_tsv(self, tmp_path, checkpoint):
@@ -226,6 +243,20 @@ class TestScoreCommand:
         assert report["precision"] == pytest.approx(5 / 8, abs=1e-9)
         assert report["recall"] == pytest.approx(5 / 12, abs=1e-9)
         assert report["f1"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_gold_with_empty_part_is_data_error(self, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("s1\t1.0\tOak barrels\t\tcider\n")
+        out = tmp_path / "r.json"
+        assert run("score", "--scheme", "oie2016", "--gold", gold, "--pred", gold,
+                   "--out", out) == 2
+        assert not out.exists()
+        # Predictions may have empty parts (extract --no-require-all-parts).
+        good = tmp_path / "good.tsv"
+        good.write_text("s1\t1.0\tOak barrels\tgive\tcider\n")
+        assert run("score", "--scheme", "wire57", "--gold", good, "--pred", gold,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["pred_count"] == 1
 
     def test_unknown_scheme_is_usage_error(self, tmp_path, sample_gold_path):
         with pytest.raises(SystemExit) as err:

@@ -123,14 +123,14 @@ class TestSimilarityMatrix:
         grid = LabelGrid((TripletMask((S, R, O)),))
         probs = one_hot_grid_tensor(grid, 1)
         sim = similarity_matrix(probs, grid)
-        assert sim.values.shape == (1, 1)
-        assert sim.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert sim.shape == (1, 1)
+        assert sim[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_predictions_give_equal_rows(self):
         grid = LabelGrid((TripletMask((S, R, O)),))
         probs = np.full((3, 4, 4), 0.25)
         sim = similarity_matrix(probs, grid)
-        assert np.ptp(sim.values) == 0.0
+        assert np.ptp(sim) == 0.0
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(2)
@@ -140,7 +140,7 @@ class TestSimilarityMatrix:
         for n in range(3):
             for m in range(2):
                 expected = smooth_iou(probs[:, n, :], onehot[m], exclude_background=True)
-                assert sim.values[n, m] == pytest.approx(expected, abs=1e-12)
+                assert sim[n, m] == pytest.approx(expected, abs=1e-12)
 
 
 class TestHungarianMax:
@@ -229,7 +229,7 @@ class TestOrderAgnosticLoss:
         assert loss == pytest.approx(0.6891630957353569, abs=1e-12)
         # Cross-check against enumerating both possible matchings.
         totals = [
-            similarity_matrix(probs, grid).values[n, 0] for n in (0, 1)
+            similarity_matrix(probs, grid)[n, 0] for n in (0, 1)
         ]
         assert totals[0] > totals[1]
         manual = (2 * -np.log(0.6) + 1 * -np.log(0.7)) / 2

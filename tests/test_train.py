@@ -111,11 +111,10 @@ class TestMeasureSpeed:
         model_cfg = sl.ModelConfig(n_slots=10, hidden=16, blocks=1, max_len=64)
         model = train(dataset, cfg, model_cfg).model
         sentences = [s.record.sentence for s in samples]
-        report = measure_speed(model, sentences, batch_size=4)
+        report = measure_speed(model, sentences)
         assert report.sentences_per_second > 0
         assert np.isfinite(report.sentences_per_second)
         assert report.n_sentences == len(sentences)
-        assert report.batch_size == 4
 
     def test_requires_sentences(self):
         dataset, _ = tiny_dataset(4)
