@@ -15,7 +15,7 @@ from slotie import (
     LabelGrid,
     grid_from_tuples,
     hungarian_max,
-    loss_gradient,
+    loss_assignment_gradient,
     order_agnostic_loss,
     similarity_matrix,
     tokenize,
@@ -48,7 +48,7 @@ print(f"two gold masks, listed either way: {loss_a:.10f} == {loss_b:.10f}")
 
 print()
 print("=== the gradient points toward the gold grid ===")
-grad = loss_gradient(probs, grid)
+grad = loss_assignment_gradient(probs, grid)[2]
 step = probs - 0.5 * grad
 step = np.clip(step, 1e-9, None)
 step /= step.sum(axis=2, keepdims=True)

@@ -32,10 +32,8 @@ from .matching import (
     TooManyGold,
     hungarian_max,
     loss_assignment_gradient,
-    loss_gradient,
     order_agnostic_loss,
     similarity_matrix,
-    smooth_iou,
 )
 from .model import (
     CheckpointError,
@@ -48,7 +46,6 @@ from .model import (
     build_vocab,
     decode,
     decode_grid,
-    slot_confidence,
 )
 from .train import (
     AdamState,

@@ -56,23 +56,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_config_file(path: str | None, command: str) -> dict:
+def _load_config_file(path: str | None, command: str, defaults: dict) -> dict:
     """Read the layered YAML config: top-level ``common`` settings overridden
-    by the per-command section."""
+    by the per-command section, both limited to the keys of ``defaults``.
+
+    ``common`` keys the command does not use are left out; an unknown key
+    in the command's own section is a ConfigError.
+    """
     if path is None:
         return {}
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    merged = dict(raw.get("common") or {})
-    merged.update(raw.get(command) or {})
+    common = raw.get("common") or {}
+    section = raw.get(command) or {}
+    if not (isinstance(common, dict) and isinstance(section, dict)):
+        raise ConfigError(f"config file {path}: 'common' and '{command}' must hold mappings")
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown {command} keys {unknown}")
+    merged = {k: v for k, v in common.items() if k in defaults}
+    merged.update(section)
     return merged
 
 
 def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """defaults < config file < explicitly-given flags."""
     resolved = dict(defaults)
-    resolved.update(_load_config_file(getattr(args, "config", None), command))
+    resolved.update(_load_config_file(getattr(args, "config", None), command, defaults))
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:

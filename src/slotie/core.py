@@ -128,16 +128,6 @@ class TripletMask:
 
     labels: tuple[TokenClass, ...]
 
-    @property
-    def is_background(self) -> bool:
-        return all(lab == TokenClass.BACKGROUND for lab in self.labels)
-
-    @property
-    def has_all_parts(self) -> bool:
-        """True when the mask labels at least one Subject, Relation and Object."""
-        present = set(self.labels)
-        return {TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT} <= present
-
     def as_array(self) -> np.ndarray:
         return np.fromiter((int(lab) for lab in self.labels), dtype=np.int64, count=len(self.labels))
 

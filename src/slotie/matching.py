@@ -27,30 +27,25 @@ class TooManyGold(SlotieError):
     """Raised when a sentence carries more gold triplets than slots."""
 
 
+#: Floor on target probabilities so the loss and its gradient stay finite.
+EPS = 1e-12
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Knobs for the matching loss.
 
     Non-background classes get doubled weight by default to counter the
-    Background-heavy class balance.  ``focal_gamma`` enables a focal term
-    instead of plain cross-entropy; it defaults to off.  ``reduction``
-    selects the mean over all (token, slot) cells or the plain sum.
+    Background-heavy class balance.
     """
 
     class_weights: tuple[float, float, float, float] = (1.0, 2.0, 2.0, 2.0)
-    reduction: str = "mean"
-    focal_gamma: float | None = None
-    eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if len(self.class_weights) != N_CLASSES:
             raise ValueError(f"need {N_CLASSES} class weights")
         if any(w < 0 for w in self.class_weights):
             raise ValueError("class weights must be non-negative")
-        if self.reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,25 +77,6 @@ def one_hot_masks(gold: LabelGrid) -> np.ndarray:
     rows, cols = np.indices(labels.shape)
     out[rows, cols, labels] = 1.0
     return out
-
-
-def smooth_iou(p_slot: np.ndarray, l_mask: np.ndarray, exclude_background: bool = True) -> float:
-    """Smooth intersection-over-union between one predicted slot and one
-    one-hot mask, both of shape (T, C).
-
-    Intersection is the elementwise product summed over tokens and classes;
-    union is the sum of both masses minus the intersection.  With
-    ``exclude_background`` the sums skip the Background class.  Returns 0
-    when the union is empty.
-    """
-    p = np.asarray(p_slot, dtype=np.float64)
-    l = np.asarray(l_mask, dtype=np.float64)
-    if p.ndim != 2 or p.shape != l.shape or p.shape[1] != N_CLASSES:
-        raise ShapeError(f"slot {p.shape} and mask {l.shape} must both be (T, {N_CLASSES})")
-    start = 1 if exclude_background else 0
-    inter = float((p[:, start:] * l[:, start:]).sum())
-    union = float(p[:, start:].sum() + l[:, start:].sum() - inter)
-    return inter / union if union > 0.0 else 0.0
 
 
 def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.ndarray:
@@ -167,11 +143,10 @@ def hungarian_max(sim: np.ndarray) -> Assignment:
     return Assignment(tuple(pairs), total)
 
 
-def _targets(shape: tuple[int, int, int], gold: LabelGrid, assignment: Assignment) -> np.ndarray:
-    """Per-(token, slot) target classes: matched slots copy their gold mask,
-    unmatched slots target Background everywhere."""
-    n_tokens, n_slots, _ = shape
-    targets = np.full((n_tokens, n_slots), int(TokenClass.BACKGROUND), dtype=np.int64)
+def slot_targets(shape: tuple[int, int], gold: LabelGrid, assignment: Assignment) -> np.ndarray:
+    """Per-(token, slot) target classes of shape (T, N): matched slots copy
+    their gold mask, unmatched slots target Background everywhere."""
+    targets = np.full(shape, int(TokenClass.BACKGROUND), dtype=np.int64)
     if assignment.pairs:
         labels = gold.label_array()
         for slot, gold_index in assignment.pairs:
@@ -195,17 +170,39 @@ def loss_given_assignment(
     gold: LabelGrid,
     assignment: Assignment,
     cfg: LossConfig = LossConfig(),
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Class-weighted cross-entropy of ``p`` against the targets induced by a
-    fixed assignment."""
+    fixed assignment, averaged over the (token, slot) cells, and its
+    analytic gradient w.r.t. the probabilities.
+
+    The gradient is nonzero only at target entries; the denominator is
+    clamped at ``EPS`` so it stays finite for vanishing probabilities.
+    """
     probs = _as_probs(p)
-    targets = _targets(probs.shape, gold, assignment)
+    targets = slot_targets(probs.shape[:2], gold, assignment)
     weights = np.asarray(cfg.class_weights, dtype=np.float64)[targets]
     p_target = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-    cells = weights * -np.log(np.maximum(p_target, cfg.eps))
-    if cfg.focal_gamma is not None:
-        cells = cells * (1.0 - p_target) ** cfg.focal_gamma
-    return float(cells.mean() if cfg.reduction == "mean" else cells.sum())
+    p_safe = np.maximum(p_target, EPS)
+    scale = 1.0 / targets.size
+    loss = float((weights * -np.log(p_safe)).sum() * scale)
+    grad = np.zeros_like(probs)
+    np.put_along_axis(grad, targets[:, :, None], (-weights / p_safe * scale)[:, :, None], axis=2)
+    return loss, grad
+
+
+def loss_assignment_gradient(
+    p: PredictionTensor | np.ndarray,
+    gold: LabelGrid,
+    cfg: LossConfig = LossConfig(),
+) -> tuple[float, Assignment, np.ndarray]:
+    """Loss value, assignment, and analytic gradient in one pass, holding
+    the assignment fixed when differentiating."""
+    probs = _as_probs(p)
+    if gold.n_gold and gold.seq_length != probs.shape[0]:
+        raise ShapeError("gold grid and predictions cover different token counts")
+    assignment = optimal_assignment(probs, gold)
+    loss, grad = loss_given_assignment(probs, gold, assignment, cfg)
+    return loss, assignment, grad
 
 
 def order_agnostic_loss(
@@ -218,55 +215,5 @@ def order_agnostic_loss(
     The loss value is invariant to the listed order of gold masks and, up
     to slot relabeling, to the order of prediction slots.
     """
-    probs = _as_probs(p)
-    if gold.n_gold and gold.seq_length != probs.shape[0]:
-        raise ShapeError("gold grid and predictions cover different token counts")
-    assignment = optimal_assignment(probs, gold)
-    return loss_given_assignment(probs, gold, assignment, cfg), assignment
-
-
-def loss_gradient(
-    p: PredictionTensor | np.ndarray,
-    gold: LabelGrid,
-    cfg: LossConfig = LossConfig(),
-) -> np.ndarray:
-    """Gradient of the matching loss w.r.t. the probabilities, holding the
-    assignment fixed."""
-    _, _, grad = loss_assignment_gradient(p, gold, cfg)
-    return grad
-
-
-def loss_assignment_gradient(
-    p: PredictionTensor | np.ndarray,
-    gold: LabelGrid,
-    cfg: LossConfig = LossConfig(),
-) -> tuple[float, Assignment, np.ndarray]:
-    """Loss value, assignment, and analytic gradient in one pass.
-
-    The gradient is nonzero only at target entries; the denominator is
-    clamped at ``cfg.eps`` so it stays finite for vanishing probabilities.
-    """
-    probs = _as_probs(p)
-    if gold.n_gold and gold.seq_length != probs.shape[0]:
-        raise ShapeError("gold grid and predictions cover different token counts")
-    assignment = optimal_assignment(probs, gold)
-    targets = _targets(probs.shape, gold, assignment)
-    weights = np.asarray(cfg.class_weights, dtype=np.float64)[targets]
-    p_target = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-    p_safe = np.maximum(p_target, cfg.eps)
-    cells = weights * -np.log(p_safe)
-    if cfg.focal_gamma is not None:
-        gamma = cfg.focal_gamma
-        one_minus = 1.0 - p_target
-        cells = cells * one_minus**gamma
-        grad_cells = weights * (
-            gamma * one_minus ** (gamma - 1.0) * np.log(p_safe) - one_minus**gamma / p_safe
-        )
-    else:
-        grad_cells = -weights / p_safe
-    n_cells = targets.size
-    scale = 1.0 / n_cells if cfg.reduction == "mean" else 1.0
-    loss = float(cells.sum() * scale)
-    grad = np.zeros_like(probs)
-    np.put_along_axis(grad, targets[:, :, None], (grad_cells * scale)[:, :, None], axis=2)
-    return loss, assignment, grad
+    loss, assignment, _ = loss_assignment_gradient(p, gold, cfg)
+    return loss, assignment

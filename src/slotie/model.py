@@ -22,8 +22,6 @@ from .autodiff import Tensor, embedding, layer_norm
 from .core import (
     N_CLASSES,
     Extraction,
-    LabelGrid,
-    NoTriplet,
     PredictionTensor,
     SlotieError,
     TokenClass,
@@ -316,67 +314,43 @@ class SlotTagger:
         return model
 
 
-def decode_grid(p: PredictionTensor) -> LabelGrid:
-    """Argmax labels per slot, kept as a full N-mask grid (no filtering)."""
-    labels = p.probs.argmax(axis=2)
-    masks = tuple(
-        TripletMask(tuple(TokenClass(int(c)) for c in labels[:, n]))
-        for n in range(p.n_slots)
-    )
-    return LabelGrid(masks, p.n_slots)
-
-
-def slot_confidence(p_slot: np.ndarray, mask: TripletMask, aggregator: str = "min") -> float:
-    """Confidence of one decoded mask from its slot probabilities.
-
-    ``min`` takes the lowest argmax-class probability over the mask's
-    non-Background tokens; ``geomean`` takes their geometric mean.
-    """
-    indices = [t for t, lab in enumerate(mask.labels) if lab != TokenClass.BACKGROUND]
-    if not indices:
-        raise NoTriplet("cannot score an all-Background mask")
-    chosen = np.array([p_slot[t, int(mask.labels[t])] for t in indices])
-    if aggregator == "min":
-        return float(chosen.min())
-    if aggregator == "geomean":
-        return float(np.exp(np.log(np.maximum(chosen, 1e-12)).mean()))
-    raise ValueError(f"unknown confidence aggregator {aggregator!r}")
+def decode_grid(p: PredictionTensor) -> np.ndarray:
+    """Argmax class of every (token, slot), shape (T, N), no filtering."""
+    return p.probs.argmax(axis=2)
 
 
 def decode(
     p: PredictionTensor,
     seq: TokenSequence,
     require_all_parts: bool = True,
-    deduplicate: bool = True,
-    confidence_aggregator: str = "min",
 ) -> list[Extraction]:
     """Turn the probability tensor into extractions.
 
     Per slot, take the argmax class of every token; drop all-Background
     masks, and with ``require_all_parts`` also drop masks missing a
     Subject, Relation or Object.  Identical masks collapse to the lowest
-    slot index.  Survivors are rendered to strings and scored.
+    slot index.  Survivors are rendered to strings; each one's confidence
+    is the lowest argmax probability over its non-Background tokens.
     """
     if p.n_tokens != len(seq):
         raise ValueError("prediction tensor and sentence cover different token counts")
     labels = p.probs.argmax(axis=2)
+    # parts[n, k]: slot n labels at least one token with class k + 1.
+    parts = (labels[:, :, None] == np.arange(1, N_CLASSES)).any(axis=0)
+    keep = parts.all(axis=1) if require_all_parts else parts.any(axis=1)
+    chosen = np.take_along_axis(p.probs, labels[:, :, None], axis=2)[:, :, 0]
+    confidences = np.where(labels > 0, chosen, np.inf).min(axis=0)
     extractions: list[Extraction] = []
-    seen: set[tuple[int, ...]] = set()
-    for n in range(p.n_slots):
-        slot_labels = labels[:, n]
-        if not slot_labels.any():
+    seen: set[bytes] = set()
+    for n in np.flatnonzero(keep):
+        column = labels[:, n]
+        key = column.tobytes()
+        if key in seen:
             continue
-        mask = TripletMask(tuple(TokenClass(int(c)) for c in slot_labels))
-        if require_all_parts and not mask.has_all_parts:
-            continue
-        key = tuple(int(c) for c in slot_labels)
-        if deduplicate:
-            if key in seen:
-                continue
-            seen.add(key)
-        confidence = slot_confidence(p.probs[:, n, :], mask, confidence_aggregator)
+        seen.add(key)
+        mask = TripletMask(tuple(TokenClass(int(c)) for c in column))
         bare = mask_to_extraction(seq, mask)
         extractions.append(
-            Extraction(bare.arg1, bare.rel, bare.arg2, confidence=confidence)
+            Extraction(bare.arg1, bare.rel, bare.arg2, confidence=float(confidences[n]))
         )
     return extractions

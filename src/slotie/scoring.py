@@ -33,9 +33,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Extraction, LabelGrid, TokenClass, N_CLASSES
+from .core import Extraction, LabelGrid, N_CLASSES
 from .data import tuple_part_tokens
-from .matching import Assignment, hungarian_max
+from .matching import Assignment, hungarian_max, slot_targets
 
 STOPWORDS_VERSION = "en-1"
 _STOPWORDS_PATH = Path(__file__).with_name("stopwords_en.txt")
@@ -140,10 +140,10 @@ def auc_single_point(precision: float, recall: float) -> float:
 class MacroF1Accumulator:
     """Corpus-level token-wise macro F1 over the four classes.
 
-    Predicted slots are compared against their assigned gold mask;
-    unmatched slots are scored against all-Background.  A class absent
-    from both sides counts as perfect (F1 = 1), which keeps identical
-    grids at exactly 1.0.
+    Decoded (T, N) slot labels are compared against the loss's own targets:
+    a matched slot against its assigned gold mask, an unmatched slot against
+    all-Background.  A class absent from both sides counts as perfect
+    (F1 = 1), which keeps identical grids at exactly 1.0.
     """
 
     def __init__(self) -> None:
@@ -151,23 +151,15 @@ class MacroF1Accumulator:
         self.pred_total = np.zeros(N_CLASSES, dtype=np.int64)
         self.gold_total = np.zeros(N_CLASSES, dtype=np.int64)
 
-    def add(self, pred: LabelGrid, gold: LabelGrid, assignment: Assignment) -> None:
-        pred_labels = pred.label_array()
-        slot_to_gold = assignment.slot_to_gold()
-        gold_labels = gold.label_array()
-        background = int(TokenClass.BACKGROUND)
-        for slot in range(pred.n_gold):
-            predicted = pred_labels[slot]
-            if slot in slot_to_gold:
-                target = gold_labels[slot_to_gold[slot]]
-            else:
-                target = np.full_like(predicted, background)
-            for klass in range(N_CLASSES):
-                p = predicted == klass
-                g = target == klass
-                self.true_positive[klass] += int((p & g).sum())
-                self.pred_total[klass] += int(p.sum())
-                self.gold_total[klass] += int(g.sum())
+    def add(self, pred_labels: np.ndarray, gold: LabelGrid, assignment: Assignment) -> None:
+        targets = slot_targets(pred_labels.shape, gold, assignment)
+        # confusion[g, p]: cells whose target class is g and predicted class p.
+        confusion = np.bincount(
+            (targets * N_CLASSES + pred_labels).ravel(), minlength=N_CLASSES * N_CLASSES
+        ).reshape(N_CLASSES, N_CLASSES)
+        self.true_positive += np.diag(confusion)
+        self.pred_total += confusion.sum(axis=0)
+        self.gold_total += confusion.sum(axis=1)
 
     def value(self) -> float:
         scores = []
@@ -184,11 +176,11 @@ class MacroF1Accumulator:
         return float(np.mean(scores))
 
 
-def token_macro_f1(pred: LabelGrid, gold: LabelGrid, assignment: Assignment) -> float:
-    """Token-wise macro F1 between a decoded grid and the gold grid under a
-    given slot-to-gold assignment."""
+def token_macro_f1(pred_labels: np.ndarray, gold: LabelGrid, assignment: Assignment) -> float:
+    """Token-wise macro F1 between decoded (T, N) slot labels and the gold
+    grid under a given slot-to-gold assignment."""
     acc = MacroF1Accumulator()
-    acc.add(pred, gold, assignment)
+    acc.add(pred_labels, gold, assignment)
     return acc.value()
 
 

@@ -113,7 +113,7 @@ def evaluate_macro_f1(
     model: SlotTagger,
     dataset: Sequence[tuple[TokenSequence, LabelGrid]],
 ) -> float:
-    """Token-wise macro F1 of argmax-decoded grids against gold, aggregated
+    """Token-wise macro F1 of the argmax slot labels against gold, aggregated
     over the dataset under the loss-optimal assignments."""
     acc = MacroF1Accumulator()
     for seq, grid in dataset:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import slotie as sl
+from slotie import cli
 from slotie.cli import main
 
 
@@ -276,6 +277,54 @@ class TestScoreCommand:
         assert run("score", "--scheme", "carb", "--gold", sample_gold_path,
                    "--pred", pred, "--out", out) == 0
         assert json.loads(out.read_text())["f1"] == 0.0
+
+
+def all_subclasses(cls):
+    subclasses = cls.__subclasses__()
+    return subclasses + [sub for s in subclasses for sub in all_subclasses(s)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", all_subclasses(sl.SlotieError), ids=lambda e: e.__name__)
+    def test_every_slotie_error_is_one_line(self, tmp_path, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_synth", fail)
+        code = run("synth", "--pool", "data/pool_en.tsv", "--out", tmp_path / "s.tsv")
+        assert code == (3 if error is sl.NumericalError else 2)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("text, named", [
+        ("synth:\n  batch_size: 8\n", "batch_size"),
+        ("synth: 5\n", "synth"),
+        ("common: [1]\n", "common"),
+    ])
+    def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, named):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        out = tmp_path / "s.tsv"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", 3, "--out", out,
+                   "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert named in err
+        assert not out.exists()
+
+    def test_unused_common_keys_are_left_out(self, tmp_path, checkpoint):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("common:\n  seed: 4\n")
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes.\n")
+        out = tmp_path / "out.tsv"
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out,
+                   "--config", config) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["config"] == {"require_all_parts": True}
 
 
 class TestUsageErrors:

@@ -1,0 +1,33 @@
+"""Smoke test: the quick demos run to completion from the repository root.
+
+Demo 04 trains a model for about 20 s, so it is left to be run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_masks_and_alignment.py",
+        "02_matching_loss.py",
+        "03_synthetic_corpus.py",
+        "05_benchmark_scorers.py",
+    ],
+)
+def test_demo_exits_zero(demo):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -12,10 +12,8 @@ from slotie import (
     TripletMask,
     hungarian_max,
     loss_assignment_gradient,
-    loss_gradient,
     order_agnostic_loss,
     similarity_matrix,
-    smooth_iou,
 )
 from slotie.matching import loss_given_assignment, one_hot_masks
 
@@ -36,6 +34,23 @@ def brute_force_best(values):
         elif abs(total - best_total) <= 1e-12 and pairs < best_pairs:
             best_pairs = pairs
     return best_total, best_pairs
+
+
+def smooth_iou(p_slot, l_mask):
+    """Per-pair oracle for ``similarity_matrix``: smooth IoU between one
+    predicted slot and one one-hot mask, both (T, C), over the
+    non-Background classes; 0 when the union is empty."""
+    p = np.asarray(p_slot, dtype=np.float64)[:, 1:]
+    l = np.asarray(l_mask, dtype=np.float64)[:, 1:]
+    inter = float((p * l).sum())
+    union = float(p.sum() + l.sum() - inter)
+    return inter / union if union > 0.0 else 0.0
+
+
+def pair_similarity(p_slot, labels):
+    """``similarity_matrix`` on one slot (T, C) and one gold mask."""
+    grid = LabelGrid((TripletMask(tuple(TokenClass(int(c)) for c in labels)),))
+    return similarity_matrix(np.asarray(p_slot, dtype=np.float64)[:, None, :], grid)[0, 0]
 
 
 def random_instance(rng, n_tokens=5, n_slots=4, n_gold=2):
@@ -66,55 +81,47 @@ def one_hot_grid_tensor(grid, n_slots):
 
 
 class TestSmoothIou:
+    """Hand cases for the similarity of one slot to one gold mask."""
+
     def test_perfect_match_is_one(self):
-        l = np.zeros((3, 4))
-        l[0, 1] = l[1, 2] = l[2, 3] = 1.0
-        assert smooth_iou(l, l, exclude_background=True) == 1.0
+        assert pair_similarity(np.eye(4)[[1, 2, 3]], (S, R, O)) == 1.0
 
     def test_all_background_gold_is_zero(self):
-        p = np.full((3, 4), 0.25)
-        l = np.zeros((3, 4))
-        l[:, 0] = 1.0
-        assert smooth_iou(p, l, exclude_background=True) == 0.0
+        assert pair_similarity(np.full((3, 4), 0.25), (B, B, B)) == 0.0
 
     def test_hand_worked_value(self):
         # Two tokens, gold Subject then Relation; prediction puts 0.5 on the
         # gold class and 0.125 on each other non-background class:
         # I = 1.0, U = 1.5 + 2 - 1.0 = 2.5, IoU = 0.4.
         p = np.array([[0.25, 0.5, 0.125, 0.125], [0.25, 0.125, 0.5, 0.125]])
-        l = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
-        assert smooth_iou(p, l, exclude_background=True) == pytest.approx(0.4, abs=1e-12)
+        assert pair_similarity(p, (S, R)) == pytest.approx(0.4, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            smooth_iou(np.full((2, 4), 0.25), np.zeros((3, 4)))
+            pair_similarity(np.full((2, 4), 0.25), (S, R, O))
 
     def test_bounds_on_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             p = rng.dirichlet(np.ones(4), size=4)
-            labels = rng.integers(0, 4, size=4)
-            l = np.eye(4)[labels]
-            for flag in (True, False):
-                value = smooth_iou(p, l, exclude_background=flag)
-                assert 0.0 <= value <= 1.0 + 1e-12
+            value = pair_similarity(p, rng.integers(0, 4, size=4))
+            assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_equals_one_only_at_exact_match(self):
-        l = np.zeros((3, 4))
-        l[0, 1] = l[1, 2] = l[2, 3] = 1.0
-        assert smooth_iou(l, l) == 1.0
+        l = np.eye(4)[[1, 2, 3]]
+        assert pair_similarity(l, (S, R, O)) == 1.0
         perturbed = l.copy()
         perturbed[0] = [0.1, 0.9, 0.0, 0.0]
-        assert smooth_iou(perturbed, l) < 1.0
+        assert pair_similarity(perturbed, (S, R, O)) < 1.0
 
     def test_background_mass_ignored_when_excluded(self):
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(4), size=5)
-        l = np.eye(4)[rng.integers(0, 4, size=5)]
-        bumped = l.copy()
+        labels = rng.integers(0, 4, size=5)
+        bumped = p.copy()
         bumped[:, 0] += 3.0  # arbitrary extra Background mass
-        a = smooth_iou(p, l, exclude_background=True)
-        b = smooth_iou(p, bumped, exclude_background=True)
+        a = pair_similarity(p, labels)
+        b = pair_similarity(bumped, labels)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -139,7 +146,7 @@ class TestSimilarityMatrix:
         onehot = one_hot_masks(grid)
         for n in range(3):
             for m in range(2):
-                expected = smooth_iou(probs[:, n, :], onehot[m], exclude_background=True)
+                expected = smooth_iou(probs[:, n, :], onehot[m])
                 assert sim[n, m] == pytest.approx(expected, abs=1e-12)
 
 
@@ -274,9 +281,9 @@ class TestLossGradient:
             for i in rng.choice(flat.size, size=16, replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_given_assignment(probs, grid, assignment)
+                up, _ = loss_given_assignment(probs, grid, assignment)
                 flat[i] = orig - h
-                down = loss_given_assignment(probs, grid, assignment)
+                down, _ = loss_given_assignment(probs, grid, assignment)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 g = grad.reshape(-1)[i]
@@ -287,9 +294,8 @@ class TestLossGradient:
         rng = np.random.default_rng(10)
         probs, grid = random_instance(rng, n_tokens=4, n_slots=3, n_gold=1)
         cfg = LossConfig(class_weights=(1.0, 0.0, 2.0, 2.0))
-        grad = loss_gradient(probs, grid, cfg)
+        _, assignment, grad = loss_assignment_gradient(probs, grid, cfg)
         labels = grid.label_array()[0]
-        _, assignment, _ = loss_assignment_gradient(probs, grid, cfg)
         slot = assignment.pairs[0][0]
         for t in range(4):
             if labels[t] == S:
@@ -299,7 +305,7 @@ class TestLossGradient:
         rng = np.random.default_rng(12)
         _, grid = random_instance(rng, n_tokens=4, n_slots=3, n_gold=2)
         probs = one_hot_grid_tensor(grid, 3)
-        grad = loss_gradient(probs, grid)
+        grad = loss_assignment_gradient(probs, grid)[2]
         # Target entries carry negative gradient (increase them), everything
         # else is untouched by the cross-entropy.
         assert grad.max() <= 0.0
@@ -307,31 +313,18 @@ class TestLossGradient:
 
 
 class TestLossConfig:
-    def test_rejects_bad_reduction(self):
+    def test_rejects_bad_class_weights(self):
         with pytest.raises(ValueError):
-            LossConfig(reduction="median")
+            LossConfig(class_weights=(1.0, 2.0, 2.0))
+        with pytest.raises(ValueError):
+            LossConfig(class_weights=(1.0, -2.0, 2.0, 2.0))
 
-    def test_focal_flag_changes_loss(self):
+    def test_entry_points_share_one_core(self):
         rng = np.random.default_rng(13)
         probs, grid = random_instance(rng)
-        plain, _ = order_agnostic_loss(probs, grid)
-        focal, _ = order_agnostic_loss(probs, grid, LossConfig(focal_gamma=2.0))
-        assert focal != pytest.approx(plain)
-
-    def test_focal_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(14)
-        cfg = LossConfig(focal_gamma=2.0)
-        probs, grid = random_instance(rng, n_tokens=3, n_slots=3, n_gold=1)
-        _, assignment, grad = loss_assignment_gradient(probs, grid, cfg)
-        h = 1e-6
-        flat = probs.reshape(-1)
-        for i in rng.choice(flat.size, size=12, replace=False):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_given_assignment(probs, grid, assignment, cfg)
-            flat[i] = orig - h
-            down = loss_given_assignment(probs, grid, assignment, cfg)
-            flat[i] = orig
-            fd = (up - down) / (2 * h)
-            g = grad.reshape(-1)[i]
-            assert abs(fd - g) / max(abs(fd), abs(g), 1e-6) < 1e-4
+        cfg = LossConfig(class_weights=(1.0, 3.0, 2.0, 0.5))
+        loss, assignment, grad = loss_assignment_gradient(probs, grid, cfg)
+        assert order_agnostic_loss(probs, grid, cfg) == (loss, assignment)
+        fixed_loss, fixed_grad = loss_given_assignment(probs, grid, assignment, cfg)
+        assert fixed_loss == loss
+        assert np.array_equal(fixed_grad, grad)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotie import (
     CheckpointError,
+    Extraction,
     ModelConfig,
-    NoTriplet,
     PredictionTensor,
     SlotTagger,
     TokenClass,
@@ -13,7 +14,8 @@ from slotie import (
     build_vocab,
     decode,
     decode_grid,
-    slot_confidence,
+    mask_to_extraction,
+    sequence_from_tokens,
     tokenize,
 )
 
@@ -153,8 +155,6 @@ class TestDecode:
         rows[4] = [1, 2, 3]
         exts = decode(tensor_for_masks(rows), seq)
         assert len(exts) == 1
-        exts = decode(tensor_for_masks(rows), seq, deduplicate=False)
-        assert len(exts) == 2
 
     def test_require_all_parts_filtering(self):
         seq = tokenize("ada wrote notes")
@@ -175,39 +175,107 @@ class TestDecode:
     def test_decode_grid_keeps_all_slots(self):
         rows = np.zeros((5, 3), dtype=int)
         rows[2] = [1, 2, 3]
-        grid = decode_grid(tensor_for_masks(rows))
-        assert grid.n_gold == 5
-        assert grid.masks[2].labels == (S, R, O)
+        labels = decode_grid(tensor_for_masks(rows))
+        assert labels.shape == (3, 5)
+        assert labels[:, 2].tolist() == [S, R, O]
+        assert not labels[:, [0, 1, 3, 4]].any()
+
+
+def decode_one_slot(p_slot):
+    """Decode a one-slot tensor over a sentence of len(p_slot) tokens,
+    keeping masks that miss a part."""
+    seq = sequence_from_tokens([f"w{t}" for t in range(len(p_slot))])
+    return decode(PredictionTensor(np.asarray(p_slot)[:, None, :]), seq, require_all_parts=False)
 
 
 class TestConfidence:
     def test_one_hot_slot_scores_one(self):
-        p_slot = np.eye(4)[[1, 2, 3]]
-        mask = TripletMask((S, R, O))
-        assert slot_confidence(p_slot, mask) == pytest.approx(1.0)
+        (ext,) = decode_one_slot(np.eye(4)[[1, 2, 3]])
+        assert ext.confidence == pytest.approx(1.0)
 
     def test_min_aggregation(self):
-        p_slot = np.array([[0.1, 0.9, 0.0, 0.0], [0.4, 0.0, 0.6, 0.0]])
-        mask = TripletMask((S, R))
-        assert slot_confidence(p_slot, mask) == pytest.approx(0.6)
+        (ext,) = decode_one_slot(np.array([[0.1, 0.9, 0.0, 0.0], [0.4, 0.0, 0.6, 0.0]]))
+        assert ext.confidence == pytest.approx(0.6)
 
     def test_monotone_in_token_probability(self):
         p_slot = np.array([[0.1, 0.9, 0.0, 0.0], [0.4, 0.0, 0.6, 0.0]])
         better = p_slot.copy()
         better[1, 2] = 0.8
         better[1, 0] = 0.2
-        mask = TripletMask((S, R))
-        assert slot_confidence(better, mask) >= slot_confidence(p_slot, mask)
+        (worse_ext,) = decode_one_slot(p_slot)
+        (better_ext,) = decode_one_slot(better)
+        assert better_ext.confidence >= worse_ext.confidence
 
-    def test_geomean_aggregator(self):
-        p_slot = np.array([[0.1, 0.9, 0.0, 0.0], [0.4, 0.0, 0.4, 0.2]])
-        mask = TripletMask((S, R))
-        expected = np.exp((np.log(0.9) + np.log(0.4)) / 2)
-        assert slot_confidence(p_slot, mask, "geomean") == pytest.approx(expected)
+    def test_background_slot_has_no_extraction(self):
+        # An all-Background slot is dropped before any confidence is taken.
+        assert decode_one_slot(np.eye(4)[[0, 0]]) == []
 
-    def test_background_mask_raises(self):
-        with pytest.raises(NoTriplet):
-            slot_confidence(np.eye(4)[[0, 0]], TripletMask((B, B)))
+
+def reference_decode(p, seq, require_all_parts=True):
+    """The per-slot decode loop that the array decode replaced: one
+    TripletMask per slot, filtered, deduplicated in slot order, and scored
+    by its lowest argmax probability over non-Background tokens."""
+    labels = p.probs.argmax(axis=2)
+    extractions = []
+    seen = set()
+    for n in range(p.n_slots):
+        mask = TripletMask(tuple(TokenClass(int(c)) for c in labels[:, n]))
+        present = set(mask.labels)
+        if present == {B}:
+            continue
+        if require_all_parts and not {S, R, O} <= present:
+            continue
+        key = tuple(int(c) for c in labels[:, n])
+        if key in seen:
+            continue
+        seen.add(key)
+        indices = [t for t, lab in enumerate(mask.labels) if lab != B]
+        confidence = float(np.array([p.probs[t, n, int(mask.labels[t])] for t in indices]).min())
+        bare = mask_to_extraction(seq, mask)
+        extractions.append(Extraction(bare.arg1, bare.rel, bare.arg2, confidence=confidence))
+    return extractions
+
+
+@st.composite
+def label_columns(draw):
+    """(T, N) slot labels over a few class subsets, so slots often miss a
+    part, with some columns copied from earlier ones."""
+    n_tokens = draw(st.integers(1, 6))
+    n_slots = draw(st.integers(1, 8))
+    subsets = st.sampled_from([(0,), (0, 1), (0, 1, 2), (1, 3), (0, 1, 2, 3), (1, 2, 3)])
+    columns = []
+    for n in range(n_slots):
+        if n and draw(st.booleans()):
+            columns.append(columns[draw(st.integers(0, n - 1))])
+        else:
+            classes = draw(subsets)
+            columns.append(draw(st.lists(st.sampled_from(classes), min_size=n_tokens,
+                                         max_size=n_tokens)))
+    return np.array(columns, dtype=np.int64).T
+
+
+def tensor_with_argmax(labels, seed):
+    """Random probabilities whose per-(token, slot) argmax is ``labels``."""
+    n_tokens, n_slots = labels.shape
+    probs = np.random.default_rng(seed).dirichlet(np.ones(4), size=(n_tokens, n_slots))
+    t, n = np.indices(labels.shape)
+    top = probs.argmax(axis=2)
+    peak = probs[t, n, top]
+    probs[t, n, top] = probs[t, n, labels]
+    probs[t, n, labels] = peak
+    return PredictionTensor(probs)
+
+
+class TestDecodeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(labels=label_columns(), seed=st.integers(0, 2**16), require_all_parts=st.booleans())
+    def test_equals_per_slot_loop(self, labels, seed, require_all_parts):
+        p = tensor_with_argmax(labels, seed)
+        assert np.array_equal(decode_grid(p), labels)
+        seq = sequence_from_tokens([f"w{t}" for t in range(labels.shape[0])])
+        got = decode(p, seq, require_all_parts=require_all_parts)
+        # Extraction equality covers the confidence, compared exactly.
+        assert got == reference_decode(p, seq, require_all_parts=require_all_parts)
 
 
 class TestCheckpoint:

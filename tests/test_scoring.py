@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotie import (
     Assignment,
@@ -249,20 +250,24 @@ class TestOie2016Score:
         assert default_head("") == ""
 
 
+def slot_labels(*masks):
+    """Stack per-slot label tuples into the decoded (T, N) array."""
+    return np.array(masks, dtype=np.int64).T
+
+
 class TestTokenMacroF1:
     def test_identical_grids(self):
         grid = LabelGrid((TripletMask((S, R, O, B)),))
-        assert token_macro_f1(grid, grid, Assignment(((0, 0),), 1.0)) == 1.0
+        assert token_macro_f1(slot_labels((S, R, O, B)), grid, Assignment(((0, 0),), 1.0)) == 1.0
 
     def test_all_background_hand_case(self):
         # 4 tokens: Background F1 = 0.4, the rest 0 -> macro 0.1.
-        pred = LabelGrid((TripletMask((B, B, B, B)),))
         gold = LabelGrid((TripletMask((S, R, O, B)),))
-        value = token_macro_f1(pred, gold, Assignment(((0, 0),), 0.0))
+        value = token_macro_f1(slot_labels((B, B, B, B)), gold, Assignment(((0, 0),), 0.0))
         assert value == pytest.approx(0.1, abs=1e-12)
 
     def test_gold_swap_with_rematching_invariant(self):
-        pred = LabelGrid((TripletMask((S, R, O, B)), TripletMask((B, S, R, O))))
+        pred = slot_labels((S, R, O, B), (B, S, R, O))
         gold_a = LabelGrid((TripletMask((S, R, O, B)), TripletMask((B, S, R, O))))
         gold_b = LabelGrid((gold_a.masks[1], gold_a.masks[0]))
         a = token_macro_f1(pred, gold_a, Assignment(((0, 0), (1, 1)), 2.0))
@@ -270,12 +275,62 @@ class TestTokenMacroF1:
         assert a == b == 1.0
 
     def test_unmatched_slots_scored_against_background(self):
-        pred = LabelGrid((TripletMask((B, B)), TripletMask((S, R))))
-        gold = LabelGrid(())
         acc = MacroF1Accumulator()
-        acc.add(pred, gold, Assignment((), 0.0))
+        acc.add(slot_labels((B, B), (S, R)), LabelGrid(()), Assignment((), 0.0))
         value = acc.value()
         assert value < 1.0  # slot 1 wrongly predicts non-background
+
+
+def reference_counts(pred_labels, gold, assignment):
+    """Per-class counts from the per-slot, per-class loop that the
+    confusion-matrix accumulator replaced."""
+    tp, pred_total, gold_total = (np.zeros(4, dtype=np.int64) for _ in range(3))
+    slot_to_gold = assignment.slot_to_gold()
+    gold_labels = gold.label_array()
+    for slot in range(pred_labels.shape[1]):
+        predicted = pred_labels[:, slot]
+        if slot in slot_to_gold:
+            target = gold_labels[slot_to_gold[slot]]
+        else:
+            target = np.full_like(predicted, int(B))
+        for klass in range(4):
+            p = predicted == klass
+            g = target == klass
+            tp[klass] += int((p & g).sum())
+            pred_total[klass] += int(p.sum())
+            gold_total[klass] += int(g.sum())
+    return tp, pred_total, gold_total
+
+
+@st.composite
+def scored_sentences(draw):
+    """Decoded labels, a gold grid and a partial slot-to-gold assignment."""
+    n_tokens = draw(st.integers(1, 5))
+    n_slots = draw(st.integers(1, 6))
+    n_gold = draw(st.integers(0, min(n_slots, 3)))
+    column = st.lists(st.integers(0, 3), min_size=n_tokens, max_size=n_tokens)
+    pred = np.array(draw(st.lists(column, min_size=n_slots, max_size=n_slots))).T
+    gold = LabelGrid(tuple(
+        TripletMask(tuple(TokenClass(c) for c in draw(column))) for _ in range(n_gold)
+    ))
+    slots = draw(st.permutations(range(n_slots)))
+    n_matched = draw(st.integers(0, n_gold))
+    pairs = tuple(sorted(zip(slots[:n_matched], range(n_matched))))
+    return pred, gold, Assignment(pairs, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentences=st.lists(scored_sentences(), min_size=1, max_size=3))
+def test_accumulator_counts_equal_per_slot_loop(sentences):
+    acc = MacroF1Accumulator()
+    expected = [np.zeros(4, dtype=np.int64) for _ in range(3)]
+    for pred, gold, assignment in sentences:
+        acc.add(pred, gold, assignment)
+        for total, counts in zip(expected, reference_counts(pred, gold, assignment)):
+            total += counts
+    assert acc.true_positive.tolist() == expected[0].tolist()
+    assert acc.pred_total.tolist() == expected[1].tolist()
+    assert acc.gold_total.tolist() == expected[2].tolist()
 
 
 class TestSelfScoring:
