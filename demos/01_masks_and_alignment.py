@@ -1,7 +1,8 @@
 """Token masks and tuple-to-mask alignment, step by step.
 
-A sentence is tagged per token with one of four classes; one mask encodes
-one (arg1, rel, arg2) triplet.  String tuples that copy pieces of the
+A sentence is tagged per token with one of four classes; one mask, a row
+of TokenClass ids, encodes one (arg1, rel, arg2) triplet.  A sentence's
+gold masks form one (M, T) array, ``LabelGrid.labels``.  String tuples that copy pieces of the
 sentence can be projected back onto token masks by repeatedly matching the
 longest common token run and excluding it, with the appended [is]/[from]/
 [to] placeholders standing in for words the tuple uses implicitly.
@@ -13,7 +14,6 @@ from slotie import (
     Extraction,
     GenerativeRecord,
     TokenClass,
-    TripletMask,
     grid_from_tuples,
     lcs_align,
     mask_to_extraction,
@@ -24,13 +24,13 @@ S, R, O = TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
 
 def show_mask(seq, mask):
-    row = "  ".join(f"{tok}/{lab.name[0]}" for tok, lab in zip(seq.tokens, mask.labels))
+    row = "  ".join(f"{tok}/{TokenClass(lab).name[0]}" for tok, lab in zip(seq.tokens, mask))
     print("   " + row)
 
 
 print("=== from mask to extraction ===")
 seq = tokenize("Albert Einstein is physicist")
-mask = TripletMask((S, S, R, O))
+mask = (S, S, R, O)
 show_mask(seq, mask)
 print("  ->", mask_to_extraction(seq, mask))
 
@@ -38,7 +38,8 @@ print()
 print("=== from token indices to a label grid ===")
 seq = tokenize("Maria sold the old house to her neighbor")
 grid = grid_from_tuples(seq, [((0,), (1,), (2, 3, 4)), ((0,), (1, 5), (6, 7))])
-for mask in grid.masks:
+print("label array:", grid.labels.shape)
+for mask in grid.labels:
     show_mask(seq, mask)
 
 print()
@@ -52,7 +53,7 @@ record = GenerativeRecord(
 )
 aligned = lcs_align(record)
 print("sentence tokens:", aligned.sequence.tokens)
-for mask in aligned.grid.masks:
+for mask in aligned.grid.labels:
     show_mask(aligned.sequence, mask)
     print("  ->", mask_to_extraction(aligned.sequence, mask))
 for skip in aligned.skipped:

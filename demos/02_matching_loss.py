@@ -43,7 +43,7 @@ loss, _ = order_agnostic_loss(probs, grid)
 print(f"loss at random probabilities: {loss:.4f}")
 two = grid_from_tuples(seq, [((0,), (1,), (2, 3, 4)), ((0,), (1,), (4,))])
 loss_a, _ = order_agnostic_loss(probs, two)
-loss_b, _ = order_agnostic_loss(probs, LabelGrid(tuple(reversed(two.masks))))
+loss_b, _ = order_agnostic_loss(probs, LabelGrid(two.labels[::-1]))
 print(f"two gold masks, listed either way: {loss_a:.10f} == {loss_b:.10f}")
 
 print()

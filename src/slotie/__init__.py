@@ -19,7 +19,6 @@ from .core import (
     SlotieError,
     TokenClass,
     TokenSequence,
-    TripletMask,
     grid_from_tuples,
     mask_to_extraction,
     sequence_from_tokens,

@@ -91,6 +91,15 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     return resolved
 
 
+def _value(config: dict, key: str, convert):
+    """``convert(config[key])``; a value of the wrong type is a ConfigError
+    that names the key."""
+    try:
+        return convert(config[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: unusable value {config[key]!r} ({exc})") from exc
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
@@ -181,7 +190,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve(args, "synth", {"n": 1000, "seed": 0})
     pool = TripletPool.from_tsv(args.pool)
-    samples = synth_generate(pool, int(config["n"]), int(config["seed"]))
+    samples = synth_generate(pool, _value(config, "n", int), _value(config, "seed", int))
     write_tuples_tsv(args.out, [s.record for s in samples])
     _write_meta(
         args.out,
@@ -221,22 +230,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _resolve(args, "train", _TRAIN_DEFAULTS)
     dataset = read_grid_jsonl(args.data)
     train_cfg = TrainConfig(
-        learning_rate=float(config["learning_rate"]),
-        weight_decay=float(config["weight_decay"]),
-        batch_size=int(config["batch_size"]),
-        max_epochs=int(config["max_epochs"]),
-        seed=int(config["seed"]),
-        validation_fraction=float(config["validation_fraction"]),
-        target_f1=None if config["target_f1"] is None else float(config["target_f1"]),
+        learning_rate=_value(config, "learning_rate", float),
+        weight_decay=_value(config, "weight_decay", float),
+        batch_size=_value(config, "batch_size", int),
+        max_epochs=_value(config, "max_epochs", int),
+        seed=_value(config, "seed", int),
+        validation_fraction=_value(config, "validation_fraction", float),
+        target_f1=_value(config, "target_f1", lambda v: None if v is None else float(v)),
     )
     model_cfg = ModelConfig(
-        n_slots=int(config["n_slots"]),
-        hidden=int(config["hidden"]),
-        blocks=int(config["blocks"]),
-        max_len=int(config["max_len"]),
+        n_slots=_value(config, "n_slots", int),
+        hidden=_value(config, "hidden", int),
+        blocks=_value(config, "blocks", int),
+        max_len=_value(config, "max_len", int),
         frozen_encoder=bool(config["frozen_encoder"]),
     )
-    loss_cfg = LossConfig(class_weights=tuple(float(w) for w in config["class_weights"]))
+    loss_cfg = LossConfig(
+        class_weights=_value(config, "class_weights", lambda ws: tuple(float(w) for w in ws))
+    )
     result = train(
         dataset,
         train_cfg,
@@ -324,6 +335,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _resolve(args, "score", {"scheme": None})
     scheme = config["scheme"]
+    score_fn = SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    if score_fn is None:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     gold_records = read_tuples_tsv(args.gold)
     for record in gold_records:
         for ext in record.tuples:
@@ -348,7 +362,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 f"{record.sentence[:60]}",
                 file=sys.stderr,
             )
-    report = SCHEMES[scheme](gold, pred)
+    report = score_fn(gold, pred)
     report.auc = auc_single_point(report.precision, report.recall)
     payload = report.to_dict()
     payload["config"] = config

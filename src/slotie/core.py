@@ -122,62 +122,30 @@ class TokenSequence:
         return self.tokens[:-3] if self.has_placeholders else self.tokens
 
 
-@dataclass(frozen=True)
-class TripletMask:
-    """Per-token class labels encoding (at most) one triplet."""
-
-    labels: tuple[TokenClass, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.fromiter((int(lab) for lab in self.labels), dtype=np.int64, count=len(self.labels))
-
-    def token_indices(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Indices labeled Subject, Relation and Object, in token order."""
-        parts: dict[TokenClass, list[int]] = {
-            TokenClass.SUBJECT: [],
-            TokenClass.RELATION: [],
-            TokenClass.OBJECT: [],
-        }
-        for i, lab in enumerate(self.labels):
-            if lab != TokenClass.BACKGROUND:
-                parts[lab].append(i)
-        return (
-            tuple(parts[TokenClass.SUBJECT]),
-            tuple(parts[TokenClass.RELATION]),
-            tuple(parts[TokenClass.OBJECT]),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelGrid:
-    """Up to ``n_slots`` triplet masks for one sentence (the gold or decoded
-    counterpart of the probability tensor)."""
+    """The gold triplet masks of one sentence as one read-only (M, T) int64
+    array of TokenClass ids, one row per mask; T is kept even when M = 0."""
 
-    masks: tuple[TripletMask, ...]
-    n_slots: int | None = None
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        lengths = {len(m.labels) for m in self.masks}
-        if len(lengths) > 1:
-            raise BadAnnotation("all masks in a grid must cover the same tokens")
-        if self.n_slots is not None and len(self.masks) > self.n_slots:
-            raise BadAnnotation(
-                f"{len(self.masks)} masks exceed the {self.n_slots}-slot budget"
-            )
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.ndim != 2:
+            raise BadAnnotation(f"expected an (M, T) label array, got shape {labels.shape}")
+        if labels.size and not (0 <= labels.min() and labels.max() < N_CLASSES):
+            raise BadAnnotation(f"labels must be class ids in [0, {N_CLASSES})")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelGrid):
+            return NotImplemented
+        return np.array_equal(self.labels, other.labels)
 
     @property
     def n_gold(self) -> int:
-        return len(self.masks)
-
-    @property
-    def seq_length(self) -> int | None:
-        return len(self.masks[0].labels) if self.masks else None
-
-    def label_array(self) -> np.ndarray:
-        """Dense (M, T) integer class labels."""
-        if not self.masks:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.stack([m.as_array() for m in self.masks])
+        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -277,64 +245,56 @@ def sequence_from_tokens(tokens: Sequence[str], append_placeholders: bool = Fals
     return TokenSequence(tuple(out), tuple(spans), tuple(flags))
 
 
-def mask_to_extraction(seq: TokenSequence, mask: TripletMask) -> Extraction:
-    """Concatenate, in token order, the Subject/Relation/Object tokens of a
-    mask into an (arg1, rel, arg2) extraction.
+_TRIPLET_CLASSES = (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT)
+
+
+def mask_to_extraction(seq: TokenSequence, labels: Sequence[int] | np.ndarray) -> Extraction:
+    """Concatenate, in token order, the Subject/Relation/Object tokens of one
+    mask row (a length-T sequence of TokenClass ids) into an (arg1, rel,
+    arg2) extraction.
 
     Placeholder tokens keep their bracketed surface form verbatim.  Raises
     NoTriplet for an all-Background mask.
     """
-    if len(mask.labels) != len(seq):
-        raise BadAnnotation(
-            f"mask covers {len(mask.labels)} tokens but the sentence has {len(seq)}"
-        )
-    parts: dict[TokenClass, list[str]] = {
-        TokenClass.SUBJECT: [],
-        TokenClass.RELATION: [],
-        TokenClass.OBJECT: [],
-    }
-    for token, label in zip(seq.tokens, mask.labels):
-        if label != TokenClass.BACKGROUND:
-            parts[label].append(token)
-    if not any(parts.values()):
+    row = np.asarray(labels).tolist()
+    if len(row) != len(seq):
+        raise BadAnnotation(f"mask covers {len(row)} tokens but the sentence has {len(seq)}")
+    # parts[c]: the tokens labeled with class id c, in token order.
+    parts: list[list[str]] = [[] for _ in range(N_CLASSES)]
+    for token, label in zip(seq.tokens, row):
+        parts[label].append(token)
+    subject, relation, obj = (parts[c] for c in _TRIPLET_CLASSES)
+    if not (subject or relation or obj):
         raise NoTriplet("mask labels every token Background")
-    return Extraction(
-        " ".join(parts[TokenClass.SUBJECT]),
-        " ".join(parts[TokenClass.RELATION]),
-        " ".join(parts[TokenClass.OBJECT]),
-    )
+    return Extraction(" ".join(subject), " ".join(relation), " ".join(obj))
 
 
 def grid_from_tuples(
     seq: TokenSequence,
     gold: Sequence[tuple[Sequence[int], Sequence[int], Sequence[int]]],
-    n_slots: int | None = None,
 ) -> LabelGrid:
     """Build a LabelGrid from (subject, relation, object) token-index triples.
 
-    One mask per triple, in the given order.  Raises BadAnnotation for
+    One mask row per triple, in the given order.  Raises BadAnnotation for
     out-of-range or conflicting indices, empty parts, or duplicate triples.
     """
     n_tokens = len(seq)
-    masks: list[TripletMask] = []
+    labels = np.zeros((len(gold), n_tokens), dtype=np.int64)
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for parts in gold:
+    for row, parts in zip(labels, gold):
         if len(parts) != 3:
             raise BadAnnotation(f"expected 3 index groups per triplet, got {len(parts)}")
         key = tuple(tuple(sorted(set(p))) for p in parts)
         if key in seen:
             raise BadAnnotation(f"duplicate gold triplet {key}")
         seen.add(key)
-        labels = [TokenClass.BACKGROUND] * n_tokens
-        classes = (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT)
-        for token_class, indices in zip(classes, parts):
+        for token_class, indices in zip(_TRIPLET_CLASSES, parts):
             if not indices:
                 raise BadAnnotation(f"gold triplet has no {token_class.name} tokens")
             for index in indices:
                 if not 0 <= index < n_tokens:
                     raise BadAnnotation(f"token index {index} out of range (T={n_tokens})")
-                if labels[index] != TokenClass.BACKGROUND:
+                if row[index] != TokenClass.BACKGROUND:
                     raise BadAnnotation(f"token {index} labeled twice within one triplet")
-                labels[index] = token_class
-        masks.append(TripletMask(tuple(labels)))
-    return LabelGrid(tuple(masks), n_slots)
+                row[index] = token_class
+    return LabelGrid(labels)

@@ -28,7 +28,6 @@ from .core import (
     SlotieError,
     TokenClass,
     TokenSequence,
-    TripletMask,
     sequence_from_tokens,
     split_chunk,
     tokenize,
@@ -181,12 +180,14 @@ def _longest_common_run(
     )
 
 
-_PART_CLASSES = (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT)
+#: Plain-int class ids: building the label array from ints is cheaper than
+#: from IntEnum members.
+_PART_CLASSES = tuple(int(c) for c in (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT))
 _PART_NAMES = ("arg1", "rel", "arg2")
 
 
-def _align_tuple(sent_keys: list[str], ext: Extraction) -> tuple[TokenClass, ...] | SkippedTuple:
-    labels = [TokenClass.BACKGROUND] * len(sent_keys)
+def _align_tuple(sent_keys: list[str], ext: Extraction) -> list[int] | SkippedTuple:
+    labels = [int(TokenClass.BACKGROUND)] * len(sent_keys)
     available = [True] * len(sent_keys)
     for token_class, name, part in zip(_PART_CLASSES, _PART_NAMES, ext.as_tuple()):
         part_tokens = tuple_part_tokens(part)
@@ -204,10 +205,14 @@ def _align_tuple(sent_keys: list[str], ext: Extraction) -> tuple[TokenClass, ...
                 available[si] = False
             for pj in run[1]:
                 part_avail[pj] = False
-    return tuple(labels)
+    return labels
 
 
-def lcs_align(record: GenerativeRecord, n_slots: int | None = None) -> AlignedRecord:
+def _grid(rows: list[list[int]], n_tokens: int) -> LabelGrid:
+    return LabelGrid(np.array(rows, dtype=np.int64).reshape(len(rows), n_tokens))
+
+
+def lcs_align(record: GenerativeRecord) -> AlignedRecord:
     """Project string tuples onto token masks by iterated longest-common-run
     matching with exclusion.
 
@@ -222,15 +227,15 @@ def lcs_align(record: GenerativeRecord, n_slots: int | None = None) -> AlignedRe
         _match_key(tok) if flag else tok
         for tok, flag in zip(seq.tokens, seq.placeholder_flags)
     ]
-    masks: list[TripletMask] = []
+    rows: list[list[int]] = []
     skipped: list[SkippedTuple] = []
     for ext in record.tuples:
         outcome = _align_tuple(sent_keys, ext)
         if isinstance(outcome, SkippedTuple):
             skipped.append(outcome)
         else:
-            masks.append(TripletMask(outcome))
-    return AlignedRecord(record.sentence, seq, LabelGrid(tuple(masks), n_slots), tuple(skipped))
+            rows.append(outcome)
+    return AlignedRecord(record.sentence, seq, _grid(rows, len(seq)), tuple(skipped))
 
 
 # -- n-ary CoNLL conversion ---------------------------------------------------
@@ -316,7 +321,7 @@ def lsoie_convert(record: ConllRecord, append_placeholders: bool = True) -> Conl
     argument.  Placeholders (when appended) carry Background labels.
     """
     rejected: list[str] = []
-    masks: list[TripletMask] = []
+    rows: list[list[int]] = []
     pad = len(PLACEHOLDER_TOKENS) if append_placeholders else 0
     for layer_index, tags in enumerate(record.role_labels):
         if len(tags) != len(record.tokens):
@@ -330,9 +335,9 @@ def lsoie_convert(record: ConllRecord, append_placeholders: bool = True) -> Conl
             rejected.append(f"layer {layer_index}: fewer than two arguments")
             continue
         classes.extend([TokenClass.BACKGROUND] * pad)
-        masks.append(TripletMask(tuple(classes)))
+        rows.append(classes)
     sequence = sequence_from_tokens(record.tokens, append_placeholders=append_placeholders)
-    return ConllConversion(sequence, LabelGrid(tuple(masks)), tuple(rejected))
+    return ConllConversion(sequence, _grid(rows, len(sequence)), tuple(rejected))
 
 
 # -- synthetic sentence generation --------------------------------------------
@@ -468,13 +473,9 @@ def read_imojie_jsonl(path) -> list[GenerativeRecord]:
     return records
 
 
-_CLASS_LETTERS = {
-    TokenClass.BACKGROUND: "B",
-    TokenClass.SUBJECT: "S",
-    TokenClass.RELATION: "R",
-    TokenClass.OBJECT: "O",
-}
-_LETTER_CLASSES = {v: k for k, v in _CLASS_LETTERS.items()}
+#: The grid-format letter of each TokenClass id, indexed by the id.
+_CLASS_LETTERS = "BSRO"
+_LETTER_CLASSES = {letter: i for i, letter in enumerate(_CLASS_LETTERS)}
 
 
 def write_grid_jsonl(path, records: Iterable[AlignedRecord]) -> None:
@@ -486,7 +487,7 @@ def write_grid_jsonl(path, records: Iterable[AlignedRecord]) -> None:
             "sentence": record.sentence,
             "tokens": list(record.sequence.tokens),
             "placeholders": sum(record.sequence.placeholder_flags),
-            "masks": [[_CLASS_LETTERS[lab] for lab in m.labels] for m in record.grid.masks],
+            "masks": [[_CLASS_LETTERS[c] for c in row] for row in record.grid.labels.tolist()],
         }
         lines.append(json.dumps(obj, ensure_ascii=False))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -495,7 +496,9 @@ def write_grid_jsonl(path, records: Iterable[AlignedRecord]) -> None:
 def read_grid_jsonl(path) -> list[tuple[TokenSequence, LabelGrid]]:
     """Read the training format back into sequences and label grids."""
     dataset: list[tuple[TokenSequence, LabelGrid]] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    # Records end at "\n" only: json.dumps(ensure_ascii=False) leaves other
+    # line breaks such as U+0085 and U+2028 unescaped inside strings.
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -513,13 +516,13 @@ def read_grid_jsonl(path) -> list[tuple[TokenSequence, LabelGrid]]:
             sequence = sequence_from_tokens(tokens[:-n_placeholders], append_placeholders=True)
         else:
             sequence = sequence_from_tokens(tokens)
-        masks = []
+        rows = []
         for row in mask_rows:
             if len(row) != len(tokens):
                 raise FormatError(f"{path}:{lineno}: mask length differs from token count")
             try:
-                masks.append(TripletMask(tuple(_LETTER_CLASSES[c] for c in row)))
+                rows.append([_LETTER_CLASSES[c] for c in row])
             except KeyError as exc:
                 raise FormatError(f"{path}:{lineno}: unknown class letter {exc}") from exc
-        dataset.append((sequence, LabelGrid(tuple(masks))))
+        dataset.append((sequence, _grid(rows, len(tokens))))
     return dataset

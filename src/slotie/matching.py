@@ -70,27 +70,18 @@ def _as_probs(p: PredictionTensor | np.ndarray) -> np.ndarray:
     return probs
 
 
-def one_hot_masks(gold: LabelGrid) -> np.ndarray:
-    """One-hot encode a grid's masks into an (M, T, C) array."""
-    labels = gold.label_array()
-    out = np.zeros(labels.shape + (N_CLASSES,), dtype=np.float64)
-    rows, cols = np.indices(labels.shape)
-    out[rows, cols, labels] = 1.0
-    return out
-
-
 def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.ndarray:
     """Smooth IoU between every slot and every gold mask, shape (N, M),
     over the non-Background classes."""
     probs = _as_probs(p)
     if gold.n_gold == 0:
         raise ValueError("similarity matrix needs at least one gold mask")
-    if gold.seq_length != probs.shape[0]:
+    if gold.labels.shape[1] != probs.shape[0]:
         raise ShapeError(
-            f"grid covers {gold.seq_length} tokens but predictions cover {probs.shape[0]}"
+            f"grid covers {gold.labels.shape[1]} tokens but predictions cover {probs.shape[0]}"
         )
     pred = probs[:, :, 1:]
-    masks = one_hot_masks(gold)[:, :, 1:]
+    masks = np.eye(N_CLASSES)[gold.labels][:, :, 1:]
     inter = np.einsum("tnc,mtc->nm", pred, masks)
     union = pred.sum(axis=(0, 2))[:, None] + masks.sum(axis=(1, 2))[None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
@@ -147,10 +138,8 @@ def slot_targets(shape: tuple[int, int], gold: LabelGrid, assignment: Assignment
     """Per-(token, slot) target classes of shape (T, N): matched slots copy
     their gold mask, unmatched slots target Background everywhere."""
     targets = np.full(shape, int(TokenClass.BACKGROUND), dtype=np.int64)
-    if assignment.pairs:
-        labels = gold.label_array()
-        for slot, gold_index in assignment.pairs:
-            targets[:, slot] = labels[gold_index]
+    for slot, gold_index in assignment.pairs:
+        targets[:, slot] = gold.labels[gold_index]
     return targets
 
 
@@ -198,7 +187,7 @@ def loss_assignment_gradient(
     """Loss value, assignment, and analytic gradient in one pass, holding
     the assignment fixed when differentiating."""
     probs = _as_probs(p)
-    if gold.n_gold and gold.seq_length != probs.shape[0]:
+    if gold.labels.shape[1] != probs.shape[0]:
         raise ShapeError("gold grid and predictions cover different token counts")
     assignment = optimal_assignment(probs, gold)
     loss, grad = loss_given_assignment(probs, gold, assignment, cfg)

@@ -24,9 +24,7 @@ from .core import (
     Extraction,
     PredictionTensor,
     SlotieError,
-    TokenClass,
     TokenSequence,
-    TripletMask,
     mask_to_extraction,
 )
 
@@ -348,8 +346,7 @@ def decode(
         if key in seen:
             continue
         seen.add(key)
-        mask = TripletMask(tuple(TokenClass(int(c)) for c in column))
-        bare = mask_to_extraction(seq, mask)
+        bare = mask_to_extraction(seq, column)
         extractions.append(
             Extraction(bare.arg1, bare.rel, bare.arg2, confidence=float(confidences[n]))
         )

@@ -18,7 +18,6 @@ from slotie import (
     LabelGrid,
     PLACEHOLDER_TOKENS,
     TokenClass,
-    TripletMask,
     hungarian_max,
     order_agnostic_loss,
     read_imojie_jsonl,
@@ -49,24 +48,23 @@ def random_probs(rng, n_tokens, n_slots):
 
 
 def random_grid(rng, n_tokens, n_gold):
-    masks = []
+    rows = []
     for _ in range(n_gold):
-        labels = [TokenClass(int(c)) for c in rng.integers(0, 4, size=n_tokens)]
+        labels = rng.integers(0, 4, size=n_tokens)
         for cls, pos in zip((S, R, O), rng.choice(n_tokens, size=3, replace=False)):
             labels[pos] = cls
-        masks.append(TripletMask(tuple(labels)))
-    return LabelGrid(tuple(masks))
+        rows.append(labels)
+    return LabelGrid(rows)
 
 
 def one_hot_tensor(grid, n_slots):
-    n_tokens = grid.seq_length
+    n_tokens = grid.labels.shape[1]
     probs = np.zeros((n_tokens, n_slots, 4))
     probs[:, :, 0] = 1.0
-    labels = grid.label_array()
     for m in range(grid.n_gold):
         for t in range(n_tokens):
             probs[t, m, :] = 0.0
-            probs[t, m, labels[m, t]] = 1.0
+            probs[t, m, grid.labels[m, t]] = 1.0
     return probs
 
 
@@ -138,7 +136,7 @@ def test_criterion_3_order_agnosticism():
         grid = random_grid(rng, n_tokens, n_gold)
         loss, _ = order_agnostic_loss(probs, grid)
         gold_perm = rng.permutation(n_gold)
-        shuffled = LabelGrid(tuple(grid.masks[i] for i in gold_perm))
+        shuffled = LabelGrid(grid.labels[gold_perm])
         loss_gold, _ = order_agnostic_loss(probs, shuffled)
         slot_perm = rng.permutation(n_slots)
         loss_slot, _ = order_agnostic_loss(probs[:, slot_perm, :], grid)
@@ -220,7 +218,7 @@ def test_criterion_7_conversion_soundness(imojie_fixture_path):
         aligned = sl.lcs_align(record)
         supply = Counter(norm(t) for t in aligned.sequence.tokens)
         skipped = {s.extraction for s in aligned.skipped}
-        mask_iter = iter(aligned.grid.masks)
+        mask_iter = iter(aligned.grid.labels)
         for ext in record.tuples:
             demand = Counter(
                 norm(t) for part in ext.as_tuple() for t in tuple_part_tokens(part)
@@ -234,7 +232,7 @@ def test_criterion_7_conversion_soundness(imojie_fixture_path):
             assert matchable
             mask = next(mask_iter)
             labeled = [
-                tok for tok, lab in zip(aligned.sequence.tokens, mask.labels)
+                tok for tok, lab in zip(aligned.sequence.tokens, mask)
                 if lab != B
             ]
             # disjoint spans consume exactly one sentence token per tuple token

@@ -315,6 +315,31 @@ class TestConfigKeys:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ("train:\n  class_weights: 5\n", "class_weights"),
+        ("train:\n  max_epochs: [1]\n", "max_epochs"),
+    ])
+    def test_wrongly_typed_value_is_data_error(self, tmp_path, capsys, grids_jsonl, text, named):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        out = tmp_path / "m.npz"
+        capsys.readouterr()
+        assert run("train", "--data", grids_jsonl, "--out", out, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert named in err
+        assert not out.exists()
+
+    def test_unknown_scheme_in_config_is_data_error(self, tmp_path, capsys, sample_gold_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("score:\n  scheme: foo\n")
+        out = tmp_path / "r.json"
+        assert run("score", "--gold", sample_gold_path, "--pred", sample_gold_path,
+                   "--out", out, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: unknown scheme 'foo'\n"
+        assert not out.exists()
+
     def test_unused_common_keys_are_left_out(self, tmp_path, checkpoint):
         config = tmp_path / "cfg.yaml"
         config.write_text("common:\n  seed: 4\n")

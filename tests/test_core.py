@@ -10,7 +10,6 @@ from slotie import (
     PLACEHOLDER_TOKENS,
     PredictionTensor,
     TokenClass,
-    TripletMask,
     grid_from_tuples,
     mask_to_extraction,
     sequence_from_tokens,
@@ -77,32 +76,32 @@ class TestSequenceFromTokens:
 class TestMaskToExtraction:
     def test_basic(self):
         seq = tokenize("Albert Einstein is physicist")
-        mask = TripletMask((S, S, R, O))
+        mask = (S, S, R, O)
         assert mask_to_extraction(seq, mask) == Extraction("Albert Einstein", "is", "physicist")
 
     def test_all_background_raises(self):
         seq = tokenize("Albert Einstein is physicist")
         with pytest.raises(NoTriplet):
-            mask_to_extraction(seq, TripletMask((B, B, B, B)))
+            mask_to_extraction(seq, np.zeros(4, dtype=np.int64))
 
     def test_relation_tokens_joined_in_order(self):
         seq = tokenize("a b c d e f")
-        mask = TripletMask((S, B, R, R, O, B))
+        mask = np.array([S, B, R, R, O, B])
         ext = mask_to_extraction(seq, mask)
         assert ext.rel == "c d"
 
     def test_placeholder_surface_preserved(self):
         seq = tokenize("Obama born in Hawaii", append_placeholders=True)
-        mask = TripletMask((S, R, R, O, R, B, B))
+        mask = (S, R, R, O, R, B, B)
         ext = mask_to_extraction(seq, mask)
         assert ext.rel == "born in [is]"
 
     def test_token_multiset_matches_mask(self):
         seq = tokenize("w x y z w")
-        mask = TripletMask((S, R, O, O, S))
+        mask = (S, R, O, O, S)
         ext = mask_to_extraction(seq, mask)
         produced = sorted((ext.arg1 + " " + ext.rel + " " + ext.arg2).split())
-        labeled = sorted(t for t, lab in zip(seq.tokens, mask.labels) if lab != B)
+        labeled = sorted(t for t, lab in zip(seq.tokens, mask) if lab != B)
         assert produced == labeled
 
 
@@ -111,18 +110,19 @@ class TestGridFromTuples:
         seq = tokenize("a b c d")
         grid = grid_from_tuples(seq, [])
         assert grid.n_gold == 0
+        assert grid.labels.shape == (0, 4)
 
     def test_single_triplet(self):
         seq = tokenize("a b c d")
         grid = grid_from_tuples(seq, [((0, 1), (2,), (3,))])
-        assert grid.masks[0].labels == (S, S, R, O)
+        assert grid.labels.tolist() == [[S, S, R, O]]
 
     def test_overlapping_triplets_have_independent_masks(self):
         seq = tokenize("a b c d e")
         grid = grid_from_tuples(seq, [((0,), (2,), (3,)), ((1,), (2,), (4,))])
-        assert grid.masks[0].labels[2] == R
-        assert grid.masks[1].labels[2] == R
-        assert grid.masks[0].labels[1] == B
+        assert grid.labels[0, 2] == R
+        assert grid.labels[1, 2] == R
+        assert grid.labels[0, 1] == B
 
     def test_index_out_of_range(self):
         seq = tokenize("a b")
@@ -145,19 +145,29 @@ class TestGridFromTuples:
         rng = np.random.default_rng(11)
         seq = tokenize("t0 t1 t2 t3 t4 t5 t6 t7")
         for _ in range(25):
-            labels = [TokenClass(int(c)) for c in rng.integers(0, 4, size=8)]
+            labels = rng.integers(0, 4, size=8)
             for cls, pos in zip((S, R, O), rng.choice(8, size=3, replace=False)):
                 labels[pos] = cls
-            mask = TripletMask(tuple(labels))
-            grid = grid_from_tuples(seq, [mask.token_indices()])
-            assert grid.masks[0] == mask
+            indices = tuple(np.flatnonzero(labels == cls).tolist() for cls in (S, R, O))
+            grid = grid_from_tuples(seq, [indices])
+            assert grid.labels.tolist() == [labels.tolist()]
 
 
 class TestGridAndTensorInvariants:
-    def test_grid_slot_budget(self):
-        seq = tokenize("a b c")
-        with pytest.raises(BadAnnotation):
-            LabelGrid((TripletMask((S, R, O)), TripletMask((O, R, S))), n_slots=1)
+    def test_label_grid_is_a_read_only_id_array(self):
+        source = np.array([[S, R, O], [O, R, S]])
+        grid = LabelGrid(source)
+        assert grid.labels.dtype == np.int64 and grid.n_gold == 2
+        with pytest.raises(ValueError):
+            grid.labels[0, 0] = B
+        source[0, 0] = B
+        assert grid.labels[0, 0] == S
+        assert grid == LabelGrid([[S, R, O], [O, R, S]])
+        assert grid != LabelGrid([[O, R, S], [S, R, O]])
+        assert LabelGrid(np.zeros((0, 3))) != LabelGrid(np.zeros((0, 4)))
+        for bad in ([S, R, O], [[S, R, 4]], [[-1, R, O]]):
+            with pytest.raises(BadAnnotation):
+                LabelGrid(bad)
 
     def test_prediction_tensor_validation(self):
         good = np.full((2, 3, 4), 0.25)

@@ -1,6 +1,9 @@
+import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import slotie as sl
 from slotie import (
@@ -31,8 +34,8 @@ from slotie.data import (
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
 
-def letters(mask):
-    return "".join("BSRO"[int(lab)] for lab in mask.labels)
+def letters(row):
+    return "".join("BSRO"[lab] for lab in row)
 
 
 class TestTuplePartTokens:
@@ -51,7 +54,7 @@ class TestLcsAlign:
         )
         aligned = lcs_align(rec)
         assert not aligned.skipped
-        assert letters(aligned.grid.masks[0]) == "SSROBBB"
+        assert letters(aligned.grid.labels[0]) == "SSROBBB"
 
     def test_placeholder_satisfies_missing_is(self):
         rec = GenerativeRecord(
@@ -61,7 +64,7 @@ class TestLcsAlign:
         aligned = lcs_align(rec)
         assert not aligned.skipped
         # Relation covers "born", "in" and the appended [is].
-        assert letters(aligned.grid.masks[0]) == "SRRORBB"
+        assert letters(aligned.grid.labels[0]) == "SRRORBB"
 
     def test_bare_is_also_matches_placeholder(self):
         rec = GenerativeRecord(
@@ -70,7 +73,7 @@ class TestLcsAlign:
         )
         aligned = lcs_align(rec)
         assert not aligned.skipped
-        assert letters(aligned.grid.masks[0]) == "SRRORBB"
+        assert letters(aligned.grid.labels[0]) == "SRRORBB"
 
     def test_unmatchable_token_skips_tuple(self):
         rec = GenerativeRecord(
@@ -95,7 +98,7 @@ class TestLcsAlign:
             (Extraction("the cat", "chased", "the big dog"),),
         )
         aligned = lcs_align(rec)
-        assert letters(aligned.grid.masks[0]) == "SSROOOBBB"
+        assert letters(aligned.grid.labels[0]) == "SSROOOBBB"
 
     def test_exclusion_forces_disjoint_spans(self):
         # Both parts want "on"; exclusion hands the first occurrence to the
@@ -106,8 +109,8 @@ class TestLcsAlign:
         )
         aligned = lcs_align(rec)
         assert not aligned.skipped
-        mask = aligned.grid.masks[0]
-        counts = Counter(mask.labels)
+        mask = aligned.grid.labels[0]
+        counts = Counter(mask.tolist())
         assert counts[R] == 2 and counts[O] == 4
 
     def test_masks_are_class_disjoint_and_sound(self, imojie_fixture_path):
@@ -116,9 +119,9 @@ class TestLcsAlign:
             aligned = lcs_align(record)
             accepted = [e for e in record.tuples
                         if e not in [s.extraction for s in aligned.skipped]]
-            for mask, ext in zip(aligned.grid.masks, accepted):
+            for mask, ext in zip(aligned.grid.labels, accepted):
                 labeled = [
-                    tok for tok, lab in zip(aligned.sequence.tokens, mask.labels)
+                    tok for tok, lab in zip(aligned.sequence.tokens, mask)
                     if lab != B
                 ]
                 demand = Counter(
@@ -145,7 +148,7 @@ class TestConll:
                           (("A0-B", "P-B", "A1-B", "A1-I"),))
         out = lsoie_convert(rec)
         assert out.accepted
-        assert letters(out.grid.masks[0]) == "SROOBBB"
+        assert letters(out.grid.labels[0]) == "SROOBBB"
 
     def test_higher_arguments_merge_into_object(self):
         rec = ConllRecord(
@@ -153,7 +156,7 @@ class TestConll:
             (("A0-B", "P-B", "A1-B", "A1-I", "A2-B", "A2-I", "A2-I"),),
         )
         out = lsoie_convert(rec)
-        assert letters(out.grid.masks[0]) == "SROOOOOBBB"
+        assert letters(out.grid.labels[0]) == "SROOOOOBBB"
 
     def test_missing_second_argument_rejected(self):
         rec = ConllRecord(("Rain", "fell"), (("A0-B", "P-B"),))
@@ -180,7 +183,7 @@ class TestConll:
         rec = ConllRecord(("Rain", "fell", "hard"), (("A0-B", "P-B", "A1-B"),))
         out = lsoie_convert(rec)
         assert out.sequence.tokens[-3:] == sl.PLACEHOLDER_TOKENS
-        assert out.grid.masks[0].labels[-3:] == (B, B, B)
+        assert out.grid.labels[0, -3:].tolist() == [B, B, B]
 
     def test_sample_file_end_to_end(self, lsoie_fixture_path):
         records = read_conll(lsoie_fixture_path)
@@ -318,6 +321,25 @@ class TestImojieJsonl:
             read_imojie_jsonl(path)
 
 
+#: sha256 of write_grid_jsonl over lcs_align of synth_generate(pool_en, 200, seed=7).
+GRIDS_SHA256 = "14cb6deae245d1d3b9910dce0c9cf2fbc7b520039ba1aac10835fedef84135c9"
+
+_token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4)
+
+
+@st.composite
+def grid_records(draw):
+    """An AlignedRecord with arbitrary tokens, with or without placeholders,
+    and 0-3 mask rows of arbitrary class ids."""
+    seq = sl.sequence_from_tokens(
+        draw(st.lists(_token, min_size=1, max_size=6)), append_placeholders=draw(st.booleans())
+    )
+    row = st.lists(st.integers(0, 3), min_size=len(seq), max_size=len(seq))
+    rows = draw(st.lists(row, max_size=3))
+    grid = sl.LabelGrid(np.array(rows, dtype=np.int64).reshape(len(rows), len(seq)))
+    return sl.AlignedRecord(draw(st.text(max_size=12)), seq, grid, ())
+
+
 class TestGridJsonl:
     def test_roundtrip(self, tmp_path, pool):
         samples = synth_generate(pool, 10, seed=6)
@@ -329,6 +351,34 @@ class TestGridJsonl:
         for (seq, grid), original in zip(loaded, aligned):
             assert seq.tokens == original.sequence.tokens
             assert grid == original.grid
+
+    def test_seeded_synth_grids_are_pinned(self, tmp_path, pool):
+        # The training-grid bytes for a fixed corpus; any change to the
+        # alignment or to the writer shows up as a digest mismatch.
+        aligned = [lcs_align(s.record) for s in synth_generate(pool, 200, seed=7)]
+        path = tmp_path / "grids.jsonl"
+        write_grid_jsonl(path, aligned)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GRIDS_SHA256
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(grid_records(), max_size=4))
+    # json.dumps(ensure_ascii=False) leaves U+0085 and U+2028 raw in the line.
+    @example(records=[sl.AlignedRecord(
+        "a\x85b\u2028c", sl.sequence_from_tokens(["a"]), sl.LabelGrid([[1]]), ()
+    )])
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, records):
+        first = tmp_path_factory.mktemp("grids") / "first.jsonl"
+        second = first.with_name("second.jsonl")
+        write_grid_jsonl(first, records)
+        loaded = read_grid_jsonl(first)
+        assert [seq for seq, _ in loaded] == [r.sequence for r in records]
+        for (_, grid), record in zip(loaded, records):
+            assert grid.labels.shape == record.grid.labels.shape
+            assert np.array_equal(grid.labels, record.grid.labels)
+        write_grid_jsonl(second, [
+            sl.AlignedRecord(r.sentence, seq, grid, ()) for r, (seq, grid) in zip(records, loaded)
+        ])
+        assert second.read_bytes() == first.read_bytes()
 
     def test_bad_class_letter(self, tmp_path):
         path = tmp_path / "g.jsonl"

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotie import (
     LabelGrid,
@@ -9,13 +10,12 @@ from slotie import (
     ShapeError,
     TokenClass,
     TooManyGold,
-    TripletMask,
     hungarian_max,
     loss_assignment_gradient,
     order_agnostic_loss,
     similarity_matrix,
 )
-from slotie.matching import loss_given_assignment, one_hot_masks
+from slotie.matching import EPS, loss_given_assignment, slot_targets
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -49,7 +49,7 @@ def smooth_iou(p_slot, l_mask):
 
 def pair_similarity(p_slot, labels):
     """``similarity_matrix`` on one slot (T, C) and one gold mask."""
-    grid = LabelGrid((TripletMask(tuple(TokenClass(int(c)) for c in labels)),))
+    grid = LabelGrid([labels])
     return similarity_matrix(np.asarray(p_slot, dtype=np.float64)[:, None, :], grid)[0, 0]
 
 
@@ -57,26 +57,85 @@ def random_instance(rng, n_tokens=5, n_slots=4, n_gold=2):
     logits = rng.normal(size=(n_tokens, n_slots, 4))
     probs = np.exp(logits)
     probs /= probs.sum(axis=2, keepdims=True)
-    masks = []
+    rows = []
     for _ in range(n_gold):
-        labels = [TokenClass(int(c)) for c in rng.integers(0, 4, size=n_tokens)]
+        labels = rng.integers(0, 4, size=n_tokens)
         for cls, pos in zip((S, R, O), rng.choice(n_tokens, size=3, replace=False)):
             labels[pos] = cls
-        masks.append(TripletMask(tuple(labels)))
-    return probs, LabelGrid(tuple(masks))
+        rows.append(labels)
+    return probs, LabelGrid(rows)
+
+
+def oracle_one_hot(rows, n_tokens):
+    """(M, T, C) one-hot encoding of gold label rows, one row at a time."""
+    out = np.zeros((len(rows), n_tokens, 4))
+    for m, row in enumerate(rows):
+        for t, c in enumerate(row):
+            out[m, t, c] = 1.0
+    return out
+
+
+def oracle_similarity(probs, rows):
+    """Smooth IoU over ``oracle_one_hot`` in the arithmetic of
+    ``similarity_matrix``, so the two must agree bit for bit."""
+    pred = probs[:, :, 1:]
+    masks = oracle_one_hot(rows, probs.shape[0])[:, :, 1:]
+    inter = np.einsum("tnc,mtc->nm", pred, masks)
+    union = pred.sum(axis=(0, 2))[:, None] + masks.sum(axis=(1, 2))[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def oracle_targets(n_tokens, n_slots, rows, pairs):
+    """(T, N) targets: each matched slot copies its gold row, token by token."""
+    targets = np.full((n_tokens, n_slots), int(B), dtype=np.int64)
+    for slot, gold_index in pairs:
+        for t in range(n_tokens):
+            targets[t, slot] = rows[gold_index][t]
+    return targets
+
+
+def oracle_loss_gradient(probs, rows, weights):
+    """Loss, assignment pairs and gradient from the oracle similarity and
+    targets, with the weighted cross-entropy written out per cell."""
+    pairs = hungarian_max(oracle_similarity(probs, rows)).pairs if rows else ()
+    n_tokens, n_slots = probs.shape[:2]
+    targets = oracle_targets(n_tokens, n_slots, rows, pairs)
+    scale = 1.0 / targets.size
+    cells = np.zeros((n_tokens, n_slots))
+    grad = np.zeros_like(probs)
+    for t in range(n_tokens):
+        for n in range(n_slots):
+            c = targets[t, n]
+            p_safe = max(probs[t, n, c], EPS)
+            cells[t, n] = weights[c] * -np.log(p_safe)
+            grad[t, n, c] = -weights[c] / p_safe * scale
+    return float(cells.sum() * scale), pairs, grad
+
+
+@st.composite
+def gold_instances(draw, min_gold=0):
+    """Softmax probabilities (T, N, C) from a drawn seed and up to N
+    distinct gold label rows; sizes stay small."""
+    n_tokens = draw(st.integers(2, 6))
+    n_slots = draw(st.integers(max(min_gold, 1), 4))
+    row = st.lists(st.integers(0, 3), min_size=n_tokens, max_size=n_tokens)
+    rows = draw(st.lists(row, min_size=min_gold, max_size=n_slots, unique_by=tuple))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    probs = np.exp(rng.normal(size=(n_tokens, n_slots, 4)))
+    probs /= probs.sum(axis=2, keepdims=True)
+    return probs, rows
 
 
 def one_hot_grid_tensor(grid, n_slots):
     """Probability tensor that is exactly the gold grid one-hot, with
     unmatched slots all-Background."""
-    n_tokens = grid.seq_length
+    n_tokens = grid.labels.shape[1]
     probs = np.zeros((n_tokens, n_slots, 4))
     probs[:, :, 0] = 1.0
-    labels = grid.label_array()
     for m in range(grid.n_gold):
         for t in range(n_tokens):
             probs[t, m, :] = 0.0
-            probs[t, m, labels[m, t]] = 1.0
+            probs[t, m, grid.labels[m, t]] = 1.0
     return probs
 
 
@@ -127,14 +186,14 @@ class TestSmoothIou:
 
 class TestSimilarityMatrix:
     def test_perfect_single_cell(self):
-        grid = LabelGrid((TripletMask((S, R, O)),))
+        grid = LabelGrid([[S, R, O]])
         probs = one_hot_grid_tensor(grid, 1)
         sim = similarity_matrix(probs, grid)
         assert sim.shape == (1, 1)
         assert sim[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_predictions_give_equal_rows(self):
-        grid = LabelGrid((TripletMask((S, R, O)),))
+        grid = LabelGrid([[S, R, O]])
         probs = np.full((3, 4, 4), 0.25)
         sim = similarity_matrix(probs, grid)
         assert np.ptp(sim) == 0.0
@@ -143,11 +202,46 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(2)
         probs, grid = random_instance(rng, n_tokens=6, n_slots=3, n_gold=2)
         sim = similarity_matrix(probs, grid)
-        onehot = one_hot_masks(grid)
+        onehot = oracle_one_hot(grid.labels.tolist(), 6)
         for n in range(3):
             for m in range(2):
                 expected = smooth_iou(probs[:, n, :], onehot[m])
                 assert sim[n, m] == pytest.approx(expected, abs=1e-12)
+
+
+class TestGoldArrayProperties:
+    """The (M, T) gold array against the per-row oracle above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instance=gold_instances(),
+        weights=st.sampled_from([(1.0, 2.0, 2.0, 2.0), (1.0, 3.0, 2.0, 0.5)]),
+    )
+    def test_array_paths_equal_the_per_row_oracle(self, instance, weights):
+        probs, rows = instance
+        grid = LabelGrid(np.array(rows, dtype=np.int64).reshape(len(rows), probs.shape[0]))
+        if rows:
+            assert np.array_equal(similarity_matrix(probs, grid), oracle_similarity(probs, rows))
+        loss, assignment, grad = loss_assignment_gradient(probs, grid, LossConfig(weights))
+        want_loss, want_pairs, want_grad = oracle_loss_gradient(probs, rows, weights)
+        assert assignment.pairs == want_pairs
+        assert np.array_equal(
+            slot_targets(probs.shape[:2], grid, assignment),
+            oracle_targets(*probs.shape[:2], rows, want_pairs),
+        )
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=gold_instances(min_gold=1), data=st.data())
+    def test_permuting_gold_rows_permutes_columns(self, instance, data):
+        probs, rows = instance
+        perm = data.draw(st.permutations(range(len(rows))))
+        grid = LabelGrid(rows)
+        shuffled = LabelGrid([rows[i] for i in perm])
+        sim = similarity_matrix(probs, grid)
+        assert np.array_equal(similarity_matrix(probs, shuffled), sim[:, perm])
+        assert order_agnostic_loss(probs, shuffled)[0] == order_agnostic_loss(probs, grid)[0]
 
 
 class TestHungarianMax:
@@ -209,7 +303,7 @@ class TestOrderAgnosticLoss:
             probs, grid = random_instance(rng, n_tokens=5, n_slots=4, n_gold=3)
             loss, a = order_agnostic_loss(probs, grid)
             perm = rng.permutation(3)
-            shuffled = LabelGrid(tuple(grid.masks[i] for i in perm))
+            shuffled = LabelGrid(grid.labels[perm])
             loss2, a2 = order_agnostic_loss(probs, shuffled)
             assert loss2 == pytest.approx(loss, abs=1e-9)
             assert a2.total == pytest.approx(a.total, abs=1e-9)
@@ -230,7 +324,7 @@ class TestOrderAgnosticLoss:
         # (0.6/1.3 vs 0.1/1.2) so it takes the gold mask; slot 1 targets
         # Background.  Loss = (2*(-ln 0.6) + 1*(-ln 0.7)) / 2.
         probs = np.array([[[0.1, 0.6, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]]])
-        grid = LabelGrid((TripletMask((S,)),))
+        grid = LabelGrid([[S]])
         loss, assignment = order_agnostic_loss(probs, grid)
         assert assignment.pairs == ((0, 0),)
         assert loss == pytest.approx(0.6891630957353569, abs=1e-12)
@@ -244,7 +338,7 @@ class TestOrderAgnosticLoss:
 
     def test_no_gold_targets_background_everywhere(self):
         probs = np.full((2, 3, 4), 0.25)
-        grid = LabelGrid(())
+        grid = LabelGrid(np.zeros((0, 2)))
         loss, assignment = order_agnostic_loss(probs, grid)
         assert assignment.pairs == ()
         assert loss == pytest.approx(-np.log(0.25), abs=1e-12)
@@ -264,7 +358,7 @@ class TestOrderAgnosticLoss:
     def test_degenerate_probabilities_stay_finite(self):
         probs = np.zeros((1, 1, 4))
         probs[0, 0, 0] = 1.0
-        grid = LabelGrid((TripletMask((S,)),))
+        grid = LabelGrid([[S]])
         loss, _ = order_agnostic_loss(probs, grid)
         assert np.isfinite(loss)
 
@@ -295,7 +389,7 @@ class TestLossGradient:
         probs, grid = random_instance(rng, n_tokens=4, n_slots=3, n_gold=1)
         cfg = LossConfig(class_weights=(1.0, 0.0, 2.0, 2.0))
         _, assignment, grad = loss_assignment_gradient(probs, grid, cfg)
-        labels = grid.label_array()[0]
+        labels = grid.labels[0]
         slot = assignment.pairs[0][0]
         for t in range(4):
             if labels[t] == S:

@@ -10,7 +10,6 @@ from slotie import (
     SlotTagger,
     TokenClass,
     TooLong,
-    TripletMask,
     build_vocab,
     decode,
     decode_grid,
@@ -212,25 +211,24 @@ class TestConfidence:
 
 
 def reference_decode(p, seq, require_all_parts=True):
-    """The per-slot decode loop that the array decode replaced: one
-    TripletMask per slot, filtered, deduplicated in slot order, and scored
-    by its lowest argmax probability over non-Background tokens."""
+    """The per-slot decode loop that the array decode replaced: one label
+    tuple per slot, filtered, deduplicated in slot order, and scored by its
+    lowest argmax probability over non-Background tokens."""
     labels = p.probs.argmax(axis=2)
     extractions = []
     seen = set()
     for n in range(p.n_slots):
-        mask = TripletMask(tuple(TokenClass(int(c)) for c in labels[:, n]))
-        present = set(mask.labels)
+        mask = tuple(int(c) for c in labels[:, n])
+        present = set(mask)
         if present == {B}:
             continue
         if require_all_parts and not {S, R, O} <= present:
             continue
-        key = tuple(int(c) for c in labels[:, n])
-        if key in seen:
+        if mask in seen:
             continue
-        seen.add(key)
-        indices = [t for t, lab in enumerate(mask.labels) if lab != B]
-        confidence = float(np.array([p.probs[t, n, int(mask.labels[t])] for t in indices]).min())
+        seen.add(mask)
+        indices = [t for t, lab in enumerate(mask) if lab != B]
+        confidence = float(np.array([p.probs[t, n, mask[t]] for t in indices]).min())
         bare = mask_to_extraction(seq, mask)
         extractions.append(Extraction(bare.arg1, bare.rel, bare.arg2, confidence=confidence))
     return extractions

@@ -7,7 +7,6 @@ from slotie import (
     Extraction,
     LabelGrid,
     TokenClass,
-    TripletMask,
     auc_single_point,
     carb_1to1_score,
     carb_score,
@@ -257,26 +256,26 @@ def slot_labels(*masks):
 
 class TestTokenMacroF1:
     def test_identical_grids(self):
-        grid = LabelGrid((TripletMask((S, R, O, B)),))
+        grid = LabelGrid([[S, R, O, B]])
         assert token_macro_f1(slot_labels((S, R, O, B)), grid, Assignment(((0, 0),), 1.0)) == 1.0
 
     def test_all_background_hand_case(self):
         # 4 tokens: Background F1 = 0.4, the rest 0 -> macro 0.1.
-        gold = LabelGrid((TripletMask((S, R, O, B)),))
+        gold = LabelGrid([[S, R, O, B]])
         value = token_macro_f1(slot_labels((B, B, B, B)), gold, Assignment(((0, 0),), 0.0))
         assert value == pytest.approx(0.1, abs=1e-12)
 
     def test_gold_swap_with_rematching_invariant(self):
         pred = slot_labels((S, R, O, B), (B, S, R, O))
-        gold_a = LabelGrid((TripletMask((S, R, O, B)), TripletMask((B, S, R, O))))
-        gold_b = LabelGrid((gold_a.masks[1], gold_a.masks[0]))
+        gold_a = LabelGrid([[S, R, O, B], [B, S, R, O]])
+        gold_b = LabelGrid(gold_a.labels[::-1])
         a = token_macro_f1(pred, gold_a, Assignment(((0, 0), (1, 1)), 2.0))
         b = token_macro_f1(pred, gold_b, Assignment(((0, 1), (1, 0)), 2.0))
         assert a == b == 1.0
 
     def test_unmatched_slots_scored_against_background(self):
         acc = MacroF1Accumulator()
-        acc.add(slot_labels((B, B), (S, R)), LabelGrid(()), Assignment((), 0.0))
+        acc.add(slot_labels((B, B), (S, R)), LabelGrid(np.zeros((0, 2))), Assignment((), 0.0))
         value = acc.value()
         assert value < 1.0  # slot 1 wrongly predicts non-background
 
@@ -286,7 +285,7 @@ def reference_counts(pred_labels, gold, assignment):
     confusion-matrix accumulator replaced."""
     tp, pred_total, gold_total = (np.zeros(4, dtype=np.int64) for _ in range(3))
     slot_to_gold = assignment.slot_to_gold()
-    gold_labels = gold.label_array()
+    gold_labels = gold.labels
     for slot in range(pred_labels.shape[1]):
         predicted = pred_labels[:, slot]
         if slot in slot_to_gold:
@@ -310,9 +309,8 @@ def scored_sentences(draw):
     n_gold = draw(st.integers(0, min(n_slots, 3)))
     column = st.lists(st.integers(0, 3), min_size=n_tokens, max_size=n_tokens)
     pred = np.array(draw(st.lists(column, min_size=n_slots, max_size=n_slots))).T
-    gold = LabelGrid(tuple(
-        TripletMask(tuple(TokenClass(c) for c in draw(column))) for _ in range(n_gold)
-    ))
+    gold_rows = [draw(column) for _ in range(n_gold)]
+    gold = LabelGrid(np.array(gold_rows, dtype=np.int64).reshape(n_gold, n_tokens))
     slots = draw(st.permutations(range(n_slots)))
     n_matched = draw(st.integers(0, n_gold))
     pairs = tuple(sorted(zip(slots[:n_matched], range(n_matched))))
