@@ -219,10 +219,10 @@ class Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
     and shift with learnable (H,) parameters."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    normed = (x.data - mean) * inv
+    normed = centered * inv
     out_data = normed * gain.data + bias.data
     width = x.data.shape[-1]
 

@@ -32,6 +32,7 @@ from .data import (
     read_conll,
     read_grid_jsonl,
     read_imojie_jsonl,
+    read_lines,
     read_tuples_tsv,
     synth_generate,
     template_frequencies,
@@ -287,8 +288,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve(args, "extract", {"require_all_parts": True})
     model = SlotTagger.load(args.checkpoint)
-    lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
-    sentences = [line for line in lines if line.strip()]
+    sentences = [line for line in read_lines(args.infile) if line.strip()]
     records: list[GenerativeRecord] = []
     skipped_long = 0
     elapsed = 0.0

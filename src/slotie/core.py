@@ -178,8 +178,9 @@ class PredictionTensor:
             raise ValueError(f"expected shape (T, N, {N_CLASSES}), got {probs.shape}")
         if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
             raise ValueError("probabilities must lie in [0, 1]")
-        row_sums = probs.sum(axis=2)
-        if not np.allclose(row_sums, 1.0, atol=1e-6):
+        # The tolerance of np.allclose(row_sums, 1.0, atol=1e-6) in one
+        # pass; a NaN sum fails the comparison.
+        if not np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-6 + 1e-5:
             raise ValueError("class probabilities must sum to 1 per (token, slot)")
 
     @property

@@ -98,7 +98,7 @@ class TripletPool:
     @classmethod
     def from_tsv(cls, path, language: str = "en") -> "TripletPool":
         triples: list[tuple[str, str, str]] = []
-        for lineno, line in enumerate(_read_lines(path), start=1):
+        for lineno, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
             cols = line.rstrip("\n").split("\t")
@@ -275,7 +275,7 @@ def read_conll(path) -> list[ConllRecord]:
         rows.clear()
 
     lineno = 0
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             flush(lineno)
@@ -410,15 +410,22 @@ def template_frequencies(samples: Iterable[SynthSample]) -> dict[str, float]:
 
 # -- file formats --------------------------------------------------------------
 
-def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, broken at "\n" only.
+
+    ``read_text`` already turns "\r\n" and "\r" into "\n";
+    ``str.splitlines`` would also break a record at U+0085, U+2028 and
+    other characters that ``json.dumps(ensure_ascii=False)`` and the TSV
+    writer leave raw inside a field.
+    """
+    return Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
 
 
 def read_tuples_tsv(path) -> list[GenerativeRecord]:
     """Read `sentence TAB confidence TAB arg1 TAB rel TAB arg2` lines,
     grouping consecutive-or-not lines of the same sentence together."""
     grouped: dict[str, list[Extraction]] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -442,7 +449,7 @@ def write_tuples_tsv(path, records: Iterable[GenerativeRecord]) -> None:
     for record in records:
         for ext in record.tuples:
             fields = (record.sentence, *ext.as_tuple())
-            if any("\t" in f or "\n" in f for f in fields):
+            if any(c in f for f in fields for c in "\t\n\r"):
                 raise FormatError(f"tabs/newlines not allowed in fields: {fields!r}")
             conf = "1.0" if ext.confidence is None else str(float(ext.confidence))
             lines.append("\t".join((record.sentence, conf, ext.arg1, ext.rel, ext.arg2)))
@@ -454,7 +461,7 @@ def read_imojie_jsonl(path) -> list[GenerativeRecord]:
     "sentence" string and a "tuples" list of part-string lists.  Parts
     beyond the third are appended to arg2."""
     records: list[GenerativeRecord] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
@@ -496,9 +503,7 @@ def write_grid_jsonl(path, records: Iterable[AlignedRecord]) -> None:
 def read_grid_jsonl(path) -> list[tuple[TokenSequence, LabelGrid]]:
     """Read the training format back into sequences and label grids."""
     dataset: list[tuple[TokenSequence, LabelGrid]] = []
-    # Records end at "\n" only: json.dumps(ensure_ascii=False) leaves other
-    # line breaks such as U+0085 and U+2028 unescaped inside strings.
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
@@ -516,13 +521,15 @@ def read_grid_jsonl(path) -> list[tuple[TokenSequence, LabelGrid]]:
             sequence = sequence_from_tokens(tokens[:-n_placeholders], append_placeholders=True)
         else:
             sequence = sequence_from_tokens(tokens)
+        if not isinstance(mask_rows, list):
+            raise FormatError(f"{path}:{lineno}: masks must be a list of rows")
         rows = []
         for row in mask_rows:
-            if len(row) != len(tokens):
-                raise FormatError(f"{path}:{lineno}: mask length differs from token count")
+            if not isinstance(row, list) or len(row) != len(tokens):
+                raise FormatError(f"{path}:{lineno}: a mask row must hold one class letter per token")
             try:
                 rows.append([_LETTER_CLASSES[c] for c in row])
-            except KeyError as exc:
+            except (KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: unknown class letter {exc}") from exc
         dataset.append((sequence, _grid(rows, len(tokens))))
     return dataset

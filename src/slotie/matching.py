@@ -94,23 +94,31 @@ def _optimal_total(values: np.ndarray) -> float:
     return float(values[rows, cols].sum())
 
 
-def hungarian_max(sim: np.ndarray) -> Assignment:
-    """Assignment of slots to gold masks maximizing total similarity.
+def _unique_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]] | None:
+    """The optimal pairs when every other matching scores at least ``2*tol``
+    below them, else None.
 
-    Requires at least as many slots as gold masks; every gold mask gets
-    matched.  Among equally good assignments the result prefers the lowest
-    slot index, then the lowest gold index, so ties resolve
-    deterministically.
+    Lowering the chosen edges by ``2*tol`` costs the chosen matching at
+    least ``2*tol`` more than any other matching, which shares at most M-1
+    of its edges; so the re-solve returns the same edges only when no other
+    matching lies within ``tol`` of the optimum.  The values must be small
+    enough for a ``2*tol`` change to survive rounding.
     """
-    values = np.asarray(sim, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeError(f"similarity matrix must be 2-D, got shape {values.shape}")
+    if not np.abs(values).max() < 1e3:
+        return None
+    rows, cols = linear_sum_assignment(values, maximize=True)
+    lowered = values.copy()
+    lowered[rows, cols] -= 2.0 * tol
+    again_rows, again_cols = linear_sum_assignment(lowered, maximize=True)
+    if np.array_equal(rows, again_rows) and np.array_equal(cols, again_cols):
+        return list(zip(rows.tolist(), cols.tolist()))
+    return None
+
+
+def _lexicographic_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """The lowest-slot, then lowest-gold, matching within ``tol`` of the
+    optimum, fixed one slot at a time by re-solving the rest."""
     n_slots, n_gold = values.shape
-    if n_slots < n_gold:
-        raise TooManyGold(f"{n_gold} gold masks cannot be matched onto {n_slots} slots")
-    if n_gold == 0:
-        return Assignment((), 0.0)
-    tol = 1e-9
     target = _optimal_total(values)
     pairs: list[tuple[int, int]] = []
     remaining = list(range(n_gold))
@@ -130,6 +138,30 @@ def hungarian_max(sim: np.ndarray) -> Assignment:
                 fixed += float(values[slot, gold_index])
                 break
         # No acceptable gold means some optimal assignment skips this slot.
+    return pairs
+
+
+def hungarian_max(sim: np.ndarray) -> Assignment:
+    """Assignment of slots to gold masks maximizing total similarity.
+
+    Requires at least as many slots as gold masks; every gold mask gets
+    matched.  Among equally good assignments the result prefers the lowest
+    slot index, then the lowest gold index, so ties resolve
+    deterministically.  A unique optimum takes two solves; only near-ties
+    and values of 1e3 or more take the slot-by-slot search.
+    """
+    values = np.asarray(sim, dtype=np.float64)
+    if values.ndim != 2:
+        raise ShapeError(f"similarity matrix must be 2-D, got shape {values.shape}")
+    n_slots, n_gold = values.shape
+    if n_slots < n_gold:
+        raise TooManyGold(f"{n_gold} gold masks cannot be matched onto {n_slots} slots")
+    if n_gold == 0:
+        return Assignment((), 0.0)
+    tol = 1e-9
+    pairs = _unique_optimum(values, tol)
+    if pairs is None:
+        pairs = _lexicographic_optimum(values, tol)
     total = float(sum(values[n, m] for n, m in pairs))
     return Assignment(tuple(pairs), total)
 

@@ -158,6 +158,17 @@ class TestTrainCommand:
         metrics2 = json.loads(Path(str(out2) + ".metrics.json").read_text())
         assert metrics2["config"]["seed"] == 9
 
+    def test_non_list_mask_row_is_data_error(self, tmp_path, capsys):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(
+            '{"sentence": "s", "tokens": ["a"], "placeholders": 0, "masks": [5]}\n'
+        )
+        out = tmp_path / "m.npz"
+        assert run("train", "--data", grids, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_more_gold_than_slots_is_data_error(self, tmp_path, capsys):
         tsv = tmp_path / "synth60.tsv"
         grids = tmp_path / "grids60.jsonl"
@@ -183,6 +194,14 @@ class TestExtractCommand:
         out = tmp_path / "out.tsv"
         assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 0
         assert out.read_text() == ""
+
+    def test_sentences_end_at_newlines_only(self, tmp_path, checkpoint):
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote\u2028notes .\nBo ran\x85home .\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["sentences"] == 2
 
     def test_extraction_lines_bounded_by_slots(self, tmp_path, checkpoint, synth_tsv):
         sentences = [r.sentence for r in sl.read_tuples_tsv(synth_tsv)]

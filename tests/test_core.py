@@ -177,6 +177,18 @@ class TestGridAndTensorInvariants:
         with pytest.raises(ValueError):
             PredictionTensor(np.full((2, 3, 5), 0.2))
 
+    @pytest.mark.parametrize("excess, ok", [(1.0e-5, True), (1.2e-5, False), (np.nan, False)])
+    def test_prediction_tensor_row_sum_tolerance(self, excess, ok):
+        # The row sums may miss 1 by 1e-6 + 1e-5 (np.allclose's default
+        # rtol on top of atol=1e-6); a NaN sum never passes.
+        probs = np.full((2, 3, 4), 0.25)
+        probs[1, 2, 0] += excess
+        if ok:
+            PredictionTensor(probs)
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                PredictionTensor(probs)
+
     def test_extraction_confidence_range(self):
         with pytest.raises(ValueError):
             Extraction("a", "b", "c", confidence=1.5)

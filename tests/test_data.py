@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -258,7 +259,39 @@ class TestSynth:
             assert aligned.grid.n_gold == len(s.record.tuples)
 
 
+_field = st.text(max_size=8)
+
+
+@st.composite
+def tuple_records(draw):
+    """GenerativeRecords with distinct sentences, 1-3 extractions each and
+    a float confidence on every extraction; text fields are arbitrary."""
+    sentences = draw(st.lists(_field, max_size=4, unique=True))
+    extraction = st.builds(
+        Extraction, _field, _field, _field, st.floats(0.0, 1.0, allow_nan=False)
+    )
+    return [
+        GenerativeRecord(sentence, tuple(draw(st.lists(extraction, min_size=1, max_size=3))))
+        for sentence in sentences
+    ]
+
+
 class TestTuplesTsv:
+    @settings(max_examples=150, deadline=None)
+    @given(records=tuple_records())
+    # U+0085 and U+2028 are line breaks to str.splitlines but not to the format.
+    @example(records=[GenerativeRecord("a\x85b", (Extraction("c\u2028d", "r", "o", 0.5),))])
+    @example(records=[GenerativeRecord("s\u2028", (Extraction("a", "\x85", "b", 1.0),))])
+    def test_write_read_is_an_exact_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("tsv") / "t.tsv"
+        fields = [f for r in records for e in r.tuples for f in (r.sentence, *e.as_tuple())]
+        if any(c in f for f in fields for c in "\t\n\r"):
+            with pytest.raises(FormatError):
+                write_tuples_tsv(path, records)
+            return
+        write_tuples_tsv(path, records)
+        assert read_tuples_tsv(path) == records
+
     def test_roundtrip_identity(self, tmp_path):
         records = [
             GenerativeRecord("alpha beta .", (Extraction("alpha", "beta", "gamma", 0.5),)),
@@ -319,6 +352,13 @@ class TestImojieJsonl:
         path.write_text("{nope}\n")
         with pytest.raises(FormatError):
             read_imojie_jsonl(path)
+
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        record = {"sentence": "Ada wrote\u2028notes\x85.", "tuples": [["Ada", "wrote", "notes"]]}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        records = read_imojie_jsonl(path)
+        assert [r.sentence for r in records] == ["Ada wrote\u2028notes\x85."]
 
 
 #: sha256 of write_grid_jsonl over lcs_align of synth_generate(pool_en, 200, seed=7).
@@ -384,4 +424,13 @@ class TestGridJsonl:
         path = tmp_path / "g.jsonl"
         path.write_text('{"sentence": "s", "tokens": ["a"], "placeholders": 0, "masks": [["Z"]]}\n')
         with pytest.raises(FormatError):
+            read_grid_jsonl(path)
+
+    @pytest.mark.parametrize("masks", ["[5]", '["B"]', "5", '[[["B"]]]'])
+    def test_malformed_mask_rows(self, tmp_path, masks):
+        path = tmp_path / "g.jsonl"
+        path.write_text(
+            f'{{"sentence": "s", "tokens": ["a"], "placeholders": 0, "masks": {masks}}}\n'
+        )
+        with pytest.raises(FormatError, match=":1:"):
             read_grid_jsonl(path)

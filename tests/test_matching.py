@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from slotie import (
     LabelGrid,
@@ -12,6 +13,7 @@ from slotie import (
     TooManyGold,
     hungarian_max,
     loss_assignment_gradient,
+    matching,
     order_agnostic_loss,
     similarity_matrix,
 )
@@ -34,6 +36,67 @@ def brute_force_best(values):
         elif abs(total - best_total) <= 1e-12 and pairs < best_pairs:
             best_pairs = pairs
     return best_total, best_pairs
+
+
+def lexicographic_oracle(values, tol=1e-9):
+    """Reference for ``hungarian_max``: the slot-by-slot search it ran on
+    every input before the two-solve certificate.  Returns (pairs, total)."""
+    def optimal_total(sub):
+        if sub.size == 0:
+            return 0.0
+        rows, cols = linear_sum_assignment(sub, maximize=True)
+        return float(sub[rows, cols].sum())
+
+    n_slots, n_gold = values.shape
+    target = optimal_total(values)
+    pairs = []
+    remaining = list(range(n_gold))
+    fixed = 0.0
+    for slot in range(n_slots):
+        if not remaining:
+            break
+        later_slots = np.arange(slot + 1, n_slots)
+        for gold_index in remaining:
+            rest = [c for c in remaining if c != gold_index]
+            if len(rest) > len(later_slots):
+                continue
+            completion = optimal_total(values[np.ix_(later_slots, rest)]) if rest else 0.0
+            if fixed + values[slot, gold_index] + completion >= target - tol:
+                pairs.append((slot, gold_index))
+                remaining.remove(gold_index)
+                fixed += float(values[slot, gold_index])
+                break
+    return tuple(pairs), float(sum(values[n, m] for n, m in pairs))
+
+
+@st.composite
+def assignment_matrices(draw):
+    """(N, M) similarity-like matrices with N from M to 8: random values,
+    values rounded to one decimal (ties), one constant, and rounded values
+    scaled by 1e8 (beyond the certificate's magnitude guard)."""
+    n_gold = draw(st.integers(1, 4))
+    n_slots = draw(st.integers(n_gold, 8))
+    values = np.random.default_rng(draw(st.integers(0, 2**16))).random((n_slots, n_gold))
+    kind = draw(st.sampled_from(["random", "rounded", "constant", "scaled"]))
+    if kind == "rounded":
+        values = np.round(values, 1)
+    elif kind == "constant":
+        values = np.full_like(values, np.round(values[0, 0], 1))
+    elif kind == "scaled":
+        values = np.round(values, 1) * 1e8
+    return values
+
+
+def counting_solver(monkeypatch):
+    """Count the ``linear_sum_assignment`` calls ``hungarian_max`` makes."""
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        return linear_sum_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", solve)
+    return calls
 
 
 def smooth_iou(p_slot, l_mask):
@@ -286,6 +349,28 @@ class TestHungarianMax:
     def test_too_many_gold(self):
         with pytest.raises(TooManyGold):
             hungarian_max(np.zeros((1, 2)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=assignment_matrices())
+    def test_equals_the_lexicographic_oracle(self, values):
+        got = hungarian_max(values)
+        assert (got.pairs, got.total) == lexicographic_oracle(values)
+
+    def test_unique_optimum_takes_two_solves(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        a = hungarian_max(np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.3]]))
+        assert a.pairs == ((0, 1), (1, 0))
+        assert len(calls) == 2
+
+    def test_exact_tie_falls_back_to_the_lexicographic_search(self, monkeypatch):
+        # A single solve picks (0, 1), (1, 0) here; (0, 0), (1, 1) ties it
+        # and comes first.
+        values = np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+        calls = counting_solver(monkeypatch)
+        a = hungarian_max(values)
+        assert a.pairs == ((0, 0), (1, 1))
+        assert (a.pairs, a.total) == lexicographic_oracle(values)
+        assert len(calls) > 2
 
 
 class TestOrderAgnosticLoss:
