@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
 from . import __version__
-from .core import SlotieError, tokenize
+from .core import SlotieError, tokenize, typed_value
 from .data import (
     AlignedRecord,
     ConfigError,
@@ -57,9 +58,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_config_file(path: str | None, command: str, defaults: dict) -> dict:
+#: Fields of the train dataclasses that neither a flag nor a config key sets.
+_OFF_CLI = ("beta1", "beta2", "adam_eps", "ff_multiplier")
+
+#: Flags other than ``--`` plus the name with ``-`` for ``_``; None marks a
+#: config-only setting.
+_FLAG_NAMES = {"max_epochs": "--epochs", "class_weights": None}
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One command setting: its type hint, default and allowed flag values.
+    A setting with ``choices`` has no default and is required."""
+
+    hint: object
+    default: object = None
+    choices: tuple[str, ...] | None = None
+
+
+def _dataclass_settings(*classes) -> dict[str, _Setting]:
+    return {
+        f.name: _Setting(get_type_hints(cls)[f.name], f.default)
+        for cls in classes
+        for f in fields(cls)
+        if f.name not in _OFF_CLI
+    }
+
+
+def _pick(cls, config: dict):
+    return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
+
+
+#: Every command's settings: the defaults, flags, value types and artifact
+#: ``config`` all come from this table.
+SETTINGS = {
+    "convert": {"format": _Setting(str, choices=("imojie", "lsoie", "tuples"))},
+    "synth": {"n": _Setting(int, 1000), "seed": _Setting(int, 0)},
+    "train": _dataclass_settings(TrainConfig, ModelConfig, LossConfig),
+    "extract": {"require_all_parts": _Setting(bool, True)},
+    "score": {"scheme": _Setting(str, choices=tuple(SCHEMES))},
+}
+
+
+def _load_config_file(path: str | None, command: str) -> dict:
     """Read the layered YAML config: top-level ``common`` settings overridden
-    by the per-command section, both limited to the keys of ``defaults``.
+    by the per-command section, both limited to the command's settings.
 
     ``common`` keys the command does not use are left out; an unknown key
     in the command's own section is a ConfigError.
@@ -73,81 +116,77 @@ def _load_config_file(path: str | None, command: str, defaults: dict) -> dict:
     section = raw.get(command) or {}
     if not (isinstance(common, dict) and isinstance(section, dict)):
         raise ConfigError(f"config file {path}: 'common' and '{command}' must hold mappings")
-    unknown = sorted(set(section) - set(defaults))
+    table = SETTINGS[command]
+    unknown = sorted(set(section) - set(table))
     if unknown:
         raise ConfigError(f"config file {path}: unknown {command} keys {unknown}")
-    merged = {k: v for k, v in common.items() if k in defaults}
+    merged = {k: v for k, v in common.items() if k in table}
     merged.update(section)
     return merged
 
 
-def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
-    """defaults < config file < explicitly-given flags."""
-    resolved = dict(defaults)
-    resolved.update(_load_config_file(getattr(args, "config", None), command, defaults))
-    for key in defaults:
-        value = getattr(args, key, None)
+def _resolve(args: argparse.Namespace, command: str) -> dict:
+    """defaults < config file < explicitly-given flags, each value checked
+    against its setting's type."""
+    table = SETTINGS[command]
+    resolved = {name: setting.default for name, setting in table.items()}
+    resolved.update(_load_config_file(args.config, command))
+    for name in table:
+        value = getattr(args, name, None)
         if value is not None:
-            resolved[key] = value
-    return resolved
+            resolved[name] = value
+    return {
+        name: typed_value(name, table[name].hint, value, ConfigError)
+        for name, value in resolved.items()
+    }
 
 
-def _value(config: dict, key: str, convert):
-    """``convert(config[key])``; a value of the wrong type is a ConfigError
-    that names the key."""
-    try:
-        return convert(config[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: unusable value {config[key]!r} ({exc})") from exc
+def _add_setting_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for name, setting in SETTINGS[command].items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if flag is None:
+            continue
+        if setting.hint is bool:
+            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+        else:
+            # The flag of a ``float | None`` setting takes a float.
+            flag_type, *_ = get_args(setting.hint) or (setting.hint,)
+            parser.add_argument(flag, dest=name, type=flag_type, choices=setting.choices)
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_meta(out_path, command: str, config: dict, extra: dict | None = None) -> None:
-    payload = {"command": command, "version": __version__, "config": config}
-    if extra:
-        payload.update(extra)
+def _write_meta(out_path, command: str, config: dict, extra: dict) -> None:
+    payload = {"command": command, "version": __version__, "config": config, **extra}
     _write_json(str(out_path) + ".meta.json", payload)
 
 
 # -- convert -------------------------------------------------------------------
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    config = _resolve(args, "convert", {"format": None})
+    config = _resolve(args, "convert")
     fmt = config["format"]
     skipped: list[dict] = []
     converted: list[AlignedRecord] = []
     tuples_in = 0
     records_in = 0
     if fmt in ("imojie", "tuples"):
-        if fmt == "imojie":
-            records = read_imojie_jsonl(args.infile)
-        else:
-            records = read_tuples_tsv(args.infile)
+        records = (read_imojie_jsonl if fmt == "imojie" else read_tuples_tsv)(args.infile)
         records_in = len(records)
         for record in records:
             tuples_in += len(record.tuples)
             aligned = lcs_align(record)
             for skip in aligned.skipped:
-                skipped.append(
-                    {
-                        "sentence": record.sentence,
-                        "tuple": list(skip.extraction.as_tuple()),
-                        "reason": skip.reason,
-                        "unmatched": list(skip.unmatched),
-                    }
-                )
+                skipped.append({"sentence": record.sentence, "reason": skip.reason,
+                                "tuple": list(skip.extraction.as_tuple()),
+                                "unmatched": list(skip.unmatched)})
             if aligned.grid.n_gold > 0:
                 converted.append(aligned)
             else:
-                skipped.append(
-                    {"sentence": record.sentence, "reason": "no alignable tuples"}
-                )
+                skipped.append({"sentence": record.sentence, "reason": "no alignable tuples"})
     elif fmt == "lsoie":
         records = read_conll(args.infile)
         records_in = len(records)
@@ -158,9 +197,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             for reason in result.rejected:
                 skipped.append({"sentence": sentence, "reason": reason})
             if result.accepted:
-                converted.append(
-                    AlignedRecord(sentence, result.sequence, result.grid, ())
-                )
+                converted.append(AlignedRecord(sentence, result.sequence, result.grid, ()))
             else:
                 skipped.append({"sentence": sentence, "reason": "no usable annotation layers"})
     else:
@@ -189,9 +226,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # -- synth ---------------------------------------------------------------------
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _resolve(args, "synth", {"n": 1000, "seed": 0})
+    config = _resolve(args, "synth")
     pool = TripletPool.from_tsv(args.pool)
-    samples = synth_generate(pool, _value(config, "n", int), _value(config, "seed", int))
+    samples = synth_generate(pool, config["n"], config["seed"])
     write_tuples_tsv(args.out, [s.record for s in samples])
     _write_meta(
         args.out,
@@ -210,44 +247,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 # -- train ---------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = {
-    "learning_rate": 5e-4,
-    "weight_decay": 1e-6,
-    "batch_size": 32,
-    "max_epochs": 50,
-    "seed": 0,
-    "validation_fraction": 0.1,
-    "target_f1": None,
-    "n_slots": 20,
-    "hidden": 64,
-    "blocks": 2,
-    "max_len": 256,
-    "frozen_encoder": False,
-    "class_weights": [1.0, 2.0, 2.0, 2.0],
-}
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _resolve(args, "train", _TRAIN_DEFAULTS)
+    config = _resolve(args, "train")
     dataset = read_grid_jsonl(args.data)
-    train_cfg = TrainConfig(
-        learning_rate=_value(config, "learning_rate", float),
-        weight_decay=_value(config, "weight_decay", float),
-        batch_size=_value(config, "batch_size", int),
-        max_epochs=_value(config, "max_epochs", int),
-        seed=_value(config, "seed", int),
-        validation_fraction=_value(config, "validation_fraction", float),
-        target_f1=_value(config, "target_f1", lambda v: None if v is None else float(v)),
-    )
-    model_cfg = ModelConfig(
-        n_slots=_value(config, "n_slots", int),
-        hidden=_value(config, "hidden", int),
-        blocks=_value(config, "blocks", int),
-        max_len=_value(config, "max_len", int),
-        frozen_encoder=bool(config["frozen_encoder"]),
-    )
-    loss_cfg = LossConfig(
-        class_weights=_value(config, "class_weights", lambda ws: tuple(float(w) for w in ws))
+    train_cfg, model_cfg, loss_cfg = (
+        _pick(cls, config) for cls in (TrainConfig, ModelConfig, LossConfig)
     )
     result = train(
         dataset,
@@ -286,7 +290,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # -- extract ---------------------------------------------------------------------
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _resolve(args, "extract", {"require_all_parts": True})
+    config = _resolve(args, "extract")
     model = SlotTagger.load(args.checkpoint)
     sentences = [line for line in read_lines(args.infile) if line.strip()]
     records: list[GenerativeRecord] = []
@@ -304,9 +308,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             continue
         tick = time.perf_counter()
         probs = model.predict(seq)
-        extractions = decode(
-            probs, seq, require_all_parts=bool(config["require_all_parts"])
-        )
+        extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
         elapsed += time.perf_counter() - tick
         if extractions:
             records.append(GenerativeRecord(sentence, tuple(extractions)))
@@ -333,11 +335,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 # -- score ---------------------------------------------------------------------
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    config = _resolve(args, "score", {"scheme": None})
-    scheme = config["scheme"]
-    score_fn = SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    config = _resolve(args, "score")
+    score_fn = SCHEMES.get(config["scheme"])
     if score_fn is None:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+        raise ConfigError(f"unknown scheme {config['scheme']!r}")
     gold_records = read_tuples_tsv(args.gold)
     for record in gold_records:
         for ext in record.tuples:
@@ -382,78 +383,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="slotie", description=__doc__)
     parser.add_argument("--version", action="version", version=f"slotie {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert a corpus into training grids")
-    p.add_argument("--format", choices=("imojie", "lsoie", "tuples"), default=None)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_cmd_convert)
-
-    p = sub.add_parser("synth", help="generate synthetic sentences from a triplet pool")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_cmd_synth)
-
-    p = sub.add_parser("train", help="train a tagger on converted grids")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float, default=None)
-    p.add_argument("--target-f1", dest="target_f1", type=float, default=None)
-    p.add_argument("--n-slots", dest="n_slots", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument(
-        "--frozen-encoder",
-        dest="frozen_encoder",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.set_defaults(handler=_cmd_train)
-
-    p = sub.add_parser("extract", help="run a checkpoint over raw sentences")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument(
-        "--require-all-parts",
-        dest="require_all_parts",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_cmd_extract)
-
-    p = sub.add_parser("score", help="score predictions against gold tuples")
-    p.add_argument("--scheme", choices=tuple(SCHEMES), default=None)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_cmd_score)
+    commands = {
+        "convert": (_cmd_convert, "convert a corpus into training grids",
+                    {"--in": "infile", "--out": "out", "--report": "report"}),
+        "synth": (_cmd_synth, "generate synthetic sentences from a triplet pool",
+                  {"--pool": "pool", "--out": "out"}),
+        "train": (_cmd_train, "train a tagger on converted grids",
+                  {"--data": "data", "--out": "out"}),
+        "extract": (_cmd_extract, "run a checkpoint over raw sentences",
+                    {"--checkpoint": "checkpoint", "--in": "infile", "--out": "out"}),
+        "score": (_cmd_score, "score predictions against gold tuples",
+                  {"--gold": "gold", "--pred": "pred", "--out": "out"}),
+    }
+    for command, (handler, help_text, paths) in commands.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, dest in paths.items():
+            p.add_argument(flag, dest=dest, required=True)
+        p.add_argument("--config")
+        _add_setting_flags(p, command)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) in ("convert", "score"):
-        resolved_key = "format" if args.command == "convert" else "scheme"
-        # Required choice may come from the config file; validate after resolution.
-        value = getattr(args, resolved_key)
-        if value is None and args.config is None:
-            parser.error(f"--{resolved_key} is required (flag or config file)")
+    for name, setting in SETTINGS[args.command].items():
+        # A required choice may come from the config file; validate after resolution.
+        if setting.choices and getattr(args, name) is None and args.config is None:
+            parser.error(f"--{name} is required (flag or config file)")
     try:
         return args.handler(args)
     except NumericalError as exc:
@@ -462,10 +420,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"data error: missing key {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SlotieError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (SlotieError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,8 @@ import re
 import string
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from types import NoneType
+from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -34,6 +35,38 @@ class NoTriplet(SlotieError):
 
 class BadAnnotation(SlotieError):
     """Raised for malformed gold annotations (bad indices, tags, or tokens)."""
+
+
+def typed_value(key: str, hint, value, error: type[SlotieError]):
+    """``value`` as the type ``hint`` of setting ``key``, else ``error``.
+
+    The one typing rule for settings, whether from flags, a config file or
+    checkpoint metadata: a bool comes only from a bool, an int only from an
+    int (not a bool), a str only from a str, and a float from an int, a
+    float or a string that ``float()`` reads (YAML 1.1 reads ``5e-4`` as a
+    string).  ``X | None`` also takes None; ``tuple[float, ...]`` takes a
+    list of such floats.
+    """
+    wanted = hint
+    if NoneType in get_args(hint):
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not NoneType)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(typed_value(key, get_args(hint)[0], v, error) for v in value)
+    elif isinstance(value, bool):
+        if hint is bool:
+            return value
+    elif hint is float and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    elif isinstance(value, hint):
+        return value
+    name = wanted.__name__ if isinstance(wanted, type) else wanted
+    raise error(f"config key {key!r}: expected {name}, got {value!r}")
 
 
 class TokenClass(IntEnum):

@@ -468,7 +468,7 @@ def read_imojie_jsonl(path) -> list[GenerativeRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "sentence" not in obj or "tuples" not in obj:
+        if not isinstance(obj, dict) or "sentence" not in obj or not isinstance(obj.get("tuples"), list):
             raise FormatError(f"{path}:{lineno}: need a sentence and a tuples list")
         extractions: list[Extraction] = []
         for parts in obj["tuples"]:

@@ -39,7 +39,7 @@ class LossConfig:
     Background-heavy class balance.
     """
 
-    class_weights: tuple[float, float, float, float] = (1.0, 2.0, 2.0, 2.0)
+    class_weights: tuple[float, ...] = (1.0, 2.0, 2.0, 2.0)
 
     def __post_init__(self) -> None:
         if len(self.class_weights) != N_CLASSES:

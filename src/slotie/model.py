@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, get_type_hints, runtime_checkable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     SlotieError,
     TokenSequence,
     mask_to_extraction,
+    typed_value,
 )
 
 
@@ -299,7 +300,14 @@ class SlotTagger:
                     f"supported (expected {CHECKPOINT_VERSION})"
                 )
             vocab = {token: i for i, token in enumerate(meta["vocab"])}
-            model = cls(vocab, ModelConfig(**meta["config"]), seed=meta["seed"])
+            hints = get_type_hints(ModelConfig)
+            unknown = sorted(set(meta["config"]) - set(hints))
+            if unknown:
+                raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
+            config = {
+                k: typed_value(k, hints[k], v, CheckpointError) for k, v in meta["config"].items()
+            }
+            model = cls(vocab, ModelConfig(**config), seed=meta["seed"])
             for name, tensor in model.named_parameters().items():
                 if name not in archive:
                     raise CheckpointError(f"checkpoint is missing parameter {name}")

@@ -47,6 +47,9 @@ class TrainConfig:
     target_f1: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning rate must be positive, weight decay non-negative")
         if self.batch_size < 1 or self.max_epochs < 1:

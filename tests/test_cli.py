@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slotie as sl
@@ -116,6 +119,17 @@ class TestConvertCommand:
         assert run("convert", "--format", "imojie", "--in", tmp_path / "nope",
                    "--out", tmp_path / "o", "--report", tmp_path / "r") == 2
 
+    def test_non_list_tuples_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"sentence": "Ada wrote notes .", "tuples": 5}\n')
+        out = tmp_path / "o"
+        assert run("convert", "--format", "imojie", "--in", bad,
+                   "--out", out, "--report", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert "tuples" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_metrics(self, checkpoint):
@@ -145,11 +159,14 @@ class TestTrainCommand:
         config.write_text(
             "common:\n  seed: 4\ntrain:\n  max_epochs: 1\n  batch_size: 4\n"
             "  n_slots: 10\n  hidden: 16\n  blocks: 1\n  validation_fraction: 0.25\n"
+            "  learning_rate: 5e-4\n"
         )
         out = tmp_path / "m.npz"
         assert run("train", "--data", grids_jsonl, "--out", out, "--config", config) == 0
         metrics = json.loads(Path(str(out) + ".metrics.json").read_text())
         assert metrics["config"]["seed"] == 4
+        # YAML 1.1 reads 5e-4 as a string; the artifact records the float.
+        assert metrics["config"]["learning_rate"] == 0.0005
         assert len(metrics["history"]) == 1
         # explicit flag overrides the file
         out2 = tmp_path / "m2.npz"
@@ -167,6 +184,17 @@ class TestTrainCommand:
         assert run("train", "--data", grids, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "inf"),
+                                             ("--weight-decay", "nan")])
+    def test_non_finite_rate_is_data_error(self, tmp_path, capsys, grids_jsonl, flag, value):
+        out = tmp_path / "m.npz"
+        capsys.readouterr()
+        assert run("train", "--data", grids_jsonl, "--out", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert flag[2:].replace("-", "_") in err
         assert not out.exists()
 
     def test_more_gold_than_slots_is_data_error(self, tmp_path, capsys):
@@ -212,6 +240,23 @@ class TestExtractCommand:
                    "--no-require-all-parts") == 0
         lines = [l for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) <= 10 * len(sentences)
+
+    @pytest.mark.parametrize("key, value", [("dropout", 0.1), ("n_slots", "10")])
+    def test_bad_checkpoint_config_is_data_error(self, tmp_path, capsys, checkpoint, key, value):
+        data = dict(np.load(checkpoint, allow_pickle=False))
+        meta = json.loads(str(data["__meta__"]))
+        meta["config"][key] = value
+        data["__meta__"] = np.array(json.dumps(meta))
+        np.savez(checkpoint, **data)
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes .\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert key in err
+        assert not out.exists()
 
     def test_over_length_sentence_skipped(self, tmp_path, checkpoint):
         infile = tmp_path / "sents.txt"
@@ -334,16 +379,35 @@ class TestConfigKeys:
         assert named in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, named", [
-        ("train:\n  class_weights: 5\n", "class_weights"),
-        ("train:\n  max_epochs: [1]\n", "max_epochs"),
-    ])
-    def test_wrongly_typed_value_is_data_error(self, tmp_path, capsys, grids_jsonl, text, named):
+    WRONGLY_TYPED = [
+        ("train", "train:\n  class_weights: 5\n", "class_weights"),
+        ("train", "train:\n  max_epochs: [1]\n", "max_epochs"),
+        ("train", "train:\n  max_epochs: 1.9\n", "max_epochs"),
+        ("train", "train:\n  frozen_encoder: 'false'\n", "frozen_encoder"),
+        ("train", "train:\n  seed: '3'\n  target_f1: true\n", "seed"),
+        ("train", "train:\n  target_f1: true\n", "target_f1"),
+        ("extract", "extract:\n  require_all_parts: 'false'\n", "require_all_parts"),
+        ("synth", "synth:\n  n: 2.7\n", "'n'"),
+    ]
+
+    # The config text already names the command, so the ids leave it out.
+    @pytest.mark.parametrize("command, text, named", WRONGLY_TYPED,
+                             ids=[f"{text}-{named}" for _, text, named in WRONGLY_TYPED])
+    def test_wrongly_typed_value_is_data_error(self, tmp_path, capsys, request, command, text,
+                                               named):
         config = tmp_path / "cfg.yaml"
         config.write_text(text)
-        out = tmp_path / "m.npz"
+        out = tmp_path / "out"
+        if command == "synth":
+            inputs = ("--pool", "data/pool_en.tsv")
+        elif command == "train":
+            inputs = ("--data", request.getfixturevalue("grids_jsonl"))
+        else:
+            sentences = tmp_path / "in.txt"
+            sentences.write_text("Ada wrote notes .\n")
+            inputs = ("--checkpoint", request.getfixturevalue("checkpoint"), "--in", sentences)
         capsys.readouterr()
-        assert run("train", "--data", grids_jsonl, "--out", out, "--config", config) == 2
+        assert run(command, *inputs, "--out", out, "--config", config) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and len(err.splitlines()) == 1
         assert named in err
@@ -369,6 +433,32 @@ class TestConfigKeys:
                    "--config", config) == 0
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["config"] == {"require_all_parts": True}
+
+
+class TestSettingsTable:
+    def test_train_settings_are_the_config_dataclass_fields(self):
+        table = cli.SETTINGS["train"]
+        for cls in (sl.TrainConfig, sl.ModelConfig, sl.LossConfig):
+            for field in dataclasses.fields(cls):
+                if field.name in cli._OFF_CLI:
+                    assert field.name not in table
+                else:
+                    assert table[field.name].default == field.default, field.name
+
+    def test_train_flags_are_the_table_flags(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = subparsers.choices["train"]._actions
+        flags = {flag for action in actions for flag in action.option_strings}
+        assert flags == {
+            "-h", "--help", "--data", "--out", "--config",
+            "--learning-rate", "--weight-decay", "--batch-size", "--epochs", "--seed",
+            "--validation-fraction", "--target-f1", "--n-slots", "--hidden", "--blocks",
+            "--max-len", "--frozen-encoder", "--no-frozen-encoder",
+        }
+        table_dests = {a.dest for a in actions if a.dest in cli.SETTINGS["train"]}
+        assert table_dests == set(cli.SETTINGS["train"]) - {"class_weights"}
 
 
 class TestUsageErrors:
