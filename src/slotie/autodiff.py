@@ -40,6 +40,8 @@ class no_grad:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -62,20 +64,26 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        tracked = _grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=tracked)
-        if tracked:
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
+        for parent in parents if _grad_enabled else ():
+            if parent.requires_grad:
+                out = Tensor(data, requires_grad=True)
+                out._parents, out._backward = tuple(parents), backward
+                return out
+        return Tensor(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # An interior node may keep its consumer's array (no closure writes
+        # into a gradient), but copies transpose's non-contiguous view, whose
+        # layout would change the BLAS path.  A leaf owns its copy, adds in place.
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = grad.copy()
-        else:
+            interior = self._backward is not None
+            self.grad = grad if interior and grad.flags.c_contiguous else grad.copy()
+        elif self._backward is not None:
             self.grad = self.grad + grad
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -94,9 +102,10 @@ class Tensor:
             raise GraphError(f"gradient shape {grad.shape} does not match {self.data.shape}")
         if not self.requires_grad:
             raise GraphError("backward on a tensor with no recorded graph")
+        # Leaves have nothing to run; skipping them keeps the interior order.
         order: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = [(self, False)] if self._backward is not None else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -107,16 +116,15 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad:
+                if parent._backward is not None:
                     stack.append((parent, False))
         # Interior grads are per-call scratch; only leaf grads accumulate
         # across repeated backward calls.
         for node in order:
-            if node._backward is not None:
-                node.grad = None
+            node.grad = None
         self._accumulate(grad)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     # -- properties ----------------------------------------------------------
@@ -139,8 +147,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other._accumulate(_unbroadcast(grad, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -160,8 +170,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -174,8 +186,10 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ other.data.T)
-            other._accumulate(self.data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -219,19 +233,20 @@ class Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
     and shift with learnable (H,) parameters."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # sum / width is what ndarray.mean computes, without its wrapper.
+    width = x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / width
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
     out_data = normed * gain.data + bias.data
-    width = x.data.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         d_normed = grad * gain.data
         dx = inv * (
             d_normed
-            - d_normed.mean(axis=-1, keepdims=True)
-            - normed * (d_normed * normed).mean(axis=-1, keepdims=True)
+            - d_normed.sum(axis=-1, keepdims=True) / width
+            - normed * ((d_normed * normed).sum(axis=-1, keepdims=True) / width)
         )
         x._accumulate(dx)
         gain._accumulate((grad * normed).reshape(-1, width).sum(axis=0))

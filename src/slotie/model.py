@@ -294,20 +294,26 @@ class SlotTagger:
             if "__meta__" not in archive:
                 raise CheckpointError("checkpoint carries no metadata")
             meta = json.loads(str(archive["__meta__"]))
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"checkpoint meta is a {type(meta).__name__}, not a dict")
             if meta.get("format_version") != CHECKPOINT_VERSION:
                 raise CheckpointError(
                     f"checkpoint version {meta.get('format_version')} is not "
                     f"supported (expected {CHECKPOINT_VERSION})"
                 )
-            vocab = {token: i for i, token in enumerate(meta["vocab"])}
+            tokens, stored_config, seed = (
+                typed_value(key, hint, meta[key], CheckpointError)
+                for key, hint in (("vocab", tuple[str, ...]), ("config", dict), ("seed", int))
+            )
+            vocab = {token: i for i, token in enumerate(tokens)}
             hints = get_type_hints(ModelConfig)
-            unknown = sorted(set(meta["config"]) - set(hints))
+            unknown = sorted(set(stored_config) - set(hints))
             if unknown:
                 raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
             config = {
-                k: typed_value(k, hints[k], v, CheckpointError) for k, v in meta["config"].items()
+                k: typed_value(k, hints[k], v, CheckpointError) for k, v in stored_config.items()
             }
-            model = cls(vocab, ModelConfig(**config), seed=meta["seed"])
+            model = cls(vocab, ModelConfig(**config), seed=seed)
             for name, tensor in model.named_parameters().items():
                 if name not in archive:
                     raise CheckpointError(f"checkpoint is missing parameter {name}")

@@ -59,11 +59,17 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Parameters, moments and gradients in flat float64 buffers, plus the
+    shared step counter.
+
+    The first ``adam_step`` copies the parameters into ``data`` and points
+    each ``Tensor.data`` at its view of it; a ``.data`` replaced later (by
+    a snapshot restore, say) is copied back in at the next step.
+    """
 
     def __init__(self) -> None:
         self.step = 0
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> None:
@@ -71,27 +77,44 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
     accumulated ``.grad`` (missing gradients count as zero).
 
     If any gradient is non-finite the step aborts with NumericalError and
-    no parameter changes.
+    no parameter changes.  The update runs in place over the flat buffers,
+    in the operation order of the per-tensor formula, so the bits match it.
     """
+    if not state.views:
+        sizes = [tensor.data.size for tensor in params.values()]
+        state.data, state.m, state.v, state.grad, state.scratch = np.zeros((5, sum(sizes)))
+        cuts = np.cumsum(sizes)[:-1]
+        chunks = zip(np.split(state.data, cuts), np.split(state.grad, cuts))
+        for (name, tensor), (data, grad) in zip(params.items(), chunks):
+            state.views[name] = (data.reshape(tensor.shape), grad.reshape(tensor.shape))
+    elif state.views.keys() != params.keys():
+        raise ValueError("AdamState is bound to a different parameter set")
     for name, tensor in params.items():
-        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
-            raise NumericalError(f"non-finite gradient in {name}")
+        data, grad = state.views[name]
+        if tensor.data is not data:
+            data[...] = tensor.data
+            tensor.data = data
+        grad[...] = 0.0 if tensor.grad is None else tensor.grad
+    if not np.isfinite(state.grad).all():
+        bad = next(name for name, (_, grad) in state.views.items() if not np.isfinite(grad).all())
+        raise NumericalError(f"non-finite gradient in {bad}")
     state.step += 1
     t = state.step
     correction1 = 1.0 - cfg.beta1**t
     correction2 = 1.0 - cfg.beta2**t
-    for name, tensor in params.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if name not in state.moments:
-            state.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
-        m, v = state.moments[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
-        m_hat = m / correction1
-        v_hat = v / correction2
-        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        if cfg.weight_decay:
-            tensor.data = tensor.data - cfg.learning_rate * cfg.weight_decay * tensor.data
+    data, m, v, grad, tmp = state.data, state.m, state.v, state.grad, state.scratch
+    m *= cfg.beta1
+    m += np.multiply(grad, 1.0 - cfg.beta1, out=tmp)
+    np.multiply(grad, grad, out=tmp)
+    v *= cfg.beta2
+    v += np.multiply(tmp, 1.0 - cfg.beta2, out=tmp)
+    # data -= (lr * (m / c1)) / (sqrt(v / c2) + eps), with grad as scratch
+    np.multiply(np.divide(m, correction1, out=tmp), cfg.learning_rate, out=tmp)
+    np.sqrt(np.divide(v, correction2, out=grad), out=grad)
+    grad += cfg.adam_eps
+    data -= np.divide(tmp, grad, out=tmp)
+    if cfg.weight_decay:
+        data -= np.multiply(data, cfg.learning_rate * cfg.weight_decay, out=tmp)
 
 
 @dataclass

@@ -119,6 +119,37 @@ class TestGraphBehavior:
         x.zero_grad()
         assert x.grad is None
 
+    def test_second_backward_adds_exactly_the_same_gradients(self):
+        # Interior nodes keep their consumers' arrays and leaves add in
+        # place; neither may corrupt a gradient within a pass or across
+        # passes.  Each leaf gets one contribution per pass: exactly g + g.
+        rng = np.random.default_rng(3)
+        x, pos = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        gain, bias = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
+        seed = rng.normal(size=(4, 3))
+
+        def build():
+            h = (x + pos) @ w
+            return layer_norm(h + h @ (h.transpose() @ h), gain, bias)
+
+        y = build()
+        y.backward(seed)
+        leaves = (x, pos, w, gain, bias)
+        first = [t.grad.copy() for t in leaves]
+        numeric = finite_difference(lambda: float((build().data * seed).sum()), leaves)
+        for g, fd in zip(first, numeric):
+            np.testing.assert_allclose(g, fd, atol=1e-5)
+        y.backward(seed)
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, g + g)
+
+    def test_leaf_root_accumulates(self):
+        x = Tensor(2.0, requires_grad=True)
+        x.backward()
+        x.backward()
+        assert x.grad == 2.0
+
     def test_unused_branch_gets_no_gradient(self):
         x = Tensor(2.0, requires_grad=True)
         unused = Tensor(5.0, requires_grad=True)

@@ -241,11 +241,20 @@ class TestExtractCommand:
         lines = [l for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) <= 10 * len(sentences)
 
-    @pytest.mark.parametrize("key, value", [("dropout", 0.1), ("n_slots", "10")])
+    @pytest.mark.parametrize("key, value", [
+        ("dropout", 0.1), ("n_slots", "10"),
+        # "meta", "config" and "vocab" replace the meta or its top-level entry.
+        pytest.param("meta", [1], id="meta-list"), ("config", 5), ("vocab", 5),
+    ])
     def test_bad_checkpoint_config_is_data_error(self, tmp_path, capsys, checkpoint, key, value):
         data = dict(np.load(checkpoint, allow_pickle=False))
         meta = json.loads(str(data["__meta__"]))
-        meta["config"][key] = value
+        if key == "meta":
+            meta = value
+        elif key in meta:
+            meta[key] = value
+        else:
+            meta["config"][key] = value
         data["__meta__"] = np.array(json.dumps(meta))
         np.savez(checkpoint, **data)
         infile = tmp_path / "in.txt"

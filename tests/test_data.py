@@ -136,6 +136,33 @@ class TestLcsAlign:
                 assert not got - want
 
 
+@st.composite
+def spans_of_sentence(draw):
+    """A sentence over a 2-5 word vocabulary, with repeats, and a tuple whose
+    three parts are disjoint, non-empty, contiguous token spans of it, given
+    in any order."""
+    vocab = ["alpha", "beta", "gamma", "delta", "epsilon"][: draw(st.integers(2, 5))]
+    gaps = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    words = draw(st.lists(st.sampled_from(vocab), min_size=sum(gaps) + sum(lengths),
+                          max_size=sum(gaps) + sum(lengths)))
+    parts, start = [], gaps[0]
+    for length, gap in zip(lengths, gaps[1:]):
+        parts.append(" ".join(words[start : start + length]))
+        start += length + gap
+    order = draw(st.permutations(parts))
+    return GenerativeRecord(" ".join(words), (Extraction(*order),))
+
+
+class TestAlignmentSoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(record=spans_of_sentence())
+    def test_tuple_of_token_spans_is_never_skipped(self, record):
+        aligned = lcs_align(record)
+        assert aligned.skipped == ()
+        assert aligned.grid.n_gold == 1
+
+
 class TestConll:
     def test_parse_sample(self, lsoie_fixture_path):
         records = read_conll(lsoie_fixture_path)

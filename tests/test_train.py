@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,95 @@ class TestAdam:
                 adam_step({"p": p}, state, cfg)
             results.append(p.data.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def per_tensor_adam_step(params, state, cfg):
+    """The per-tensor Adam update the flat-buffer ``adam_step`` must match
+    bit for bit; ``state`` carries ``step`` and a ``moments`` dict."""
+    for name, tensor in params.items():
+        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+            raise NumericalError(f"non-finite gradient in {name}")
+    state.step += 1
+    t = state.step
+    correction1 = 1.0 - cfg.beta1**t
+    correction2 = 1.0 - cfg.beta2**t
+    for name, tensor in params.items():
+        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        if name not in state.moments:
+            state.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
+        m, v = state.moments[name]
+        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
+        m_hat = m / correction1
+        v_hat = v / correction2
+        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if cfg.weight_decay:
+            tensor.data = tensor.data - cfg.learning_rate * cfg.weight_decay * tensor.data
+
+
+SHAPES = {"first": (3, 4), "second": (5,), "third": (2, 1, 3)}
+
+
+def three_params(seed=0):
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in SHAPES.items()}
+
+
+def set_grads(params, rng, none=("third",)):
+    for name, tensor in params.items():
+        tensor.grad = None if name in none else rng.normal(size=tensor.shape)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_per_tensor_update_bit_for_bit(self, weight_decay):
+        cfg = TrainConfig(learning_rate=3e-2, weight_decay=weight_decay)
+        flat, oracle = three_params(), three_params()
+        flat_state, oracle_state = AdamState(), SimpleNamespace(step=0, moments={})
+        rng_flat, rng_oracle = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(5):
+            set_grads(flat, rng_flat)
+            set_grads(oracle, rng_oracle)
+            adam_step(flat, flat_state, cfg)
+            per_tensor_adam_step(oracle, oracle_state, cfg)
+            for name in SHAPES:
+                np.testing.assert_array_equal(flat[name].data, oracle[name].data)
+        assert flat_state.step == 5
+
+    def test_nan_in_second_parameter_is_named_and_changes_nothing(self):
+        cfg = TrainConfig(learning_rate=3e-2)
+        params, state = three_params(), AdamState()
+        rng = np.random.default_rng(2)
+        set_grads(params, rng, none=())
+        adam_step(params, state, cfg)
+        before = {name: t.data.copy() for name, t in params.items()}
+        set_grads(params, rng, none=())
+        params["second"].grad[2] = np.nan
+        with pytest.raises(NumericalError, match="second"):
+            adam_step(params, state, cfg)
+        assert state.step == 1
+        for name, tensor in params.items():
+            np.testing.assert_array_equal(tensor.data, before[name])
+
+    def test_replaced_data_receives_the_next_update(self):
+        cfg = TrainConfig(learning_rate=3e-2)
+        flat, oracle = three_params(), three_params()
+        flat_state, oracle_state = AdamState(), SimpleNamespace(step=0, moments={})
+        rng_flat, rng_oracle = np.random.default_rng(4), np.random.default_rng(4)
+        for step in range(3):
+            if step == 2:
+                # As a checkpoint load or the best-epoch restore does.
+                for params in (flat, oracle):
+                    for tensor in params.values():
+                        tensor.data = np.full(tensor.shape, 0.5)
+            set_grads(flat, rng_flat)
+            set_grads(oracle, rng_oracle)
+            adam_step(flat, flat_state, cfg)
+            per_tensor_adam_step(oracle, oracle_state, cfg)
+        for name in SHAPES:
+            np.testing.assert_array_equal(flat[name].data, oracle[name].data)
+            assert not np.array_equal(flat[name].data, np.full(SHAPES[name], 0.5))
 
 
 class TestTrainLoop:
