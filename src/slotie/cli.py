@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: Fields of the train dataclasses that neither a flag nor a config key sets.
-_OFF_CLI = ("beta1", "beta2", "adam_eps", "ff_multiplier")
+_OFF_CLI = ("ff_multiplier",)
 
 #: Flags other than ``--`` plus the name with ``-`` for ``_``; None marks a
 #: config-only setting.

@@ -11,7 +11,6 @@ function over immutable values.
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass
 from enum import IntEnum
@@ -84,9 +83,6 @@ N_CLASSES = len(TokenClass)
 #: sentence body ("is", "from", "to" used implicitly).
 PLACEHOLDER_TOKENS = ("[is]", "[from]", "[to]")
 
-#: Sentinel character span assigned to appended placeholder tokens.
-PLACEHOLDER_SPAN = (-1, -1)
-
 _PUNCT = frozenset(string.punctuation)
 
 
@@ -112,42 +108,21 @@ def split_chunk(chunk: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """A tokenized sentence with per-token character offsets.
+    """A tokenized sentence.
 
-    ``char_spans[i]`` is the half-open (start, end) span of token ``i`` in
-    the original sentence; appended placeholders carry the sentinel span.
-    When placeholders are present they are exactly the last three tokens,
-    in the order ``[is]``, ``[from]``, ``[to]``.
+    With ``has_placeholders`` the last three tokens are the appended
+    ``[is]``, ``[from]``, ``[to]``, in that order.
     """
 
     tokens: tuple[str, ...]
-    char_spans: tuple[tuple[int, int], ...]
-    placeholder_flags: tuple[bool, ...]
+    has_placeholders: bool
 
     def __post_init__(self) -> None:
-        if not (len(self.tokens) == len(self.char_spans) == len(self.placeholder_flags)):
-            raise BadAnnotation("tokens, spans and flags must have equal length")
-        prev_end = -1
-        for (start, end), flag in zip(self.char_spans, self.placeholder_flags):
-            if flag:
-                continue
-            if start < prev_end or end <= start:
-                raise BadAnnotation("char spans must be increasing and non-overlapping")
-            prev_end = end
-        flagged = [i for i, f in enumerate(self.placeholder_flags) if f]
-        if flagged:
-            expected = [len(self.tokens) - 3, len(self.tokens) - 2, len(self.tokens) - 1]
-            if flagged != expected or self.tokens[-3:] != PLACEHOLDER_TOKENS:
-                raise BadAnnotation(
-                    "placeholders must be exactly the trailing [is], [from], [to] tokens"
-                )
+        if self.has_placeholders and self.tokens[-3:] != PLACEHOLDER_TOKENS:
+            raise BadAnnotation("placeholders must be the trailing [is], [from], [to] tokens")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def has_placeholders(self) -> bool:
-        return bool(self.placeholder_flags) and self.placeholder_flags[-1]
 
     @property
     def body_tokens(self) -> tuple[str, ...]:
@@ -225,58 +200,35 @@ class PredictionTensor:
         return self.probs.shape[1]
 
 
+def _sequence(tokens: list[str], append_placeholders: bool) -> TokenSequence:
+    if append_placeholders:
+        tokens.extend(PLACEHOLDER_TOKENS)
+    return TokenSequence(tuple(tokens), append_placeholders)
+
+
 def tokenize(sentence: str, append_placeholders: bool = False) -> TokenSequence:
-    """Whitespace-and-punctuation tokenization with exact character offsets.
+    """Whitespace-and-punctuation tokenization.
 
     Raises EmptyInput for empty or whitespace-only sentences.  When
     ``append_placeholders`` is set, the three placeholder tokens are added
-    at the end with sentinel offsets.
+    at the end.
     """
-    if not sentence.strip():
+    chunks = sentence.split()
+    if not chunks:
         raise EmptyInput("cannot tokenize an empty sentence")
-    tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    for match in re.finditer(r"\S+", sentence):
-        chunk = match.group()
-        offset = match.start()
-        pos = 0
-        for piece in split_chunk(chunk):
-            tokens.append(piece)
-            spans.append((offset + pos, offset + pos + len(piece)))
-            pos += len(piece)
-    flags = [False] * len(tokens)
-    if append_placeholders:
-        for placeholder in PLACEHOLDER_TOKENS:
-            tokens.append(placeholder)
-            spans.append(PLACEHOLDER_SPAN)
-            flags.append(True)
-    return TokenSequence(tuple(tokens), tuple(spans), tuple(flags))
+    tokens = [piece for chunk in chunks for piece in split_chunk(chunk)]
+    return _sequence(tokens, append_placeholders)
 
 
 def sequence_from_tokens(tokens: Sequence[str], append_placeholders: bool = False) -> TokenSequence:
-    """Build a TokenSequence from pre-tokenized text.
-
-    Character spans are synthesized as if the tokens were joined by single
-    spaces; used for corpora that arrive already tokenized.
-    """
+    """Build a TokenSequence from pre-tokenized text, for corpora that
+    arrive already tokenized; a token must be one whitespace-free word."""
     if not tokens:
         raise EmptyInput("cannot build a sequence from zero tokens")
-    out: list[str] = []
-    spans: list[tuple[int, int]] = []
-    pos = 0
     for token in tokens:
         if not token or token.split() != [token]:
             raise BadAnnotation(f"invalid token {token!r}")
-        out.append(token)
-        spans.append((pos, pos + len(token)))
-        pos += len(token) + 1
-    flags = [False] * len(out)
-    if append_placeholders:
-        for placeholder in PLACEHOLDER_TOKENS:
-            out.append(placeholder)
-            spans.append(PLACEHOLDER_SPAN)
-            flags.append(True)
-    return TokenSequence(tuple(out), tuple(spans), tuple(flags))
+    return _sequence(list(tokens), append_placeholders)
 
 
 _TRIPLET_CLASSES = (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT)

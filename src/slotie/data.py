@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     BadAnnotation,
+    EmptyInput,
     Extraction,
     LabelGrid,
     PLACEHOLDER_TOKENS,
@@ -82,10 +83,9 @@ MIN_POOL_SIZE = 9
 
 @dataclass(frozen=True)
 class TripletPool:
-    """Lexicalized (subject, relation, object) triples for one language."""
+    """Lexicalized (subject, relation, object) triples."""
 
     triples: tuple[tuple[str, str, str], ...]
-    language: str = "en"
 
     def __post_init__(self) -> None:
         for triple in self.triples:
@@ -96,7 +96,7 @@ class TripletPool:
         return len(self.triples)
 
     @classmethod
-    def from_tsv(cls, path, language: str = "en") -> "TripletPool":
+    def from_tsv(cls, path) -> "TripletPool":
         triples: list[tuple[str, str, str]] = []
         for lineno, line in enumerate(read_lines(path), start=1):
             if not line.strip():
@@ -105,7 +105,7 @@ class TripletPool:
             if len(cols) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(cols)}")
             triples.append((cols[0], cols[1], cols[2]))
-        return cls(tuple(triples), language)
+        return cls(tuple(triples))
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,7 @@ def lcs_align(record: GenerativeRecord) -> AlignedRecord:
     tuple is skipped (and reported) if any of its tokens stays unmatched.
     """
     seq = tokenize(record.sentence, append_placeholders=True)
-    sent_keys = [
-        _match_key(tok) if flag else tok
-        for tok, flag in zip(seq.tokens, seq.placeholder_flags)
-    ]
+    sent_keys = [*seq.body_tokens, *_PLACEHOLDER_KEYS.values()]
     rows: list[list[int]] = []
     skipped: list[SkippedTuple] = []
     for ext in record.tuples:
@@ -312,17 +309,16 @@ def _layer_classes(tags: Sequence[str]) -> list[TokenClass]:
     return classes
 
 
-def lsoie_convert(record: ConllRecord, append_placeholders: bool = True) -> ConllConversion:
+def lsoie_convert(record: ConllRecord) -> ConllConversion:
     """Collapse n-ary role annotations into triplet masks.
 
     Per layer: the predicate span becomes the Relation, A0 becomes the
     Subject, and every higher-numbered argument merges into the Object.  A
     layer is rejected when it lacks a predicate, an A0, or any higher
-    argument.  Placeholders (when appended) carry Background labels.
+    argument.  The appended placeholders carry Background labels.
     """
     rejected: list[str] = []
     rows: list[list[int]] = []
-    pad = len(PLACEHOLDER_TOKENS) if append_placeholders else 0
     for layer_index, tags in enumerate(record.role_labels):
         if len(tags) != len(record.tokens):
             raise BadAnnotation(f"layer {layer_index} has {len(tags)} tags for {len(record.tokens)} tokens")
@@ -334,9 +330,9 @@ def lsoie_convert(record: ConllRecord, append_placeholders: bool = True) -> Conl
         if TokenClass.SUBJECT not in present or TokenClass.OBJECT not in present:
             rejected.append(f"layer {layer_index}: fewer than two arguments")
             continue
-        classes.extend([TokenClass.BACKGROUND] * pad)
+        classes.extend([TokenClass.BACKGROUND] * len(PLACEHOLDER_TOKENS))
         rows.append(classes)
-    sequence = sequence_from_tokens(record.tokens, append_placeholders=append_placeholders)
+    sequence = sequence_from_tokens(record.tokens, append_placeholders=True)
     return ConllConversion(sequence, _grid(rows, len(sequence)), tuple(rejected))
 
 
@@ -468,15 +464,17 @@ def read_imojie_jsonl(path) -> list[GenerativeRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "sentence" not in obj or not isinstance(obj.get("tuples"), list):
-            raise FormatError(f"{path}:{lineno}: need a sentence and a tuples list")
+        if not (isinstance(obj, dict) and isinstance(obj.get("sentence"), str)
+                and isinstance(obj.get("tuples"), list)):
+            raise FormatError(f"{path}:{lineno}: need a sentence string and a tuples list")
         extractions: list[Extraction] = []
         for parts in obj["tuples"]:
             if not isinstance(parts, list) or len(parts) < 3:
                 raise FormatError(f"{path}:{lineno}: tuples need at least 3 parts")
-            arg2 = " ".join(str(p) for p in parts[2:])
-            extractions.append(Extraction(str(parts[0]), str(parts[1]), arg2))
-        records.append(GenerativeRecord(str(obj["sentence"]), tuple(extractions)))
+            if not all(isinstance(p, str) for p in parts):
+                raise FormatError(f"{path}:{lineno}: tuple parts must be strings, got {parts!r}")
+            extractions.append(Extraction(parts[0], parts[1], " ".join(parts[2:])))
+        records.append(GenerativeRecord(obj["sentence"], tuple(extractions)))
     return records
 
 
@@ -493,7 +491,7 @@ def write_grid_jsonl(path, records: Iterable[AlignedRecord]) -> None:
         obj = {
             "sentence": record.sentence,
             "tokens": list(record.sequence.tokens),
-            "placeholders": sum(record.sequence.placeholder_flags),
+            "placeholders": len(PLACEHOLDER_TOKENS) if record.sequence.has_placeholders else 0,
             "masks": [[_CLASS_LETTERS[c] for c in row] for row in record.grid.labels.tolist()],
         }
         lines.append(json.dumps(obj, ensure_ascii=False))
@@ -508,19 +506,22 @@ def read_grid_jsonl(path) -> list[tuple[TokenSequence, LabelGrid]]:
             continue
         try:
             obj = json.loads(line)
-            tokens = [str(t) for t in obj["tokens"]]
-            n_placeholders = int(obj["placeholders"])
-            mask_rows = obj["masks"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            tokens, n_placeholders, mask_rows = obj["tokens"], obj["placeholders"], obj["masks"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if n_placeholders not in (0, len(PLACEHOLDER_TOKENS)):
-            raise FormatError(f"{path}:{lineno}: bad placeholder count {n_placeholders}")
-        if n_placeholders:
-            if tuple(tokens[-n_placeholders:]) != PLACEHOLDER_TOKENS:
-                raise FormatError(f"{path}:{lineno}: trailing tokens are not the placeholders")
-            sequence = sequence_from_tokens(tokens[:-n_placeholders], append_placeholders=True)
-        else:
-            sequence = sequence_from_tokens(tokens)
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise FormatError(f"{path}:{lineno}: tokens must be a list of strings")
+        # type() rather than isinstance: JSON true and 3.0 are no counts.
+        if type(n_placeholders) is not int or n_placeholders not in (0, len(PLACEHOLDER_TOKENS)):
+            raise FormatError(f"{path}:{lineno}: bad placeholder count {n_placeholders!r}")
+        if n_placeholders and tuple(tokens[-n_placeholders:]) != PLACEHOLDER_TOKENS:
+            raise FormatError(f"{path}:{lineno}: trailing tokens are not the placeholders")
+        try:
+            sequence = sequence_from_tokens(
+                tokens[: len(tokens) - n_placeholders], append_placeholders=n_placeholders > 0
+            )
+        except (BadAnnotation, EmptyInput) as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if not isinstance(mask_rows, list):
             raise FormatError(f"{path}:{lineno}: masks must be a list of rows")
         rows = []

@@ -141,32 +141,21 @@ class ReferenceEncoder:
         return np.array([self.vocab.get(tok, oov) for tok in seq.tokens], dtype=np.int64)
 
     def encode(self, seq: TokenSequence) -> Tensor:
-        hidden, _ = self._encode(seq, want_attention=False)
-        return hidden
-
-    def encode_with_attention(self, seq: TokenSequence) -> tuple[Tensor, list[np.ndarray]]:
-        """Hidden states plus each block's attention matrix (for inspection)."""
-        return self._encode(seq, want_attention=True)
-
-    def _encode(self, seq: TokenSequence, want_attention: bool) -> tuple[Tensor, list[np.ndarray]]:
         n_tokens = len(seq)
         if n_tokens > self.config.max_len:
             raise TooLong(f"{n_tokens} tokens exceed the {self.config.max_len}-token cap")
         x = embedding(self.embed, self.token_ids(seq)) + Tensor(self.positions[:n_tokens])
         scale = 1.0 / np.sqrt(self.config.hidden)
-        attentions: list[np.ndarray] = []
         for blk in self.block_params:
             q = x @ blk["wq"] + blk["bq"]
             k = x @ blk["wk"] + blk["bk"]
             v = x @ blk["wv"] + blk["bv"]
             attn = ((q @ k.transpose()) * scale).softmax(axis=-1)
-            if want_attention:
-                attentions.append(attn.data.copy())
             y = (attn @ v) @ blk["wo"] + blk["bo"]
             x = layer_norm(x + y, blk["ln1_g"], blk["ln1_b"])
             f = (x @ blk["w1"] + blk["b1"]).relu() @ blk["w2"] + blk["b2"]
             x = layer_norm(x + f, blk["ln2_g"], blk["ln2_b"])
-        return x, attentions
+        return x
 
     @property
     def hidden_width(self) -> int:
@@ -282,7 +271,9 @@ class SlotTagger:
             "seed": self.seed,
         }
         arrays = {name: t.data for name, t in self.named_parameters().items()}
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        # An open file, not a path: np.savez appends ".npz" to a path without it.
+        with open(path, "wb") as out:
+            np.savez(out, __meta__=np.array(json.dumps(meta)), **arrays)
 
     @classmethod
     def load(cls, path) -> "SlotTagger":

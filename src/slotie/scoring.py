@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -110,18 +110,8 @@ class BenchmarkReport:
     totals: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "matched": self.matched,
-            "gold_count": self.gold_count,
-            "pred_count": self.pred_count,
-            "totals": self.totals,
-            "per_sentence": self.per_sentence,
-        }
+        # Shallow: dataclasses.asdict would deep-copy every per-sentence row.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def auc_single_point(precision: float, recall: float) -> float:

@@ -25,9 +25,15 @@ class NumericalError(SlotieError):
     """Raised when a loss or gradient stops being finite."""
 
 
+#: Adam's moment decay rates and denominator epsilon, the usual defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings; Adam moment constants are the usual defaults.
+    """Optimization settings.
 
     ``validation_fraction`` picks the held-out share; 0 means validate on
     the training set itself (useful for overfitting checks).  When
@@ -41,9 +47,6 @@ class TrainConfig:
     max_epochs: int = 50
     seed: int = 0
     validation_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     target_f1: float | None = None
 
     def __post_init__(self) -> None:
@@ -100,18 +103,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
         raise NumericalError(f"non-finite gradient in {bad}")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - cfg.beta1**t
-    correction2 = 1.0 - cfg.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     data, m, v, grad, tmp = state.data, state.m, state.v, state.grad, state.scratch
-    m *= cfg.beta1
-    m += np.multiply(grad, 1.0 - cfg.beta1, out=tmp)
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
     np.multiply(grad, grad, out=tmp)
-    v *= cfg.beta2
-    v += np.multiply(tmp, 1.0 - cfg.beta2, out=tmp)
+    v *= ADAM_BETA2
+    v += np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
     # data -= (lr * (m / c1)) / (sqrt(v / c2) + eps), with grad as scratch
     np.multiply(np.divide(m, correction1, out=tmp), cfg.learning_rate, out=tmp)
     np.sqrt(np.divide(v, correction2, out=grad), out=grad)
-    grad += cfg.adam_eps
+    grad += ADAM_EPS
     data -= np.divide(tmp, grad, out=tmp)
     if cfg.weight_decay:
         data -= np.multiply(data, cfg.learning_rate * cfg.weight_decay, out=tmp)
@@ -230,11 +233,7 @@ class SpeedReport:
     elapsed_seconds: float
 
 
-def measure_speed(
-    model: SlotTagger,
-    sentences: Sequence[str],
-    require_all_parts: bool = True,
-) -> SpeedReport:
+def measure_speed(model: SlotTagger, sentences: Sequence[str]) -> SpeedReport:
     """Wall-clock throughput of forward + decode over a corpus, one
     sentence at a time."""
     if not sentences:
@@ -243,6 +242,6 @@ def measure_speed(
     start = time.perf_counter()
     for seq in sequences:
         probs = model.predict(seq)
-        decode(probs, seq, require_all_parts=require_all_parts)
+        decode(probs, seq)
     elapsed = time.perf_counter() - start
     return SpeedReport(len(sentences) / elapsed, len(sentences), elapsed)

@@ -175,6 +175,16 @@ class TestTrainCommand:
         metrics2 = json.loads(Path(str(out2) + ".metrics.json").read_text())
         assert metrics2["config"]["seed"] == 9
 
+    def test_out_path_is_written_exactly(self, tmp_path, grids_jsonl):
+        out = tmp_path / "model.ckpt"
+        assert run("train", "--data", grids_jsonl, "--out", out, "--epochs", 1,
+                   "--n-slots", 10, "--hidden", 16, "--blocks", 1) == 0
+        assert out.is_file() and not out.with_name("model.ckpt.npz").exists()
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes.\n")
+        assert run("extract", "--checkpoint", out, "--in", infile,
+                   "--out", tmp_path / "out.tsv") == 0
+
     def test_non_list_mask_row_is_data_error(self, tmp_path, capsys):
         grids = tmp_path / "grids.jsonl"
         grids.write_text(

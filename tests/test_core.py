@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from slotie import (
     BadAnnotation,
@@ -28,8 +29,7 @@ class TestTokenize:
         seq = tokenize("Obama born in Hawaii", append_placeholders=True)
         assert len(seq) == 7
         assert seq.tokens[-3:] == PLACEHOLDER_TOKENS
-        assert seq.char_spans[-1] == (-1, -1)
-        assert seq.placeholder_flags == (False,) * 4 + (True,) * 3
+        assert seq.has_placeholders
         assert seq.body_tokens == ("Obama", "born", "in", "Hawaii")
 
     def test_punctuation_and_numbers(self):
@@ -48,18 +48,26 @@ class TestTokenize:
             tokenize("   ")
 
     def test_offsets_are_faithful(self):
+        # The tokens cover the sentence's characters exactly, in order.
         rng = np.random.default_rng(3)
         words = ["alpha", "b,2", "(x)", "Mr.", "co-op", "...", "3.14"]
         for _ in range(50):
             sentence = " ".join(rng.choice(words, size=rng.integers(1, 8)))
             seq = tokenize(sentence)
-            rebuilt = "".join(sentence[a:b] for a, b in seq.char_spans)
-            assert rebuilt == sentence.replace(" ", "")
-            for token, (a, b) in zip(seq.tokens, seq.char_spans):
-                assert sentence[a:b] == token
+            assert "".join(seq.tokens) == sentence.replace(" ", "")
+            assert all(token and token.split() == [token] for token in seq.tokens)
 
     def test_deterministic(self):
         assert tokenize("a b c.") == tokenize("a b c.")
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentence=st.text(st.sampled_from("ab.,( \t\n\u00a0\u2028\u3000")) | st.text(),
+           append=st.booleans())
+    @example(sentence="He said.", append=False)
+    def test_retokenizing_the_body_gives_the_same_sequence(self, sentence, append):
+        assume(sentence.split())
+        seq = tokenize(sentence, append)
+        assert sequence_from_tokens(tokenize(sentence).body_tokens, append) == seq
 
 
 class TestSequenceFromTokens:

@@ -380,6 +380,18 @@ class TestImojieJsonl:
         with pytest.raises(FormatError):
             read_imojie_jsonl(path)
 
+    @pytest.mark.parametrize("record", [
+        '{"sentence": null, "tuples": []}',
+        '{"sentence": 5, "tuples": []}',
+        '{"sentence": "s", "tuples": [["a", ["r"], "b"]]}',
+        '{"sentence": "s", "tuples": [["a", "r", "b", null]]}',
+    ])
+    def test_non_string_text_is_rejected(self, tmp_path, record):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"sentence": "ok", "tuples": []}\n' + record + "\n")
+        with pytest.raises(FormatError, match=":2:"):
+            read_imojie_jsonl(path)
+
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         path = tmp_path / "x.jsonl"
         record = {"sentence": "Ada wrote\u2028notes\x85.", "tuples": [["Ada", "wrote", "notes"]]}
@@ -407,6 +419,9 @@ def grid_records(draw):
     return sl.AlignedRecord(draw(st.text(max_size=12)), seq, grid, ())
 
 
+WITH_PLACEHOLDERS = '["a", "[is]", "[from]", "[to]"]'
+
+
 class TestGridJsonl:
     def test_roundtrip(self, tmp_path, pool):
         samples = synth_generate(pool, 10, seed=6)
@@ -416,7 +431,7 @@ class TestGridJsonl:
         loaded = read_grid_jsonl(path)
         assert len(loaded) == len(aligned)
         for (seq, grid), original in zip(loaded, aligned):
-            assert seq.tokens == original.sequence.tokens
+            assert seq == original.sequence
             assert grid == original.grid
 
     def test_seeded_synth_grids_are_pinned(self, tmp_path, pool):
@@ -459,5 +474,18 @@ class TestGridJsonl:
         path.write_text(
             f'{{"sentence": "s", "tokens": ["a"], "placeholders": 0, "masks": {masks}}}\n'
         )
+        with pytest.raises(FormatError, match=":1:"):
+            read_grid_jsonl(path)
+
+    @pytest.mark.parametrize("tokens, placeholders", [
+        ('"ab"', "0"), ("[1, 2]", "0"), ('["a", "b c"]', "0"), ("[]", "0"),
+        (WITH_PLACEHOLDERS, "3.9"), (WITH_PLACEHOLDERS, "3.0"), (WITH_PLACEHOLDERS, "true"),
+        (WITH_PLACEHOLDERS, "1"), ('["a", "[is]", "[from]"]', "3"),
+        ('["[is]", "[from]", "[to]"]', "3"),
+    ])
+    def test_malformed_tokens_or_placeholder_count(self, tmp_path, tokens, placeholders):
+        path = tmp_path / "g.jsonl"
+        record = f'"tokens": {tokens}, "placeholders": {placeholders}, "masks": []'
+        path.write_text(f'{{"sentence": "s", {record}}}\n')
         with pytest.raises(FormatError, match=":1:"):
             read_grid_jsonl(path)

@@ -58,13 +58,6 @@ class TestForward:
         with pytest.raises(TooLong):
             model.predict(tokenize("a a a a a"))
 
-    def test_attention_rows_sum_to_one(self, small_model):
-        seq = tokenize("the quick brown fox jumps")
-        _, attentions = small_model.encoder.encode_with_attention(seq)
-        assert len(attentions) == 2
-        for attn in attentions:
-            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-
     def test_head_scales_but_encoder_does_not(self):
         vocab = build_vocab([tokenize("a b c d")])
         cfg20 = ModelConfig(n_slots=20, hidden=16, blocks=2, max_len=16)

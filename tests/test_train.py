@@ -5,7 +5,17 @@ import pytest
 
 import slotie as sl
 from slotie.autodiff import Tensor
-from slotie.train import AdamState, NumericalError, TrainConfig, adam_step, measure_speed, train
+from slotie.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    NumericalError,
+    TrainConfig,
+    adam_step,
+    measure_speed,
+    train,
+)
 
 
 def tiny_dataset(n_sentences=12, seed=5):
@@ -71,18 +81,18 @@ def per_tensor_adam_step(params, state, cfg):
             raise NumericalError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - cfg.beta1**t
-    correction2 = 1.0 - cfg.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.items():
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
         m, v = state.moments[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
         m_hat = m / correction1
         v_hat = v / correction2
-        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if cfg.weight_decay:
             tensor.data = tensor.data - cfg.learning_rate * cfg.weight_decay * tensor.data
 
