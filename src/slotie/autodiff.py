@@ -6,7 +6,9 @@ the inputs; ``backward`` walks the recorded graph in reverse topological
 order.  Gradients accumulate across repeated backward calls until
 ``zero_grad``.  Only the primitives needed by the token tagger are
 provided: arithmetic with broadcasting, matmul, transpose, reshape, relu,
-softmax, layer normalization, and embedding lookup.
+softmax, layer normalization, and embedding lookup.  ``softmax_array`` and
+``layer_norm_array`` compute the same forward values on plain arrays, for
+inference without a graph.
 """
 
 from __future__ import annotations
@@ -22,20 +24,27 @@ class GraphError(SlotieError):
     """Raised when backward is invoked without a usable forward graph."""
 
 
-_grad_enabled = True
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along ``axis``: the forward value of
+    ``Tensor.softmax``."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
-class no_grad:
-    """Context manager that disables graph recording (inference mode)."""
-
-    def __enter__(self) -> None:
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-
-    def __exit__(self, *exc) -> None:
-        global _grad_enabled
-        _grad_enabled = self._prev
+def layer_norm_array(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of a plain array over its last axis: the forward value of
+    :func:`layer_norm`, plus the normalized rows and the per-row inverse
+    standard deviation that its backward reads."""
+    # sum / width is what ndarray.mean computes, without its wrapper.
+    width = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / width
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv
+    return normed * gain + bias, normed, inv
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -64,7 +73,7 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        for parent in parents if _grad_enabled else ():
+        for parent in parents:
             if parent.requires_grad:
                 out = Tensor(data, requires_grad=True)
                 out._parents, out._backward = tuple(parents), backward
@@ -219,9 +228,7 @@ class Tensor:
         return Tensor._make(self.data * mask, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=axis, keepdims=True)
+        probs = softmax_array(self.data, axis)
 
         def backward(grad: np.ndarray) -> None:
             inner = (grad * probs).sum(axis=axis, keepdims=True)
@@ -233,13 +240,8 @@ class Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
     and shift with learnable (H,) parameters."""
-    # sum / width is what ndarray.mean computes, without its wrapper.
+    out_data, normed, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
     width = x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / width
-    var = (centered * centered).sum(axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv
-    out_data = normed * gain.data + bias.data
 
     def backward(grad: np.ndarray) -> None:
         d_normed = grad * gain.data

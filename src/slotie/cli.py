@@ -41,7 +41,7 @@ from .data import (
     write_tuples_tsv,
 )
 from .matching import LossConfig
-from .model import ModelConfig, SlotTagger, decode
+from .model import ModelConfig, SlotTagger, decode, token_packs
 from .scoring import SCHEMES, auc_single_point
 from .train import NumericalError, TrainConfig, train
 
@@ -289,29 +289,40 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 # -- extract ---------------------------------------------------------------------
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _resolve(args, "extract")
-    model = SlotTagger.load(args.checkpoint)
-    sentences = [line for line in read_lines(args.infile) if line.strip()]
-    records: list[GenerativeRecord] = []
-    skipped_long = 0
-    elapsed = 0.0
+def _tokenized(sentences: list[str], max_len: int):
+    """(sentence, sequence) pairs, tokenized lazily so that only one pack's
+    tokens are alive at a time; over-length sentences are skipped with a
+    warning."""
     for sentence in sentences:
         seq = tokenize(sentence, append_placeholders=True)
-        if len(seq) > model.config.max_len:
-            skipped_long += 1
+        if len(seq) > max_len:
             print(
                 f"warning: skipping over-length sentence ({len(seq)} tokens): "
                 f"{sentence[:60]}...",
                 file=sys.stderr,
             )
             continue
+        yield sentence, seq
+
+
+def _cmd_extract(args: argparse.Namespace) -> int:
+    config = _resolve(args, "extract")
+    model = SlotTagger.load(args.checkpoint)
+    sentences = [line for line in read_lines(args.infile) if line.strip()]
+    records: list[GenerativeRecord] = []
+    processed = 0
+    elapsed = 0.0
+    jobs = _tokenized(sentences, model.config.max_len)
+    for pack in token_packs(jobs, lambda job: len(job[1])):
+        processed += len(pack)
         tick = time.perf_counter()
-        probs = model.predict(seq)
-        extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
+        predictions = model.predict_many([seq for _, seq in pack])
+        for (sentence, seq), probs in zip(pack, predictions):
+            extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
+            if extractions:
+                records.append(GenerativeRecord(sentence, tuple(extractions)))
         elapsed += time.perf_counter() - tick
-        if extractions:
-            records.append(GenerativeRecord(sentence, tuple(extractions)))
+    skipped_long = len(sentences) - processed
     write_tuples_tsv(args.out, records)
     _write_meta(
         args.out,
@@ -324,7 +335,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             "extractions": sum(len(r.tuples) for r in records),
         },
     )
-    processed = len(sentences) - skipped_long
     if processed and elapsed > 0:
         print(f"throughput: {processed / elapsed:.1f} sentences/sec", file=sys.stderr)
     if skipped_long:

@@ -419,7 +419,8 @@ def read_lines(path) -> list[str]:
 
 def read_tuples_tsv(path) -> list[GenerativeRecord]:
     """Read `sentence TAB confidence TAB arg1 TAB rel TAB arg2` lines,
-    grouping consecutive-or-not lines of the same sentence together."""
+    grouping consecutive-or-not lines of the same sentence together.  A
+    blank (whitespace-only) sentence is a FormatError: it has no tokens."""
     grouped: dict[str, list[Extraction]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -428,6 +429,8 @@ def read_tuples_tsv(path) -> list[GenerativeRecord]:
         if len(cols) != 5:
             raise FormatError(f"{path}:{lineno}: expected 5 columns, got {len(cols)}")
         sentence, conf_text, arg1, rel, arg2 = cols
+        if not sentence.strip():
+            raise FormatError(f"{path}:{lineno}: blank sentence")
         try:
             confidence = float(conf_text)
         except ValueError as exc:
@@ -440,9 +443,12 @@ def read_tuples_tsv(path) -> list[GenerativeRecord]:
 
 def write_tuples_tsv(path, records: Iterable[GenerativeRecord]) -> None:
     """Inverse of :func:`read_tuples_tsv`; a missing confidence is written
-    as "1.0" by convention."""
+    as "1.0" by convention.  Fields with tabs or newlines and blank
+    sentences, which the reader could not return, are a FormatError."""
     lines: list[str] = []
     for record in records:
+        if not record.sentence.strip():
+            raise FormatError(f"blank sentence {record.sentence!r}")
         for ext in record.tuples:
             fields = (record.sentence, *ext.as_tuple())
             if any(c in f for f in fields for c in "\t\n\r"):
@@ -455,7 +461,8 @@ def write_tuples_tsv(path, records: Iterable[GenerativeRecord]) -> None:
 def read_imojie_jsonl(path) -> list[GenerativeRecord]:
     """Read generation-style JSON lines: one object per line with a
     "sentence" string and a "tuples" list of part-string lists.  Parts
-    beyond the third are appended to arg2."""
+    beyond the third are appended to arg2.  A blank (whitespace-only)
+    sentence is a FormatError."""
     records: list[GenerativeRecord] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -467,6 +474,8 @@ def read_imojie_jsonl(path) -> list[GenerativeRecord]:
         if not (isinstance(obj, dict) and isinstance(obj.get("sentence"), str)
                 and isinstance(obj.get("tuples"), list)):
             raise FormatError(f"{path}:{lineno}: need a sentence string and a tuples list")
+        if not obj["sentence"].strip():
+            raise FormatError(f"{path}:{lineno}: blank sentence")
         extractions: list[Extraction] = []
         for parts in obj["tuples"]:
             if not isinstance(parts, list) or len(parts) < 3:

@@ -7,18 +7,23 @@ self-attention with feedforward layers, residuals and layer normalization.
 The head maps each H-wide hidden state to N x C logits; a softmax over the
 class axis yields the (T, N, C) probability tensor.  Growing N only grows
 the head, the encoder is untouched.
+
+Training runs on the autodiff tape, one sentence at a time.  Inference
+(``predict_many``) runs the same arithmetic on plain arrays, with the
+tokens of many sentences stacked into one matrix.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Protocol, get_type_hints, runtime_checkable
+from typing import (Callable, Iterable, Iterator, Protocol, Sequence, get_type_hints,
+                    runtime_checkable)
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor, embedding, layer_norm
+from .autodiff import Tensor, embedding, layer_norm, layer_norm_array, softmax_array
 from .core import (
     N_CLASSES,
     Extraction,
@@ -40,6 +45,11 @@ class CheckpointError(SlotieError):
 
 OOV_TOKEN = "<unk>"
 CHECKPOINT_VERSION = 1
+
+#: Token rows per ``predict_many`` call in extract and validation: enough
+#: to amortise the per-call Python over ~10 sentences while keeping the
+#: pack's activations small.
+PACK_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -140,11 +150,14 @@ class ReferenceEncoder:
         oov = self.vocab[OOV_TOKEN]
         return np.array([self.vocab.get(tok, oov) for tok in seq.tokens], dtype=np.int64)
 
-    def encode(self, seq: TokenSequence) -> Tensor:
+    def _positions(self, seq: TokenSequence) -> np.ndarray:
         n_tokens = len(seq)
         if n_tokens > self.config.max_len:
             raise TooLong(f"{n_tokens} tokens exceed the {self.config.max_len}-token cap")
-        x = embedding(self.embed, self.token_ids(seq)) + Tensor(self.positions[:n_tokens])
+        return self.positions[:n_tokens]
+
+    def encode(self, seq: TokenSequence) -> Tensor:
+        x = embedding(self.embed, self.token_ids(seq)) + Tensor(self._positions(seq))
         scale = 1.0 / np.sqrt(self.config.hidden)
         for blk in self.block_params:
             q = x @ blk["wq"] + blk["bq"]
@@ -155,6 +168,37 @@ class ReferenceEncoder:
             x = layer_norm(x + y, blk["ln1_g"], blk["ln1_b"])
             f = (x @ blk["w1"] + blk["b1"]).relu() @ blk["w2"] + blk["b2"]
             x = layer_norm(x + f, blk["ln2_g"], blk["ln2_b"])
+        return x
+
+    def encode_packed(self, seqs: Sequence[TokenSequence]) -> np.ndarray:
+        """The hidden rows of all ``seqs`` stacked into one (sum of T, H)
+        array, without a graph.
+
+        The per-token steps run once over the stack; attention runs per
+        sentence on its own rows.  Every operation runs in ``encode``'s
+        order, so each sentence's rows equal ``encode(seq).data``, except
+        that a one-token sentence must be packed alone (see
+        ``SlotTagger.predict_many``).
+        """
+        ids = np.concatenate([self.token_ids(seq) for seq in seqs])
+        x = self.embed.data[ids] + np.concatenate([self._positions(seq) for seq in seqs])
+        bounds = np.cumsum([0] + [len(seq) for seq in seqs]).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        scale = 1.0 / np.sqrt(self.config.hidden)
+        for blk in self.block_params:
+            p = {name: tensor.data for name, tensor in blk.items()}
+            q = x @ p["wq"] + p["bq"]
+            k = x @ p["wk"] + p["bk"]
+            v = x @ p["wv"] + p["bv"]
+            mixed = np.empty_like(v)
+            for start, stop in spans:
+                attn = softmax_array((q[start:stop] @ k[start:stop].T) * scale)
+                mixed[start:stop] = attn @ v[start:stop]
+            y = mixed @ p["wo"] + p["bo"]
+            x, _, _ = layer_norm_array(x + y, p["ln1_g"], p["ln1_b"])
+            h = x @ p["w1"] + p["b1"]
+            f = (h * (h > 0.0)) @ p["w2"] + p["b2"]
+            x, _, _ = layer_norm_array(x + f, p["ln2_g"], p["ln2_b"])
         return x
 
     @property
@@ -186,6 +230,11 @@ class DetectionHead:
         n_tokens = hidden.shape[0]
         logits = hidden @ self.weight + self.bias
         return logits.reshape(n_tokens, self.config.n_slots, N_CLASSES).softmax(axis=-1)
+
+    def probs(self, hidden: np.ndarray) -> np.ndarray:
+        """``__call__``'s forward value on a plain (T, H) array."""
+        logits = hidden @ self.weight.data + self.bias.data
+        return softmax_array(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"head.weight": self.weight, "head.bias": self.bias}
@@ -232,8 +281,34 @@ class SlotTagger:
 
     def predict(self, seq: TokenSequence) -> PredictionTensor:
         """Inference-only forward; no graph is recorded."""
-        with autodiff.no_grad():
-            return PredictionTensor(self.head(self.encoder.encode(seq)).data)
+        return self.predict_many([seq])[0]
+
+    def predict_many(self, seqs: Sequence[TokenSequence]) -> list[PredictionTensor]:
+        """Inference for many sentences in one pass over plain arrays.
+
+        The tokens of all ``seqs`` are stacked row-wise, so the per-token
+        work runs once for the stack.  Each result equals
+        ``forward(seq).probs`` bit for bit.  An encoder other than the
+        reference one is run per sentence through its ``encode``.
+        """
+        # numpy multiplies a one-row matrix on its vector path, whose sums
+        # can round differently from the matrix path: one-token sentences
+        # run alone.
+        packs = [[i for i, seq in enumerate(seqs) if len(seq) != 1]]
+        packs += [[i] for i, seq in enumerate(seqs) if len(seq) == 1]
+        out: list[PredictionTensor | None] = [None] * len(seqs)
+        for pack in filter(None, packs):
+            pack_seqs = [seqs[i] for i in pack]
+            if isinstance(self.encoder, ReferenceEncoder):
+                hidden = self.encoder.encode_packed(pack_seqs)
+            else:
+                hidden = np.concatenate([self.encoder.encode(seq).data for seq in pack_seqs])
+            probs = self.head.probs(hidden)
+            start = 0
+            for i, seq in zip(pack, pack_seqs):
+                out[i] = PredictionTensor(probs[start : start + len(seq)])
+                start += len(seq)
+        return out
 
     def backward(self, prob_grad: np.ndarray) -> None:
         """Push a (T, N, C) gradient w.r.t. the probabilities into the
@@ -315,6 +390,22 @@ class SlotTagger:
                     )
                 tensor.data = stored.astype(np.float64)
         return model
+
+
+def token_packs(items: Iterable, n_tokens: Callable[..., int]) -> Iterator[list]:
+    """Consecutive runs of ``items`` holding at most ``PACK_TOKENS`` tokens
+    each, for ``predict_many``; an item longer than that is a run of its own."""
+    pack: list = []
+    used = 0
+    for item in items:
+        size = n_tokens(item)
+        if pack and used + size > PACK_TOKENS:
+            yield pack
+            pack, used = [], 0
+        pack.append(item)
+        used += size
+    if pack:
+        yield pack
 
 
 def decode_grid(p: PredictionTensor) -> np.ndarray:

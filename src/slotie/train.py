@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LabelGrid, SlotieError, TokenSequence, tokenize
 from .matching import LossConfig, loss_assignment_gradient, optimal_assignment
-from .model import ModelConfig, SlotTagger, build_vocab, decode, decode_grid
+from .model import ModelConfig, SlotTagger, build_vocab, decode, decode_grid, token_packs
 from .scoring import MacroF1Accumulator
 from .autodiff import Tensor
 
@@ -145,9 +145,10 @@ def evaluate_macro_f1(
     """Token-wise macro F1 of the argmax slot labels against gold, aggregated
     over the dataset under the loss-optimal assignments."""
     acc = MacroF1Accumulator()
-    for seq, grid in dataset:
-        probs = model.predict(seq)
-        acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
+    for pack in token_packs(dataset, lambda example: len(example[0])):
+        predictions = model.predict_many([seq for seq, _ in pack])
+        for (_, grid), probs in zip(pack, predictions):
+            acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
     return acc.value()
 
 
@@ -234,8 +235,8 @@ class SpeedReport:
 
 
 def measure_speed(model: SlotTagger, sentences: Sequence[str]) -> SpeedReport:
-    """Wall-clock throughput of forward + decode over a corpus, one
-    sentence at a time."""
+    """Wall-clock throughput of ``predict`` + ``decode`` over a corpus,
+    one sentence at a time."""
     if not sentences:
         raise ValueError("need at least one sentence")
     sequences = [tokenize(s, append_placeholders=True) for s in sentences]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slotie.autodiff import GraphError, Tensor, embedding, layer_norm, no_grad
+from slotie.autodiff import GraphError, Tensor, embedding, layer_norm
 
 
 def finite_difference(fn, tensors, h=1e-6):
@@ -176,14 +176,6 @@ class TestGraphBehavior:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with pytest.raises(GraphError):
             (x * 1.0).backward(np.ones((3, 2)))
-
-    def test_no_grad_suppresses_graph(self):
-        x = Tensor(2.0, requires_grad=True)
-        with no_grad():
-            y = x * 3.0
-        assert not y.requires_grad
-        with pytest.raises(GraphError):
-            y.backward()
 
     def test_deep_chain_does_not_recurse(self):
         x = Tensor(1.0, requires_grad=True)

@@ -130,6 +130,18 @@ class TestConvertCommand:
         assert "tuples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("imojie", '{"sentence": "Ada wrote notes .", "tuples": []}\n{"sentence": " ", "tuples": []}\n'),
+        ("tuples", "Ada wrote notes .\t1.0\tAda\twrote\tnotes\n \t1.0\tAda\twrote\tnotes\n"),
+    ])
+    def test_blank_sentence_names_its_line(self, tmp_path, capsys, fmt, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("convert", "--format", fmt, "--in", bad,
+                   "--out", tmp_path / "o", "--report", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}:2: blank sentence\n"
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_metrics(self, checkpoint):
@@ -284,6 +296,32 @@ class TestExtractCommand:
         assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 0
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["skipped_over_length"] == 1
+
+    def test_packed_extract_equals_per_sentence_decode(self, tmp_path, checkpoint):
+        corpus = tmp_path / "corpus.tsv"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", 30, "--seed", 5,
+                   "--out", corpus) == 0
+        sentences = [r.sentence for r in sl.read_tuples_tsv(corpus)]
+        sentences.insert(11, " ".join(["word"] * 300))
+        infile = tmp_path / "in.txt"
+        infile.write_text("\n".join(sentences) + "\n")
+        out = tmp_path / "out.tsv"
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out,
+                   "--no-require-all-parts") == 0
+
+        model = sl.SlotTagger.load(checkpoint)
+        seqs = [sl.tokenize(s, append_placeholders=True) for s in sentences]
+        kept = [(s, seq) for s, seq in zip(sentences, seqs) if len(seq) <= model.config.max_len]
+        assert len(kept) == len(sentences) - 1 and sum(len(seq) for _, seq in kept) > 256
+        expected = []
+        for sentence, seq in kept:
+            extractions = sl.decode(model.predict(seq), seq, require_all_parts=False)
+            if extractions:
+                expected.append(sl.GenerativeRecord(sentence, tuple(extractions)))
+        want = tmp_path / "want.tsv"
+        sl.write_tuples_tsv(want, expected)
+        assert len(expected) > 20
+        assert out.read_text().splitlines() == want.read_text().splitlines()
 
 
 class TestScoreCommand:

@@ -309,10 +309,12 @@ class TestTuplesTsv:
     # U+0085 and U+2028 are line breaks to str.splitlines but not to the format.
     @example(records=[GenerativeRecord("a\x85b", (Extraction("c\u2028d", "r", "o", 0.5),))])
     @example(records=[GenerativeRecord("s\u2028", (Extraction("a", "\x85", "b", 1.0),))])
+    @example(records=[GenerativeRecord("\u3000 ", (Extraction("a", "r", "b", 1.0),))])
     def test_write_read_is_an_exact_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("tsv") / "t.tsv"
         fields = [f for r in records for e in r.tuples for f in (r.sentence, *e.as_tuple())]
-        if any(c in f for f in fields for c in "\t\n\r"):
+        blank = any(not r.sentence.strip() for r in records)
+        if blank or any(c in f for f in fields for c in "\t\n\r"):
             with pytest.raises(FormatError):
                 write_tuples_tsv(path, records)
             return
@@ -348,6 +350,13 @@ class TestTuplesTsv:
         path = tmp_path / "bad.tsv"
         path.write_text("s\thigh\ta\tb\tc\n")
         with pytest.raises(FormatError):
+            read_tuples_tsv(path)
+
+    @pytest.mark.parametrize("sentence", ["", " ", "\u3000\x1c"])
+    def test_blank_sentence_is_rejected(self, tmp_path, sentence):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"s\t1.0\ta\tb\tc\n{sentence}\t1.0\ta\tb\tc\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":2: blank sentence"):
             read_tuples_tsv(path)
 
     def test_grouping_by_sentence(self, tmp_path):
@@ -390,6 +399,14 @@ class TestImojieJsonl:
         path = tmp_path / "x.jsonl"
         path.write_text('{"sentence": "ok", "tuples": []}\n' + record + "\n")
         with pytest.raises(FormatError, match=":2:"):
+            read_imojie_jsonl(path)
+
+    @pytest.mark.parametrize("sentence", ["", " ", "\u2028\t"])
+    def test_blank_sentence_is_rejected(self, tmp_path, sentence):
+        path = tmp_path / "x.jsonl"
+        record = {"sentence": sentence, "tuples": [["a", "r", "b"]]}
+        path.write_text('{"sentence": "ok", "tuples": []}\n' + json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match=":2: blank sentence"):
             read_imojie_jsonl(path)
 
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):

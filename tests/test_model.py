@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from slotie import (
     sequence_from_tokens,
     tokenize,
 )
+from slotie.model import token_packs
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -111,6 +114,81 @@ class TestForward:
         assert "bag.table" in model.trainable_parameters()
         with pytest.raises(CheckpointError):
             model.save("/tmp/never-written.npz")
+
+
+_WORDS = ("the", "quick", "brown", "fox", "jumps", "over")
+
+
+def _jittered(model, seed):
+    """``model`` with every parameter moved off its initial value, so that
+    no bias is zero and no layer-norm gain is one."""
+    rng = np.random.default_rng(seed)
+    for tensor in model.named_parameters().values():
+        tensor.data = tensor.data + rng.normal(0.0, 0.1, size=tensor.data.shape)
+    return model
+
+
+@functools.cache
+def _packing_model(blocks, hidden):
+    vocab = build_vocab([sequence_from_tokens(list(_WORDS), append_placeholders=True)])
+    config = ModelConfig(n_slots=5, hidden=hidden, blocks=blocks, max_len=16)
+    return _jittered(SlotTagger(vocab, config, seed=blocks * hidden), hidden)
+
+
+# "zebra" and "qux" are out of vocabulary.
+_packing_seqs = st.builds(
+    sequence_from_tokens,
+    st.lists(st.sampled_from(_WORDS + ("zebra", "qux")), min_size=1, max_size=12),
+    append_placeholders=st.booleans(),
+)
+
+
+class TestPredictMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=st.integers(1, 2),
+        hidden=st.sampled_from([8, 16]),
+        seqs=st.lists(_packing_seqs, max_size=6),
+        new_pack=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_equals_forward_for_any_split_into_packs(self, blocks, hidden, seqs, new_pack):
+        model = _packing_model(blocks, hidden)
+        packs: list[list] = []
+        for seq, starts_pack in zip(seqs, new_pack):
+            if starts_pack or not packs:
+                packs.append([])
+            packs[-1].append(seq)
+        got = [p for pack in packs for p in model.predict_many(pack)]
+        assert len(got) == len(seqs)
+        for seq, p in zip(seqs, got):
+            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+
+    def test_pack_over_256_rows_at_default_config(self):
+        vocab = build_vocab([tokenize(" ".join(_WORDS))])
+        model = _jittered(SlotTagger(vocab, ModelConfig(), seed=4), 4)
+        rng = np.random.default_rng(0)
+        seqs = [
+            sequence_from_tokens(list(rng.choice(_WORDS + ("zebra",), size=n)),
+                                 append_placeholders=bool(n % 2))
+            for n in rng.integers(1, 30, size=24)
+        ]
+        assert sum(len(seq) for seq in seqs) > 256
+        for seq, p in zip(seqs, model.predict_many(seqs)):
+            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+
+    def test_no_sequences(self, small_model):
+        assert small_model.predict_many([]) == []
+
+    def test_over_length_sequence_raises(self, small_model):
+        with pytest.raises(TooLong):
+            small_model.predict_many([tokenize("the fox"), tokenize(" ".join(["fox"] * 65))])
+
+
+class TestTokenPacks:
+    def test_packs_hold_at_most_the_budget_in_order(self):
+        sizes = [100, 100, 56, 1, 300, 256, 10]
+        packs = list(token_packs(sizes, lambda size: size))
+        assert packs == [[100, 100, 56], [1], [300], [256], [10]]
 
 
 def tensor_for_masks(rows):
