@@ -11,6 +11,7 @@ function over immutable values.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from enum import IntEnum
@@ -83,27 +84,13 @@ N_CLASSES = len(TokenClass)
 #: sentence body ("is", "from", "to" used implicitly).
 PLACEHOLDER_TOKENS = ("[is]", "[from]", "[to]")
 
-_PUNCT = frozenset(string.punctuation)
+_PUNCT = re.escape(string.punctuation)
 
-
-def split_chunk(chunk: str) -> list[str]:
-    """Split one whitespace-delimited chunk into word and punctuation tokens.
-
-    Leading and trailing punctuation characters become single-character
-    tokens; interior punctuation stays attached (so "28,750" and
-    "signal-to-noise" survive as single tokens).
-    """
-    lead = 0
-    while lead < len(chunk) and chunk[lead] in _PUNCT:
-        lead += 1
-    trail = len(chunk)
-    while trail > lead and chunk[trail - 1] in _PUNCT:
-        trail -= 1
-    tokens = list(chunk[:lead])
-    if trail > lead:
-        tokens.append(chunk[lead:trail])
-    tokens.extend(chunk[trail:])
-    return tokens
+#: One token: a lone ASCII punctuation character, or a word running from the
+#: first to the last non-punctuation character of its whitespace-delimited
+#: chunk, so interior punctuation stays attached ("28,750",
+#: "signal-to-noise") while leading and trailing punctuation splits off.
+TOKEN_PATTERN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
 @dataclass(frozen=True)
@@ -213,10 +200,9 @@ def tokenize(sentence: str, append_placeholders: bool = False) -> TokenSequence:
     ``append_placeholders`` is set, the three placeholder tokens are added
     at the end.
     """
-    chunks = sentence.split()
-    if not chunks:
+    tokens = TOKEN_PATTERN.findall(sentence)
+    if not tokens:
         raise EmptyInput("cannot tokenize an empty sentence")
-    tokens = [piece for chunk in chunks for piece in split_chunk(chunk)]
     return _sequence(tokens, append_placeholders)
 
 

@@ -27,10 +27,10 @@ from .core import (
     LabelGrid,
     PLACEHOLDER_TOKENS,
     SlotieError,
+    TOKEN_PATTERN,
     TokenClass,
     TokenSequence,
     sequence_from_tokens,
-    split_chunk,
     tokenize,
 )
 
@@ -126,15 +126,15 @@ class AlignedRecord:
     skipped: tuple[SkippedTuple, ...]
 
 
+#: A whole-chunk placeholder as one token, else a sentence token.
+_PART_TOKEN = re.compile(
+    rf"(?<!\S)(?:{'|'.join(map(re.escape, PLACEHOLDER_TOKENS))})(?!\S)|{TOKEN_PATTERN.pattern}"
+)
+
+
 def tuple_part_tokens(text: str) -> list[str]:
-    """Tokenize one tuple part, keeping [is]/[from]/[to] atomic."""
-    tokens: list[str] = []
-    for chunk in text.split():
-        if chunk in PLACEHOLDER_TOKENS:
-            tokens.append(chunk)
-        else:
-            tokens.extend(split_chunk(chunk))
-    return tokens
+    """Tokenize one tuple part, keeping a whole-chunk [is]/[from]/[to] atomic."""
+    return _PART_TOKEN.findall(text)
 
 
 _PLACEHOLDER_KEYS = {ph: ph[1:-1] for ph in PLACEHOLDER_TOKENS}

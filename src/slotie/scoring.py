@@ -14,8 +14,8 @@ matching strategy:
   intentionally parser-free.
 
 One driver, ``_score``, runs the sentence loop and assembles the report;
-each scheme supplies only its per-sentence fields and how its totals give
-precision and recall.
+each scheme supplies one whole-input step (the pair table or the heads),
+its per-sentence fields, and how its totals give precision and recall.
 
 All scorers take ``{sentence: [Extraction, ...]}`` maps for gold and
 predictions, keyed by the exact sentence string.  Sentences present only
@@ -26,10 +26,11 @@ prediction sets score precision 0, not 1.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,12 +43,8 @@ _STOPWORDS_PATH = Path(__file__).with_name("stopwords_en.txt")
 
 
 def _load_stopwords() -> frozenset[str]:
-    words = []
-    for line in _STOPWORDS_PATH.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
+    lines = (line.strip() for line in _STOPWORDS_PATH.read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 STOPWORDS = _load_stopwords()
@@ -66,10 +63,8 @@ def scoring_tokens(text: str, drop_stopwords: bool = False) -> list[str]:
     bare "is" relation stays scoreable).
     """
     tokens = [t.lower() for t in tuple_part_tokens(text)]
-    if drop_stopwords:
-        kept = [t for t in tokens if t not in STOPWORDS]
-        return kept if kept else tokens
-    return tokens
+    kept = [t for t in tokens if t not in STOPWORDS] if drop_stopwords else tokens
+    return kept or tokens
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -80,6 +75,13 @@ def _harmonic(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def _ratios(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """``_ratio`` elementwise; ``_harmonic`` is ``_ratios(2.0 * p * r, p + r)``."""
+    out = np.zeros(len(numerator))
+    np.divide(numerator, denominator, out=out, where=denominator != 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,7 @@ def auc_single_point(precision: float, recall: float) -> float:
     (precision + recall) / 2.  A coarse convention, flagged approximate."""
     if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
         raise ValueError("precision and recall must lie in [0, 1]")
-    first = recall * (1.0 + precision) / 2.0
-    second = (1.0 - recall) * precision / 2.0
-    return first + second
+    return recall * (1.0 + precision) / 2.0 + (1.0 - recall) * precision / 2.0
 
 
 # -- token-level training metric ------------------------------------------------
@@ -152,18 +152,11 @@ class MacroF1Accumulator:
         self.gold_total += confusion.sum(axis=1)
 
     def value(self) -> float:
-        scores = []
-        for klass in range(N_CLASSES):
-            tp = self.true_positive[klass]
-            pred_n = self.pred_total[klass]
-            gold_n = self.gold_total[klass]
-            if pred_n == 0 and gold_n == 0:
-                scores.append(1.0)
-                continue
-            precision = tp / pred_n if pred_n else 0.0
-            recall = tp / gold_n if gold_n else 0.0
-            scores.append(_harmonic(precision, recall))
-        return float(np.mean(scores))
+        precision = _ratios(self.true_positive, self.pred_total)
+        recall = _ratios(self.true_positive, self.gold_total)
+        f1 = _ratios(2.0 * precision * recall, precision + recall)
+        absent = (self.pred_total == 0) & (self.gold_total == 0)
+        return float(np.mean(np.where(absent, 1.0, f1)))
 
 
 def token_macro_f1(pred_labels: np.ndarray, gold: LabelGrid, assignment: Assignment) -> float:
@@ -174,60 +167,84 @@ def token_macro_f1(pred_labels: np.ndarray, gold: LabelGrid, assignment: Assignm
     return acc.value()
 
 
-# -- pair similarity and matching -----------------------------------------------------
+# -- the pair table -------------------------------------------------------------------
 
-_Parts = tuple[Counter, Counter, Counter]
+_Sentences = Sequence[tuple[Sequence[Extraction], Sequence[Extraction]]]
+# Parts (arg1, rel, arg2) that must overlap for a pair to qualify, by scheme.
+_EVERY_PART = (0, 1, 2)
+_RELATION = (1,)
 
 
-def _tokenized(exts: Sequence[Extraction], drop_stopwords: bool = False) -> list[_Parts]:
-    """Per extraction, the token multiset of each of arg1, rel and arg2."""
+class _SentencePairs(NamedTuple):
+    pairs: list[ScoredPair]  # the qualifying pairs, by prediction then gold index
+    pred_tokens: int
+    gold_tokens: int
+
+
+def _count_table(sentences: _Sentences, drop_stopwords: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(extractions, 3, ids) token counts of each sentence's predictions, then
+    gold tuples, over per-sentence token ids, and each extraction's token
+    count.  Each distinct part text is tokenized once."""
+    texts = [x for p, g in sentences for e in (*p, *g) for x in e.as_tuple()]
+    tokens_of = {x: scoring_tokens(x, drop_stopwords) for x in dict.fromkeys(texts)}
+    parts = list(map(tokens_of.__getitem__, texts))
+    columns: list[int] = []
+    bounds = accumulate((3 * (len(p) + len(g)) for p, g in sentences), initial=0)
+    for start, end in pairwise(bounds):  # each sentence's parts
+        ids: dict[str, int] = {}
+        columns += [ids.setdefault(t, len(ids)) for t in chain.from_iterable(parts[start:end])]
+    part_sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    width = max(columns, default=-1) + 1
+    # A count never exceeds its part's size, so this dtype cannot overflow.
+    table = np.zeros(len(parts) * width, np.min_scalar_type(part_sizes.max(initial=0)))
+    cells = np.repeat(np.arange(len(parts)) * width, part_sizes) + np.array(columns, np.int64)
+    np.add.at(table, cells, 1)
+    return table.reshape(len(parts) // 3, 3, width), part_sizes.reshape(-1, 3).sum(axis=1)
+
+
+def _pair_table(
+    sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
+) -> list[_SentencePairs]:
+    """Score every (prediction, gold) pair of every sentence at once: the
+    multiset overlaps are ``np.minimum`` over count-table rows, precision
+    and recall follow the scalar order of ``_ratio`` and ``_harmonic``, and
+    only pairs whose ``gated_parts`` all overlap become ScoredPairs."""
+    table, sizes = _count_table(sentences, drop_stopwords)
+    n_pred, n_gold = np.array([(len(p), len(g)) for p, g in sentences], np.int64).reshape(-1, 2).T
+    first = np.cumsum(n_pred + n_gold) - (n_pred + n_gold)  # each sentence's first extraction
+    n_pairs = n_pred * n_gold
+    sentence = np.repeat(np.arange(len(sentences)), n_pairs)
+    local = np.arange(n_pairs.sum()) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    pred_index, gold_index = np.divmod(local, n_gold[sentence])
+    pred_ext = first[sentence] + pred_index
+    gold_ext = first[sentence] + n_pred[sentence] + gold_index
+    overlaps = np.stack([np.minimum(table[pred_ext, q], table[gold_ext, q]).sum(axis=1)
+                         for q in range(3)], axis=1, dtype=np.int64)
+
+    keep = (overlaps[:, gated_parts] > 0).all(axis=1)
+    overlap = overlaps[keep].sum(axis=1)
+    pred_size, gold_size = sizes[pred_ext[keep]], sizes[gold_ext[keep]]
+    precision = _ratios(overlap, pred_size)
+    recall = _ratios(overlap, gold_size)
+    f1 = _ratios(2.0 * precision * recall, precision + recall)
+    pairs = list(map(
+        ScoredPair, pred_index[keep].tolist(), gold_index[keep].tolist(), precision.tolist(),
+        recall.tolist(), f1.tolist(), overlap.tolist(), pred_size.tolist(), gold_size.tolist(),
+    ))
+    ends = np.cumsum(np.bincount(sentence[keep], minlength=len(sentences))).tolist()
+    # Token totals per (sentence, side): extractions carry 2 * sentence + (1 if gold).
+    owner = np.repeat(np.arange(2 * len(sentences)), np.column_stack((n_pred, n_gold)).ravel())
+    token_counts = np.bincount(owner, sizes, 2 * len(sentences)).astype(np.int64).reshape(-1, 2)
     return [
-        tuple(Counter(scoring_tokens(x, drop_stopwords)) for x in e.as_tuple())
-        for e in exts
+        _SentencePairs(pairs[start:end], n_pred_tokens, n_gold_tokens)
+        for start, end, (n_pred_tokens, n_gold_tokens)
+        in zip([0, *ends], ends, token_counts.tolist())
     ]
 
 
-def _size(parts: _Parts) -> int:
-    return sum(sum(p.values()) for p in parts)
-
-
-# Pair gates over the (arg1, rel, arg2) overlaps: wire57 needs every part
-# to overlap, CaRB only the relation.
-_Gate = Callable[[list[int]], bool]
-_every_part: _Gate = all
-
-
-def _relation(overlaps: list[int]) -> bool:
-    return overlaps[1] > 0
-
-
-def _scored_pair(
-    t_parts: _Parts, g_parts: _Parts, pred_index: int, gold_index: int, gate: _Gate
-) -> ScoredPair | None:
-    """Summed per-part multiset overlap over the prediction's token count
-    (precision) and the gold's (recall); None unless ``gate`` accepts the
-    per-part overlaps."""
-    overlaps = [sum((tp & gp).values()) for tp, gp in zip(t_parts, g_parts)]
-    if not gate(overlaps):
-        return None
-    overlap = sum(overlaps)
-    t_size = _size(t_parts)
-    g_size = _size(g_parts)
-    precision = _ratio(overlap, t_size)
-    recall = _ratio(overlap, g_size)
-    return ScoredPair(
-        pred_index, gold_index, precision, recall, _harmonic(precision, recall),
-        overlap=overlap, pred_size=t_size, gold_size=g_size,
-    )
-
-
-def _pairs(t_parts: list[_Parts], g_parts: list[_Parts], gate: _Gate) -> list[ScoredPair]:
-    """Every (prediction, gold) pair of one sentence that ``gate`` accepts."""
-    pairs = [
-        _scored_pair(tp, gp, i, j, gate)
-        for i, tp in enumerate(t_parts) for j, gp in enumerate(g_parts)
-    ]
-    return [p for p in pairs if p is not None]
+def _lone_pair(t, g, pred_index, gold_index, drop_stopwords, gated_parts) -> ScoredPair | None:
+    (pairs, _, _), = _pair_table([([t], [g])], drop_stopwords, gated_parts)
+    return replace(pairs[0], pred_index=pred_index, gold_index=gold_index) if pairs else None
 
 
 def wire57_pair(
@@ -240,8 +257,7 @@ def wire57_pair(
     per-part multiset overlaps by the prediction's token count, recall by
     the gold's token count.
     """
-    (t_parts,), (g_parts,) = _tokenized([t]), _tokenized([g])
-    return _scored_pair(t_parts, g_parts, pred_index, gold_index, _every_part)
+    return _lone_pair(t, g, pred_index, gold_index, False, _EVERY_PART)
 
 
 def carb_pair(
@@ -249,16 +265,16 @@ def carb_pair(
 ) -> ScoredPair | None:
     """Stopword-filtered token-overlap scores; the pair qualifies only when
     the relation fields share at least one (filtered) token."""
-    (t_parts,), (g_parts,) = _tokenized([t], True), _tokenized([g], True)
-    return _scored_pair(t_parts, g_parts, pred_index, gold_index, _relation)
+    return _lone_pair(t, g, pred_index, gold_index, True, _RELATION)
 
+
+# -- matching -------------------------------------------------------------------------
 
 def _greedy(pairs: list[ScoredPair], key: str) -> list[ScoredPair]:
     """Repeatedly take the pair with the highest ``key`` score (ties: lowest
     pred index, then lowest gold index), removing both sides."""
     chosen: list[ScoredPair] = []
-    used_pred: set[int] = set()
-    used_gold: set[int] = set()
+    used_pred, used_gold = set(), set()
     for pair in sorted(pairs, key=lambda p: (-getattr(p, key), p.pred_index, p.gold_index)):
         if pair.pred_index in used_pred or pair.gold_index in used_gold:
             continue
@@ -293,30 +309,27 @@ def _score(
     scheme: str,
     gold: _Corpus,
     pred: _Corpus,
-    sentence_fn: Callable[[list[Extraction], Sequence[Extraction]], tuple[int, dict]],
+    prepare: Callable[[_Sentences], list],
+    sentence_fn: Callable[[list[Extraction], Sequence[Extraction], object], tuple[int, dict]],
     sums: dict,
     finish: Callable[[dict], tuple[float, float, dict]],
 ) -> BenchmarkReport:
     """Run ``sentence_fn`` over every gold sentence and assemble the report.
 
-    ``sentence_fn(pred_exts, gold_exts)`` returns the sentence's matched
-    count and its scheme fields, which join the per-sentence row.  ``sums``
-    gives the starting total of each scheme field; the driver adds the
-    rows into them, next to the "matched", "gold" and "pred" counts, and
+    ``prepare`` maps all (pred_exts, gold_exts) at once to one value per
+    sentence (its pair-table row, or its heads); ``sentence_fn(pred_exts,
+    gold_exts, value)`` returns the matched count and the scheme fields of
+    the per-sentence row.  The driver adds the rows into ``sums`` (each
+    scheme field's start) and the "matched", "gold" and "pred" counts, and
     ``finish(sums)`` turns the totals into (precision, recall, totals).
     """
+    sentences = [(list(pred.get(s, ())), gold_exts) for s, gold_exts in gold.items()]
     sums = {"matched": 0, "gold": 0, "pred": 0, **sums}
     per_sentence: list[dict] = []
-    for sentence, gold_exts in gold.items():
-        pred_exts = list(pred.get(sentence, ()))
-        matched, fields = sentence_fn(pred_exts, gold_exts)
-        row = {
-            "sentence": sentence,
-            "matched": matched,
-            "gold": len(gold_exts),
-            "pred": len(pred_exts),
-            **fields,
-        }
+    for sentence, (pred_exts, gold_exts), value in zip(gold, sentences, prepare(sentences)):
+        matched, fields = sentence_fn(pred_exts, gold_exts, value)
+        row = {"sentence": sentence, "matched": matched, "gold": len(gold_exts),
+               "pred": len(pred_exts), **fields}
         for key in sums:
             sums[key] += row[key]
         per_sentence.append(row)
@@ -338,13 +351,12 @@ def _precision_recall_sums(sums: dict) -> tuple[float, float, dict]:
 
 # -- WiRe57-style scoring --------------------------------------------------------
 
-def _wire57_sentence(pred_exts, gold_exts):
-    t_parts, g_parts = _tokenized(pred_exts), _tokenized(gold_exts)
-    chosen = _greedy(_pairs(t_parts, g_parts, _every_part), "f1")
+def _wire57_sentence(pred_exts, gold_exts, table: _SentencePairs):
+    chosen = _greedy(table.pairs, "f1")
     return len(chosen), {
         "overlap": sum(p.overlap for p in chosen),
-        "pred_tokens": sum(_size(p) for p in t_parts),
-        "gold_tokens": sum(_size(p) for p in g_parts),
+        "pred_tokens": table.pred_tokens,
+        "gold_tokens": table.gold_tokens,
     }
 
 
@@ -352,11 +364,8 @@ def _wire57_totals(sums: dict) -> tuple[float, float, dict]:
     return (
         _ratio(sums["overlap"], sums["pred_tokens"]),
         _ratio(sums["overlap"], sums["gold_tokens"]),
-        {
-            "matched_overlap": sums["overlap"],
-            "pred_tokens": sums["pred_tokens"],
-            "gold_tokens": sums["gold_tokens"],
-        },
+        {"matched_overlap": sums["overlap"], "pred_tokens": sums["pred_tokens"],
+         "gold_tokens": sums["gold_tokens"]},
     )
 
 
@@ -364,20 +373,21 @@ def wire57_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """Corpus score: greedy per-sentence matching, micro-averaged token
     overlap over all predicted and gold tokens."""
     return _score(
-        "wire57", gold, pred, _wire57_sentence,
-        {"overlap": 0, "pred_tokens": 0, "gold_tokens": 0}, _wire57_totals,
+        "wire57", gold, pred, partial(_pair_table, drop_stopwords=False, gated_parts=_EVERY_PART),
+        _wire57_sentence, {"overlap": 0, "pred_tokens": 0, "gold_tokens": 0}, _wire57_totals,
     )
 
 
 # -- CaRB-style scoring ------------------------------------------------------------
 
-def _carb_sentence(pred_exts, gold_exts):
-    pairs = _pairs(_tokenized(pred_exts, True), _tokenized(gold_exts, True), _relation)
+_carb_table = partial(_pair_table, drop_stopwords=True, gated_parts=_RELATION)
+
+
+def _carb_sentence(pred_exts, gold_exts, table: _SentencePairs):
     recall_sum = 0.0
     for j in range(len(gold_exts)):
-        row = [p.recall for p in pairs if p.gold_index == j]
-        recall_sum += max(row) if row else 0.0
-    chosen = _greedy(pairs, "precision")
+        recall_sum += max((p.recall for p in table.pairs if p.gold_index == j), default=0.0)
+    chosen = _greedy(table.pairs, "precision")
     precision_sum = 0.0
     for pair in chosen:
         precision_sum += pair.precision
@@ -393,16 +403,14 @@ def carb_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     mean over predictions of their matched precision.
     """
     return _score(
-        "carb", gold, pred, _carb_sentence,
+        "carb", gold, pred, _carb_table, _carb_sentence,
         {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
     )
 
 
-def _carb11_sentence(pred_exts, gold_exts):
-    pairs = _pairs(_tokenized(pred_exts, True), _tokenized(gold_exts, True), _relation)
-    chosen = _optimal(pairs, len(pred_exts), len(gold_exts))
-    precision_sum = 0.0
-    recall_sum = 0.0
+def _carb11_sentence(pred_exts, gold_exts, table: _SentencePairs):
+    chosen = _optimal(table.pairs, len(pred_exts), len(gold_exts))
+    precision_sum = recall_sum = 0.0
     for pair in chosen:
         precision_sum += pair.precision
         recall_sum += pair.recall
@@ -413,7 +421,7 @@ def carb_1to1_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """CaRB similarity with a single optimal one-to-one matching (maximum
     total pair F1) driving both precision and recall."""
     return _score(
-        "carb11", gold, pred, _carb11_sentence,
+        "carb11", gold, pred, _carb_table, _carb11_sentence,
         {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
     )
 
@@ -423,17 +431,23 @@ def carb_1to1_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
 def default_head(text: str) -> str:
     """Heuristic head: the last non-stopword token (last token if all are
     stopwords).  Parser-free and intentionally approximate."""
-    tokens = [t.lower() for t in tuple_part_tokens(text)]
-    kept = [t for t in tokens if t not in STOPWORDS]
-    pick = kept if kept else tokens
-    return pick[-1] if pick else ""
+    tokens = scoring_tokens(text, drop_stopwords=True)
+    return tokens[-1] if tokens else ""
 
 
-def _oie2016_sentence(pred_exts, gold_exts):
-    gold_heads = [tuple(default_head(x) for x in g.as_tuple()) for g in gold_exts]
+def _heads(sentences: _Sentences) -> list[tuple[list[tuple], list[tuple]]]:
+    """Per sentence, the (arg1, rel, arg2) head triples of its predictions
+    and of its gold tuples; each distinct part text is tokenized once."""
+    texts = [x for p, g in sentences for e in (*p, *g) for x in e.as_tuple()]
+    head_of = {x: default_head(x) for x in dict.fromkeys(texts)}
+    triples = zip(*[map(head_of.__getitem__, texts)] * 3)  # one iterator, three at a time
+    return [([next(triples) for _ in p], [next(triples) for _ in g]) for p, g in sentences]
+
+
+def _oie2016_sentence(pred_exts, gold_exts, heads):
+    pred_heads, gold_heads = heads
     used_gold: set[int] = set()
-    for t in pred_exts:
-        t_heads = tuple(default_head(x) for x in t.as_tuple())
+    for t_heads in pred_heads:
         for j, g_heads in enumerate(gold_heads):
             if j not in used_gold and t_heads == g_heads:
                 used_gold.add(j)
@@ -450,7 +464,7 @@ def oie2016_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """Tuples match when the :func:`default_head` of arg1, rel and arg2 all
     agree; one-to-one greedy matching by index order; precision/recall
     over matched counts."""
-    return _score("oie2016", gold, pred, _oie2016_sentence, {}, _oie2016_totals)
+    return _score("oie2016", gold, pred, _heads, _oie2016_sentence, {}, _oie2016_totals)
 
 
 SCHEMES: dict[str, Callable[..., BenchmarkReport]] = {

@@ -1,3 +1,6 @@
+import string
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,6 +21,25 @@ from slotie import (
 )
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
+
+
+#: Every character that ``str.split()`` splits at (29 on CPython 3.11).
+WHITESPACE = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+#: Pieces of tokenizer input: letters (with a case-changing "İ"), all ASCII
+#: punctuation, all whitespace, and placeholder look-alikes.
+TEXT_PIECES = (*"abXİé9", *string.punctuation, *WHITESPACE, "[is]", "[IS]", "x[is]", "[is].")
+tokenizer_text = st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join)
+
+
+def reference_split_chunk(chunk):
+    """The per-character loop the tokenizer pattern replaced."""
+    lead = 0
+    while lead < len(chunk) and chunk[lead] in string.punctuation:
+        lead += 1
+    trail = len(chunk)
+    while trail > lead and chunk[trail - 1] in string.punctuation:
+        trail -= 1
+    return [*chunk[:lead], *([chunk[lead:trail]] if trail > lead else []), *chunk[trail:]]
 
 
 class TestTokenize:
@@ -59,6 +81,18 @@ class TestTokenize:
 
     def test_deterministic(self):
         assert tokenize("a b c.") == tokenize("a b c.")
+
+    @settings(max_examples=500, deadline=None)
+    @given(sentence=tokenizer_text)
+    @example(sentence='He said "stop." twice')
+    @example(sentence="x[is] [IS]\u2028[is].\u3000İ")
+    def test_matches_the_per_character_loop(self, sentence):
+        expected = [piece for chunk in sentence.split() for piece in reference_split_chunk(chunk)]
+        if not expected:
+            with pytest.raises(EmptyInput):
+                tokenize(sentence)
+        else:
+            assert tokenize(sentence).tokens == tuple(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(sentence=st.text(st.sampled_from("ab.,( \t\n\u00a0\u2028\u3000")) | st.text(),

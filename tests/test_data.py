@@ -1,5 +1,7 @@
 import hashlib
 import json
+import string
+import sys
 from collections import Counter
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slotie as sl
 from slotie import (
+    PLACEHOLDER_TOKENS,
     BadAnnotation,
     Extraction,
     GenerativeRecord,
@@ -39,12 +42,41 @@ def letters(row):
     return "".join("BSRO"[lab] for lab in row)
 
 
+_WHITESPACE = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_PART_PIECES = (*"abXİé9", *string.punctuation, *_WHITESPACE,
+                "[is]", "[IS]", "x[is]", "[is].", "[from]", "[to]")
+
+
+def reference_part_tokens(text):
+    """The per-chunk, per-character loop the tuple-part pattern replaced."""
+    tokens = []
+    for chunk in text.split():
+        if chunk in PLACEHOLDER_TOKENS:
+            tokens.append(chunk)
+            continue
+        lead = 0
+        while lead < len(chunk) and chunk[lead] in string.punctuation:
+            lead += 1
+        trail = len(chunk)
+        while trail > lead and chunk[trail - 1] in string.punctuation:
+            trail -= 1
+        tokens.extend([*chunk[:lead], *([chunk[lead:trail]] if trail > lead else []),
+                       *chunk[trail:]])
+    return tokens
+
+
 class TestTuplePartTokens:
     def test_placeholders_stay_atomic(self):
         assert tuple_part_tokens("[is] born in") == ["[is]", "born", "in"]
 
     def test_ordinary_brackets_split(self):
         assert tuple_part_tokens("[unusual] text") == ["[", "unusual", "]", "text"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.sampled_from(_PART_PIECES), max_size=12).map("".join))
+    @example(text="x[is] [IS]\u2028[is]. [to]\u3000([from] İ[is]")
+    def test_matches_the_per_character_loop(self, text):
+        assert tuple_part_tokens(text) == reference_part_tokens(text)
 
 
 class TestLcsAlign:

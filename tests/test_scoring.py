@@ -1,6 +1,9 @@
+from collections import Counter
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slotie import (
     Assignment,
@@ -17,9 +20,13 @@ from slotie import (
     wire57_score,
 )
 from slotie.scoring import (
+    _EVERY_PART,
+    _RELATION,
     MacroF1Accumulator,
     SCHEMES,
     STOPWORDS,
+    ScoredPair,
+    _pair_table,
     default_head,
     scoring_tokens,
     stopwords_checksum,
@@ -96,6 +103,59 @@ class TestWire57Pair:
             if ab is not None:
                 assert ab.precision == pytest.approx(ba.recall, abs=1e-12)
                 assert ab.recall == pytest.approx(ba.precision, abs=1e-12)
+
+
+def counter_pair(t, g, i, j, drop_stopwords, gated_parts):
+    """Oracle: per-part token multisets as Counters, scored one pair at a time."""
+    t_parts = [Counter(scoring_tokens(x, drop_stopwords)) for x in t.as_tuple()]
+    g_parts = [Counter(scoring_tokens(x, drop_stopwords)) for x in g.as_tuple()]
+    overlaps = [sum((tp & gp).values()) for tp, gp in zip(t_parts, g_parts)]
+    if not all(overlaps[k] > 0 for k in gated_parts):
+        return None
+    overlap = sum(overlaps)
+    t_size = sum(sum(c.values()) for c in t_parts)
+    g_size = sum(sum(c.values()) for c in g_parts)
+    precision = overlap / t_size if t_size else 0.0
+    recall = overlap / g_size if g_size else 0.0
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return ScoredPair(i, j, precision, recall, f1, overlap, t_size, g_size)
+
+
+# Repeats, stopwords (alone they fall back to themselves), case, punctuation
+# and placeholders; a prediction part may be empty.
+_PAIR_WORDS = ("cat", "Cat", "CAT", "mat", "mat.", "sat", "the", "of", "is", "[is]", "[IS]",
+               "[from]", "a")
+_gold_part = st.lists(st.sampled_from(_PAIR_WORDS), min_size=1, max_size=4).map(" ".join)
+_pred_part = st.lists(st.sampled_from(_PAIR_WORDS), max_size=4).map(" ".join)
+_sentence_sets = st.lists(
+    st.tuples(st.lists(st.builds(Extraction, _pred_part, _pred_part, _pred_part), max_size=4),
+              st.lists(st.builds(Extraction, _gold_part, _gold_part, _gold_part), max_size=4)),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=_sentence_sets)
+@example(sentences=[([], [ext("the cat", "is", "the mat")]),
+                    ([ext("", "is", "mat mat"), ext("Cat", "IS [is]", "")],
+                     [ext("cat cat", "is", "mat"), ext("of the", "[is]", "a")])])
+@example(sentences=[([ext("cat " * 300, "sat", "mat")], [ext("cat " * 280, "sat", "mat")])])
+def test_pair_table_equals_counter_oracle(sentences):
+    for drop_stopwords, gated_parts in ((False, _EVERY_PART), (True, _RELATION)):
+        table = _pair_table(sentences, drop_stopwords, gated_parts)
+        assert len(table) == len(sentences)
+        for (pred_exts, gold_exts), row in zip(sentences, table):
+            expected = [
+                counter_pair(t, g, i, j, drop_stopwords, gated_parts)
+                for i, t in enumerate(pred_exts) for j, g in enumerate(gold_exts)
+            ]
+            assert row.pairs == [pair for pair in expected if pair is not None]
+            for pair in row.pairs:  # plain Python numbers, as the JSON report needs
+                assert list(map(type, astuple(pair))) == [int, int, float, float, float, int, int, int]
+            sizes = [sum(len(scoring_tokens(x, drop_stopwords)) for x in e.as_tuple())
+                     for e in (*pred_exts, *gold_exts)]
+            assert (row.pred_tokens, row.gold_tokens) == (
+                sum(sizes[: len(pred_exts)]), sum(sizes[len(pred_exts):]))
 
 
 def greedy_simulation(gold_exts, pred_exts):
@@ -301,6 +361,20 @@ def reference_counts(pred_labels, gold, assignment):
     return tp, pred_total, gold_total
 
 
+def reference_macro_f1(tp, pred_total, gold_total):
+    """Per-class scalar loop: an absent class scores 1, else its F1."""
+    scores = []
+    for klass in range(4):
+        if pred_total[klass] == 0 and gold_total[klass] == 0:
+            scores.append(1.0)
+            continue
+        precision = tp[klass] / pred_total[klass] if pred_total[klass] else 0.0
+        recall = tp[klass] / gold_total[klass] if gold_total[klass] else 0.0
+        total = precision + recall
+        scores.append(0.0 if total == 0.0 else 2.0 * precision * recall / total)
+    return float(np.mean(scores))
+
+
 @st.composite
 def scored_sentences(draw):
     """Decoded labels, a gold grid and a partial slot-to-gold assignment."""
@@ -329,6 +403,7 @@ def test_accumulator_counts_equal_per_slot_loop(sentences):
     assert acc.true_positive.tolist() == expected[0].tolist()
     assert acc.pred_total.tolist() == expected[1].tolist()
     assert acc.gold_total.tolist() == expected[2].tolist()
+    assert acc.value() == reference_macro_f1(*expected)
 
 
 class TestSelfScoring:
