@@ -49,12 +49,10 @@ from .model import (
 from .train import (
     AdamState,
     NumericalError,
-    SpeedReport,
     TrainConfig,
     TrainResult,
     adam_step,
     evaluate_macro_f1,
-    measure_speed,
     train,
 )
 from .data import (
@@ -64,7 +62,6 @@ from .data import (
     FormatError,
     GenerativeRecord,
     SynthSample,
-    TemplateSpec,
     TripletPool,
     lcs_align,
     lsoie_convert,

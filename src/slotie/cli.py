@@ -11,6 +11,7 @@ and 2 for every other slotie error and for unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -41,7 +42,7 @@ from .data import (
     write_tuples_tsv,
 )
 from .matching import LossConfig
-from .model import ModelConfig, SlotTagger, decode, token_packs
+from .model import ModelConfig, SlotTagger, decode
 from .scoring import SCHEMES, auc_single_point
 from .train import NumericalError, TrainConfig, train
 
@@ -290,9 +291,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # -- extract ---------------------------------------------------------------------
 
 def _tokenized(sentences: list[str], max_len: int):
-    """(sentence, sequence) pairs, tokenized lazily so that only one pack's
-    tokens are alive at a time; over-length sentences are skipped with a
-    warning."""
+    """(sentence, sequence) pairs, tokenized lazily so that only about one
+    pack's tokens are alive at a time; over-length sentences are skipped
+    with a warning."""
     for sentence in sentences:
         seq = tokenize(sentence, append_placeholders=True)
         if len(seq) > max_len:
@@ -311,17 +312,14 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     sentences = [line for line in read_lines(args.infile) if line.strip()]
     records: list[GenerativeRecord] = []
     processed = 0
-    elapsed = 0.0
-    jobs = _tokenized(sentences, model.config.max_len)
-    for pack in token_packs(jobs, lambda job: len(job[1])):
-        processed += len(pack)
-        tick = time.perf_counter()
-        predictions = model.predict_many([seq for _, seq in pack])
-        for (sentence, seq), probs in zip(pack, predictions):
-            extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
-            if extractions:
-                records.append(GenerativeRecord(sentence, tuple(extractions)))
-        elapsed += time.perf_counter() - tick
+    tick = time.perf_counter()
+    jobs, seqs = itertools.tee(_tokenized(sentences, model.config.max_len))
+    for (sentence, seq), probs in zip(jobs, model.predict_many(seq for _, seq in seqs)):
+        processed += 1
+        extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
+        if extractions:
+            records.append(GenerativeRecord(sentence, tuple(extractions)))
+    elapsed = time.perf_counter() - tick
     skipped_long = len(sentences) - processed
     write_tuples_tsv(args.out, records)
     _write_meta(

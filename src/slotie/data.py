@@ -59,23 +59,12 @@ class ConllRecord:
     role_labels: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class TemplateSpec:
-    probability: float
-    kind: str
-
-
 #: Sentence templates and their sampling probabilities: a single triplet
 #: closed by a period, two triplets joined by a conjunction, 3-5 triplets
 #: joined by commas, and 2-9 triplets joined by periods.
-DEFAULT_TEMPLATES = (
-    TemplateSpec(0.10, "single"),
-    TemplateSpec(0.20, "pair"),
-    TemplateSpec(0.35, "commas"),
-    TemplateSpec(0.35, "periods"),
-)
+TEMPLATES = {"single": 0.10, "pair": 0.20, "commas": 0.35, "periods": 0.35}
 
-DEFAULT_CONJUNCTIONS = ("while", "and")
+CONJUNCTIONS = ("while", "and")
 
 #: The largest template can draw this many triplets from the pool.
 MIN_POOL_SIZE = 9
@@ -351,18 +340,10 @@ def _template_count(kind: str, rng: np.random.Generator) -> int:
         return 2
     if kind == "commas":
         return int(rng.integers(3, 6))
-    if kind == "periods":
-        return int(rng.integers(2, 10))
-    raise ConfigError(f"unknown template kind {kind!r}")
+    return int(rng.integers(2, 10))
 
 
-def synth_generate(
-    pool: TripletPool,
-    n_sentences: int,
-    seed: int,
-    templates: tuple[TemplateSpec, ...] = DEFAULT_TEMPLATES,
-    conjunctions: tuple[str, ...] = DEFAULT_CONJUNCTIONS,
-) -> list[SynthSample]:
+def synth_generate(pool: TripletPool, n_sentences: int, seed: int) -> list[SynthSample]:
     """Generate sentences by lexicalizing pool triplets into templates.
 
     Each triplet is flattened by joining its parts with spaces; a template
@@ -372,22 +353,19 @@ def synth_generate(
     """
     if len(pool) < MIN_POOL_SIZE:
         raise ConfigError(f"pool has {len(pool)} triples; need at least {MIN_POOL_SIZE}")
-    probs = np.array([t.probability for t in templates], dtype=np.float64)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ConfigError("template probabilities must sum to 1")
-    if not conjunctions:
-        raise ConfigError("need at least one conjunction")
+    kinds = list(TEMPLATES)
+    probs = np.array(list(TEMPLATES.values()))
     rng = np.random.default_rng(seed)
     samples: list[SynthSample] = []
     for _ in range(n_sentences):
-        kind = templates[int(rng.choice(len(templates), p=probs))].kind
+        kind = kinds[int(rng.choice(len(kinds), p=probs))]
         count = _template_count(kind, rng)
         chosen = [pool.triples[i] for i in rng.choice(len(pool), size=count, replace=False)]
         phrases = [" ".join(triple) for triple in chosen]
         if kind == "single":
             sentence = phrases[0] + " ."
         elif kind == "pair":
-            conj = conjunctions[int(rng.integers(len(conjunctions)))]
+            conj = CONJUNCTIONS[int(rng.integers(len(CONJUNCTIONS)))]
             sentence = f"{phrases[0]} {conj} {phrases[1]} ."
         elif kind == "commas":
             sentence = " , ".join(phrases) + " ."
@@ -401,7 +379,7 @@ def synth_generate(
 def template_frequencies(samples: Iterable[SynthSample]) -> dict[str, float]:
     counts = Counter(s.template for s in samples)
     total = sum(counts.values())
-    return {kind: counts.get(kind, 0) / total for kind in sorted({t.kind for t in DEFAULT_TEMPLATES} | set(counts))}
+    return {kind: counts[kind] / total for kind in sorted(set(TEMPLATES) | set(counts))}
 
 
 # -- file formats --------------------------------------------------------------

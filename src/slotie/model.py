@@ -9,16 +9,16 @@ class axis yields the (T, N, C) probability tensor.  Growing N only grows
 the head, the encoder is untouched.
 
 Training runs on the autodiff tape, one sentence at a time.  Inference
-(``predict_many``) runs the same arithmetic on plain arrays, with the
-tokens of many sentences stacked into one matrix.
+(``predict_many``) runs the same arithmetic on plain arrays: it packs the
+tokens of consecutive sentences into one matrix as it reads them, and
+yields each sentence's probabilities before it reads the next pack.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import (Callable, Iterable, Iterator, Protocol, Sequence, get_type_hints,
-                    runtime_checkable)
+from typing import Iterable, Iterator, Protocol, Sequence, get_type_hints, runtime_checkable
 
 import numpy as np
 
@@ -46,9 +46,8 @@ class CheckpointError(SlotieError):
 OOV_TOKEN = "<unk>"
 CHECKPOINT_VERSION = 1
 
-#: Token rows per ``predict_many`` call in extract and validation: enough
-#: to amortise the per-call Python over ~10 sentences while keeping the
-#: pack's activations small.
+#: Token rows per pack in ``predict_many``: enough to amortise the per-pack
+#: Python over ~10 sentences while keeping the pack's activations small.
 PACK_TOKENS = 256
 
 
@@ -281,34 +280,43 @@ class SlotTagger:
 
     def predict(self, seq: TokenSequence) -> PredictionTensor:
         """Inference-only forward; no graph is recorded."""
-        return self.predict_many([seq])[0]
+        return next(self.predict_many([seq]))
 
-    def predict_many(self, seqs: Sequence[TokenSequence]) -> list[PredictionTensor]:
-        """Inference for many sentences in one pass over plain arrays.
+    def predict_many(self, seqs: Iterable[TokenSequence]) -> Iterator[PredictionTensor]:
+        """Inference over plain arrays: one ``PredictionTensor`` per sentence,
+        yielded lazily and in input order.
 
-        The tokens of all ``seqs`` are stacked row-wise, so the per-token
-        work runs once for the stack.  Each result equals
+        Consecutive sentences are packed into at most ``PACK_TOKENS`` token
+        rows (a longer sentence, or a one-token one, is a pack of its own),
+        and the per-token work runs once per pack, so only one pack's
+        probabilities are alive at a time.  Each result equals
         ``forward(seq).probs`` bit for bit.  An encoder other than the
         reference one is run per sentence through its ``encode``.
         """
-        # numpy multiplies a one-row matrix on its vector path, whose sums
-        # can round differently from the matrix path: one-token sentences
-        # run alone.
-        packs = [[i for i, seq in enumerate(seqs) if len(seq) != 1]]
-        packs += [[i] for i, seq in enumerate(seqs) if len(seq) == 1]
-        out: list[PredictionTensor | None] = [None] * len(seqs)
-        for pack in filter(None, packs):
-            pack_seqs = [seqs[i] for i in pack]
-            if isinstance(self.encoder, ReferenceEncoder):
-                hidden = self.encoder.encode_packed(pack_seqs)
-            else:
-                hidden = np.concatenate([self.encoder.encode(seq).data for seq in pack_seqs])
-            probs = self.head.probs(hidden)
-            start = 0
-            for i, seq in zip(pack, pack_seqs):
-                out[i] = PredictionTensor(probs[start : start + len(seq)])
-                start += len(seq)
-        return out
+        pack: list[TokenSequence] = []
+        rows = 0
+        for seq in seqs:
+            # numpy multiplies a one-row matrix on its vector path, whose sums
+            # can round differently from the matrix path: a one-token sentence
+            # (the only pack with one row) is a pack of its own.
+            if pack and (rows + len(seq) > PACK_TOKENS or len(seq) == 1 or rows == 1):
+                yield from self._predict_pack(pack)
+                pack, rows = [], 0
+            pack.append(seq)
+            rows += len(seq)
+        if pack:
+            yield from self._predict_pack(pack)
+
+    def _predict_pack(self, pack: list[TokenSequence]) -> Iterator[PredictionTensor]:
+        if isinstance(self.encoder, ReferenceEncoder):
+            hidden = self.encoder.encode_packed(pack)
+        else:
+            hidden = np.concatenate([self.encoder.encode(seq).data for seq in pack])
+        probs = self.head.probs(hidden)
+        start = 0
+        for seq in pack:
+            yield PredictionTensor(probs[start : start + len(seq)])
+            start += len(seq)
 
     def backward(self, prob_grad: np.ndarray) -> None:
         """Push a (T, N, C) gradient w.r.t. the probabilities into the
@@ -390,22 +398,6 @@ class SlotTagger:
                     )
                 tensor.data = stored.astype(np.float64)
         return model
-
-
-def token_packs(items: Iterable, n_tokens: Callable[..., int]) -> Iterator[list]:
-    """Consecutive runs of ``items`` holding at most ``PACK_TOKENS`` tokens
-    each, for ``predict_many``; an item longer than that is a run of its own."""
-    pack: list = []
-    used = 0
-    for item in items:
-        size = n_tokens(item)
-        if pack and used + size > PACK_TOKENS:
-            yield pack
-            pack, used = [], 0
-        pack.append(item)
-        used += size
-    if pack:
-        yield pack
 
 
 def decode_grid(p: PredictionTensor) -> np.ndarray:

@@ -8,15 +8,14 @@ accumulation group.  Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import LabelGrid, SlotieError, TokenSequence, tokenize
+from .core import LabelGrid, SlotieError, TokenSequence
 from .matching import LossConfig, loss_assignment_gradient, optimal_assignment
-from .model import ModelConfig, SlotTagger, build_vocab, decode, decode_grid, token_packs
+from .model import ModelConfig, SlotTagger, build_vocab, decode_grid
 from .scoring import MacroF1Accumulator
 from .autodiff import Tensor
 
@@ -145,10 +144,8 @@ def evaluate_macro_f1(
     """Token-wise macro F1 of the argmax slot labels against gold, aggregated
     over the dataset under the loss-optimal assignments."""
     acc = MacroF1Accumulator()
-    for pack in token_packs(dataset, lambda example: len(example[0])):
-        predictions = model.predict_many([seq for seq, _ in pack])
-        for (_, grid), probs in zip(pack, predictions):
-            acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
+    for (_, grid), probs in zip(dataset, model.predict_many(seq for seq, _ in dataset)):
+        acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
     return acc.value()
 
 
@@ -225,24 +222,3 @@ def train(
     for name, tensor in model.named_parameters().items():
         tensor.data = best_snapshot[name]
     return TrainResult(model, history, best_epoch, best_f1, diverged, diagnostics)
-
-
-@dataclass(frozen=True)
-class SpeedReport:
-    sentences_per_second: float
-    n_sentences: int
-    elapsed_seconds: float
-
-
-def measure_speed(model: SlotTagger, sentences: Sequence[str]) -> SpeedReport:
-    """Wall-clock throughput of ``predict`` + ``decode`` over a corpus,
-    one sentence at a time."""
-    if not sentences:
-        raise ValueError("need at least one sentence")
-    sequences = [tokenize(s, append_placeholders=True) for s in sentences]
-    start = time.perf_counter()
-    for seq in sequences:
-        probs = model.predict(seq)
-        decode(probs, seq)
-    elapsed = time.perf_counter() - start
-    return SpeedReport(len(sentences) / elapsed, len(sentences), elapsed)

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,37 @@ def sample_gold_path():
 @pytest.fixture(scope="session")
 def sample_pred_path():
     return DATA / "sample_pred.tsv"
+
+
+def _packed_seconds(model, sequences) -> float:
+    """Wall-clock seconds of ``predict_many`` plus ``decode`` over
+    ``sequences``, the path that ``slotie extract`` runs."""
+    from slotie import decode
+
+    tick = time.perf_counter()
+    for seq, probs in zip(sequences, model.predict_many(sequences)):
+        decode(probs, seq)
+    return time.perf_counter() - tick
+
+
+@pytest.fixture(scope="session")
+def interleaved_throughput():
+    """``measure(runs, rounds)``: the packed throughput of each named
+    ``(model, sequences)`` run, timed in ``rounds`` alternating rounds (A B
+    A B ...) so that a change in host speed falls on every run alike, as
+    the run's sentences over its summed seconds.
+
+    The sum, not the best round: a multi-threaded BLAS runs a pack's
+    products on every core, so one round can lose most of its speed to a
+    core that another process holds, and the best of a short and of a long
+    round then differ by more than the code does.
+    """
+
+    def measure(runs: dict, rounds: int) -> dict:
+        seconds = dict.fromkeys(runs, 0.0)
+        for _ in range(rounds):
+            for name, (model, sequences) in runs.items():
+                seconds[name] += _packed_seconds(model, sequences)
+        return {name: rounds * len(runs[name][1]) / seconds[name] for name in runs}
+
+    return measure

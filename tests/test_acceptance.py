@@ -32,7 +32,7 @@ from slotie.data import tuple_part_tokens
 from slotie.matching import loss_assignment_gradient
 from slotie.model import ModelConfig, SlotTagger, build_vocab, decode
 from slotie.scoring import SCHEMES, scoring_tokens
-from slotie.train import TrainConfig, evaluate_macro_f1, measure_speed, train
+from slotie.train import TrainConfig, evaluate_macro_f1, train
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -315,21 +315,19 @@ def test_criterion_8_scorer_oracles(sample_gold_path):
     report("criterion-8", "pair fixtures, greedy oracle, and gold-vs-gold all exact")
 
 
-def test_criterion_9_throughput_scaling(pool):
+def test_criterion_9_throughput_scaling(pool, interleaved_throughput):
     samples = synth_generate(pool, 300, seed=13)
-    sentences = [s.record.sentence for s in samples]
-    vocab = build_vocab([tokenize(s, append_placeholders=True) for s in sentences])
-    speeds = {}
+    sequences = [tokenize(s.record.sentence, append_placeholders=True) for s in samples]
+    vocab = build_vocab(sequences)
+    runs = {}
     for n_slots in (20, 100):
         model = SlotTagger(vocab, ModelConfig(n_slots=n_slots), seed=0)
         # Bias the head toward Background: trained taggers leave most slots
         # empty, and that is the regime the scaling claim is about.
         bias = model.head.bias.data.reshape(n_slots, 4)
         bias[:, 0] += 4.0
-        best = 0.0
-        for _ in range(2):
-            best = max(best, measure_speed(model, sentences).sentences_per_second)
-        speeds[n_slots] = best
+        runs[n_slots] = (model, sequences)
+    speeds = interleaved_throughput(runs, rounds=3)
     ratio = max(speeds[20], speeds[100]) / min(speeds[20], speeds[100])
     assert ratio < 2.0
     report(

@@ -1,8 +1,11 @@
 """Smoke test: the quick demos run to completion from the repository root.
 
-Demo 04 trains a model for about 20 s, so it is left to be run by hand.
+Demo 04 trains a model for about 20 s, so it is left to be run by hand;
+every demo's imports from slotie are still checked against the package.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +34,18 @@ def test_demo_exits_zero(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(demo):
+    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "slotie"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"{demo} imports names slotie lacks: {missing}"

@@ -19,7 +19,7 @@ from slotie import (
     sequence_from_tokens,
     tokenize,
 )
-from slotie.model import token_packs
+from slotie.model import PACK_TOKENS
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -131,7 +131,7 @@ def _jittered(model, seed):
 @functools.cache
 def _packing_model(blocks, hidden):
     vocab = build_vocab([sequence_from_tokens(list(_WORDS), append_placeholders=True)])
-    config = ModelConfig(n_slots=5, hidden=hidden, blocks=blocks, max_len=16)
+    config = ModelConfig(n_slots=5, hidden=hidden, blocks=blocks, max_len=512)
     return _jittered(SlotTagger(vocab, config, seed=blocks * hidden), hidden)
 
 
@@ -173,22 +173,62 @@ class TestPredictMany:
             for n in rng.integers(1, 30, size=24)
         ]
         assert sum(len(seq) for seq in seqs) > 256
-        for seq, p in zip(seqs, model.predict_many(seqs)):
+        got = list(model.predict_many(seqs))
+        assert len(got) == len(seqs)
+        for seq, p in zip(seqs, got):
             np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
 
+    @pytest.mark.parametrize(
+        "sizes, packs",
+        [
+            ([100, 100, 56, 1, 300, 256, 10], [[100, 100, 56], [1], [300], [256], [10]]),
+            ([3, 1, 5, 1, 1, 7], [[3], [1], [5], [1], [1], [7]]),
+        ],
+        ids=["budget", "one-token"],
+    )
+    def test_packs_its_own_input(self, monkeypatch, sizes, packs):
+        model = _packing_model(1, 8)
+        encode_packed = model.encoder.encode_packed
+        calls = []
+
+        def recording(seqs):
+            calls.append([len(seq) for seq in seqs])
+            return encode_packed(seqs)
+
+        monkeypatch.setattr(model.encoder, "encode_packed", recording)
+        rng = np.random.default_rng(1)
+        seqs = [sequence_from_tokens(list(rng.choice(_WORDS, size=n))) for n in sizes]
+        got = list(model.predict_many(iter(seqs)))
+        assert calls == packs
+        for call in calls:
+            assert sum(call) <= PACK_TOKENS or len(call) == 1
+            assert 1 not in call or call == [1]
+        assert len(got) == len(seqs)
+        for seq, p in zip(seqs, got):
+            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+
+    def test_yields_the_first_pack_before_reading_past_it(self):
+        class ReadPastFirstPack(Exception):
+            pass
+
+        def sentences():
+            # The first two sentences fill one pack; the third closes it, so
+            # only a fourth read goes past the first pack.
+            yield from (sequence_from_tokens(["fox"] * 100) for _ in range(3))
+            raise ReadPastFirstPack
+
+        results = _packing_model(1, 8).predict_many(sentences())
+        assert [next(results).n_tokens, next(results).n_tokens] == [100, 100]
+        with pytest.raises(ReadPastFirstPack):
+            next(results)
+
     def test_no_sequences(self, small_model):
-        assert small_model.predict_many([]) == []
+        assert list(small_model.predict_many([])) == []
 
     def test_over_length_sequence_raises(self, small_model):
         with pytest.raises(TooLong):
-            small_model.predict_many([tokenize("the fox"), tokenize(" ".join(["fox"] * 65))])
-
-
-class TestTokenPacks:
-    def test_packs_hold_at_most_the_budget_in_order(self):
-        sizes = [100, 100, 56, 1, 300, 256, 10]
-        packs = list(token_packs(sizes, lambda size: size))
-        assert packs == [[100, 100, 56], [1], [300], [256], [10]]
+            list(small_model.predict_many([tokenize("the fox"),
+                                           tokenize(" ".join(["fox"] * 65))]))
 
 
 def tensor_for_masks(rows):

@@ -13,7 +13,6 @@ from slotie.train import (
     NumericalError,
     TrainConfig,
     adam_step,
-    measure_speed,
     train,
 )
 
@@ -21,10 +20,7 @@ from slotie.train import (
 def tiny_dataset(n_sentences=12, seed=5):
     pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
     samples = sl.synth_generate(pool, n_sentences, seed=seed)
-    return [
-        (a.sequence, a.grid)
-        for a in (sl.lcs_align(s.record) for s in samples)
-    ], samples
+    return [(a.sequence, a.grid) for a in (sl.lcs_align(s.record) for s in samples)]
 
 
 class TestAdam:
@@ -164,7 +160,7 @@ class TestFlatAdam:
 
 class TestTrainLoop:
     def test_short_run_learns(self):
-        dataset, _ = tiny_dataset()
+        dataset = tiny_dataset()
         cfg = TrainConfig(
             learning_rate=2e-3, batch_size=4, max_epochs=8, seed=0,
             validation_fraction=0.0,
@@ -176,7 +172,7 @@ class TestTrainLoop:
         assert result.history[-1].val_macro_f1 > result.history[0].val_macro_f1
 
     def test_same_seed_identical_histories(self):
-        dataset, _ = tiny_dataset()
+        dataset = tiny_dataset()
         cfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=3, seed=9,
                           validation_fraction=0.25)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=16, blocks=1, max_len=64)
@@ -187,7 +183,7 @@ class TestTrainLoop:
         ]
 
     def test_best_checkpoint_marker_monotone(self):
-        dataset, _ = tiny_dataset()
+        dataset = tiny_dataset()
         cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=6, seed=1,
                           validation_fraction=0.25)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=16, blocks=1, max_len=64)
@@ -205,40 +201,15 @@ class TestTrainLoop:
 
 
 class TestMeasureSpeed:
-    def test_reports_positive_throughput(self):
-        dataset, samples = tiny_dataset()
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=1, seed=0,
-                          validation_fraction=0.0)
-        model_cfg = sl.ModelConfig(n_slots=10, hidden=16, blocks=1, max_len=64)
-        model = train(dataset, cfg, model_cfg).model
-        sentences = [s.record.sentence for s in samples]
-        report = measure_speed(model, sentences)
-        assert report.sentences_per_second > 0
-        assert np.isfinite(report.sentences_per_second)
-        assert report.n_sentences == len(sentences)
-
-    def test_requires_sentences(self):
-        dataset, _ = tiny_dataset(4)
-        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
-        cfg = TrainConfig(max_epochs=1, batch_size=4, validation_fraction=0.0)
-        model = train(dataset, cfg, model_cfg).model
-        with pytest.raises(ValueError):
-            measure_speed(model, [])
-
-    def test_steady_state_throughput(self):
-        # Doubling the corpus should not change throughput much; allow one
-        # retry to ride out scheduler noise.
+    def test_steady_state_throughput(self, interleaved_throughput):
+        # Doubling the corpus should not change throughput much.
         pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
         samples = sl.synth_generate(pool, 400, seed=8)
-        sentences = [s.record.sentence for s in samples]
-        vocab = sl.build_vocab(
-            sl.tokenize(s, append_placeholders=True) for s in sentences
+        sequences = [sl.tokenize(s.record.sentence, append_placeholders=True) for s in samples]
+        model = sl.SlotTagger(sl.build_vocab(sequences),
+                              sl.ModelConfig(n_slots=10, hidden=32, blocks=1), seed=0)
+        speeds = interleaved_throughput(
+            {"half": (model, sequences[:200]), "full": (model, sequences)}, rounds=8
         )
-        model = sl.SlotTagger(vocab, sl.ModelConfig(n_slots=10, hidden=32, blocks=1), seed=0)
-        for attempt in range(2):
-            half = measure_speed(model, sentences[:200]).sentences_per_second
-            full = measure_speed(model, sentences).sentences_per_second
-            drift = abs(full - half) / max(full, half)
-            if drift < 0.2:
-                break
+        drift = abs(speeds["full"] - speeds["half"]) / max(speeds.values())
         assert drift < 0.2
