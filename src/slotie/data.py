@@ -15,6 +15,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,32 +142,17 @@ def _longest_common_run(
 ) -> tuple[list[int], list[int]] | None:
     """Longest common contiguous run between the two *remaining* token
     subsequences; ties break toward the earliest sentence position, then
-    the earliest part position.  Returns original-index lists or None."""
-    a = [(i, sent_keys[i]) for i, ok in enumerate(sent_avail) if ok]
-    b = [(j, part_keys[j]) for j, ok in enumerate(part_avail) if ok]
-    if not a or not b:
-        return None
-    best_len = 0
-    best_a = best_b = -1
-    prev = [0] * (len(b) + 1)
-    for ai in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        for bj in range(1, len(b) + 1):
-            if a[ai - 1][1] == b[bj - 1][1]:
-                cur[bj] = prev[bj - 1] + 1
-                run, a_start, b_start = cur[bj], ai - cur[bj], bj - cur[bj]
-                if run > best_len or (
-                    run == best_len
-                    and (a_start, b_start) < (best_a, best_b)
-                ):
-                    best_len, best_a, best_b = run, a_start, b_start
-        prev = cur
-    if best_len == 0:
-        return None
-    return (
-        [a[i][0] for i in range(best_a, best_a + best_len)],
-        [b[j][0] for j in range(best_b, best_b + best_len)],
+    the earliest part position (``find_longest_match``'s documented rule).
+    Returns original-index lists or None."""
+    a = [i for i, ok in enumerate(sent_avail) if ok]
+    b = [j for j, ok in enumerate(part_avail) if ok]
+    matcher = SequenceMatcher(
+        None, [sent_keys[i] for i in a], [part_keys[j] for j in b], autojunk=False
     )
+    start_a, start_b, size = matcher.find_longest_match(0, len(a), 0, len(b))
+    if size == 0:
+        return None
+    return a[start_a : start_a + size], b[start_b : start_b + size]
 
 
 #: Plain-int class ids: building the label array from ints is cheaper than

@@ -8,7 +8,11 @@ The head maps each H-wide hidden state to N x C logits; a softmax over the
 class axis yields the (T, N, C) probability tensor.  Growing N only grows
 the head, the encoder is untouched.
 
-Training runs on the autodiff tape, one sentence at a time.  Inference
+Training runs on the autodiff tape, one sentence at a time.  The trainable
+parameters live in two flat float64 blocks owned by the tagger, one of
+values and one of gradients; each parameter's ``.data`` and ``.grad`` are
+views of them, so the tape, the optimizer and checkpoints share one
+storage.  Inference
 (``predict_many``) runs the same arithmetic on plain arrays: it packs the
 tokens of consecutive sentences into one matrix as it reads them, and
 yields each sentence's probabilities before it reads the next pack.
@@ -245,6 +249,12 @@ class SlotTagger:
     Any ``EncoderContract`` implementation may replace the reference
     encoder (its hidden width must match ``config.hidden``); only models
     built on the reference encoder can be saved to a checkpoint.
+
+    ``values`` and ``grads`` are flat float64 blocks over
+    ``trainable_parameters()`` in order.  From construction on, every
+    trainable tensor's ``.data`` and ``.grad`` are reshaped views of them:
+    backward adds into ``grads`` and the optimizer updates ``values``.
+    Write into ``.data`` in place; a rebound ``.data`` leaves training.
     """
 
     def __init__(
@@ -267,6 +277,15 @@ class SlotTagger:
         self._vocab = dict(vocab)
         self.head = DetectionHead(config, seed)
         self._last_output: Tensor | None = None
+        params = self.trainable_parameters().values()
+        self.values, self.grads = np.zeros((2, sum(t.data.size for t in params)))
+        start = 0
+        for tensor in params:
+            stop = start + tensor.data.size
+            self.values[start:stop] = tensor.data.ravel()
+            tensor.data = self.values[start:stop].reshape(tensor.shape)
+            tensor.grad = self.grads[start:stop].reshape(tensor.shape)
+            start = stop
 
     @property
     def vocab(self) -> dict[str, int]:
@@ -337,10 +356,6 @@ class SlotTagger:
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.named_parameters().items() if t.requires_grad}
 
-    def zero_grad(self) -> None:
-        for tensor in self.named_parameters().values():
-            tensor.zero_grad()
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
@@ -370,10 +385,10 @@ class SlotTagger:
             meta = json.loads(str(archive["__meta__"]))
             if not isinstance(meta, dict):
                 raise CheckpointError(f"checkpoint meta is a {type(meta).__name__}, not a dict")
-            if meta.get("format_version") != CHECKPOINT_VERSION:
+            version = meta.get("format_version")
+            if typed_value("format_version", int, version, CheckpointError) != CHECKPOINT_VERSION:
                 raise CheckpointError(
-                    f"checkpoint version {meta.get('format_version')} is not "
-                    f"supported (expected {CHECKPOINT_VERSION})"
+                    f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
                 )
             tokens, stored_config, seed = (
                 typed_value(key, hint, meta[key], CheckpointError)
@@ -396,7 +411,9 @@ class SlotTagger:
                     raise CheckpointError(
                         f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
                     )
-                tensor.data = stored.astype(np.float64)
+                tensor.data[...] = stored
+                if not np.isfinite(tensor.data).all():
+                    raise CheckpointError(f"parameter {name} holds non-finite values")
         return model
 
 

@@ -17,7 +17,6 @@ from .core import LabelGrid, SlotieError, TokenSequence
 from .matching import LossConfig, loss_assignment_gradient, optimal_assignment
 from .model import ModelConfig, SlotTagger, build_vocab, decode_grid
 from .scoring import MacroF1Accumulator
-from .autodiff import Tensor
 
 
 class NumericalError(SlotieError):
@@ -61,50 +60,33 @@ class TrainConfig:
 
 
 class AdamState:
-    """Parameters, moments and gradients in flat float64 buffers, plus the
-    shared step counter.
+    """Adam's step counter and its two moment blocks, shaped like a
+    tagger's ``values``."""
 
-    The first ``adam_step`` copies the parameters into ``data`` and points
-    each ``Tensor.data`` at its view of it; a ``.data`` replaced later (by
-    a snapshot restore, say) is copied back in at the next step.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, size: int) -> None:
         self.step = 0
-        self.views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.m, self.v = np.zeros((2, size))
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> None:
-    """One Adam update with decoupled weight decay, reading each parameter's
-    accumulated ``.grad`` (missing gradients count as zero).
+def adam_step(model: SlotTagger, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update with decoupled weight decay of ``model.values`` from
+    the gradients the tape accumulated in ``model.grads``; then the
+    gradient block is zero-filled for the next batch.
 
     If any gradient is non-finite the step aborts with NumericalError and
-    no parameter changes.  The update runs in place over the flat buffers,
-    in the operation order of the per-tensor formula, so the bits match it.
+    nothing changes.  The update runs in place, in the operation order of
+    the per-tensor formula, so the bits match it.
     """
-    if not state.views:
-        sizes = [tensor.data.size for tensor in params.values()]
-        state.data, state.m, state.v, state.grad, state.scratch = np.zeros((5, sum(sizes)))
-        cuts = np.cumsum(sizes)[:-1]
-        chunks = zip(np.split(state.data, cuts), np.split(state.grad, cuts))
-        for (name, tensor), (data, grad) in zip(params.items(), chunks):
-            state.views[name] = (data.reshape(tensor.shape), grad.reshape(tensor.shape))
-    elif state.views.keys() != params.keys():
-        raise ValueError("AdamState is bound to a different parameter set")
-    for name, tensor in params.items():
-        data, grad = state.views[name]
-        if tensor.data is not data:
-            data[...] = tensor.data
-            tensor.data = data
-        grad[...] = 0.0 if tensor.grad is None else tensor.grad
-    if not np.isfinite(state.grad).all():
-        bad = next(name for name, (_, grad) in state.views.items() if not np.isfinite(grad).all())
+    data, grad = model.values, model.grads
+    if not np.isfinite(grad).all():
+        params = model.trainable_parameters().items()
+        bad = next(name for name, tensor in params if not np.isfinite(tensor.grad).all())
         raise NumericalError(f"non-finite gradient in {bad}")
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
-    data, m, v, grad, tmp = state.data, state.m, state.v, state.grad, state.scratch
+    m, v, tmp = state.m, state.v, np.empty_like(grad)
     m *= ADAM_BETA1
     m += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
     np.multiply(grad, grad, out=tmp)
@@ -117,6 +99,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
     data -= np.divide(tmp, grad, out=tmp)
     if cfg.weight_decay:
         data -= np.multiply(data, cfg.learning_rate * cfg.weight_decay, out=tmp)
+    grad.fill(0.0)
 
 
 @dataclass
@@ -177,13 +160,12 @@ def train(
 
     vocab = build_vocab(seq for seq, _ in train_set)
     model = SlotTagger(vocab, model_cfg, seed=cfg.seed)
-    params = model.trainable_parameters()
-    state = AdamState()
+    state = AdamState(model.values.size)
 
     history: list[EpochStats] = []
     best_f1 = -1.0
     best_epoch = 0
-    best_snapshot = {name: t.data.copy() for name, t in model.named_parameters().items()}
+    best_values = model.values.copy()
     diverged = False
     diagnostics = ""
 
@@ -193,7 +175,6 @@ def train(
         try:
             for start in range(0, len(perm), cfg.batch_size):
                 batch = perm[start : start + cfg.batch_size]
-                model.zero_grad()
                 for i in batch:
                     seq, grid = train_set[i]
                     probs = model.forward(seq)
@@ -202,7 +183,7 @@ def train(
                         raise NumericalError(f"non-finite loss on example {i} (epoch {epoch})")
                     model.backward(grad / len(batch))
                     epoch_loss += loss
-                adam_step(params, state, cfg)
+                adam_step(model, state, cfg)
         except NumericalError as exc:
             diverged = True
             diagnostics = str(exc)
@@ -212,13 +193,12 @@ def train(
         if is_best:
             best_f1 = val_f1
             best_epoch = epoch
-            best_snapshot = {name: t.data.copy() for name, t in model.named_parameters().items()}
+            best_values[...] = model.values
         history.append(EpochStats(epoch, epoch_loss / len(train_set), val_f1, is_best))
         if log is not None:
             log(history[-1])
         if cfg.target_f1 is not None and best_f1 >= cfg.target_f1:
             break
 
-    for name, tensor in model.named_parameters().items():
-        tensor.data = best_snapshot[name]
+    model.values[...] = best_values
     return TrainResult(model, history, best_epoch, best_f1, diverged, diagnostics)

@@ -267,6 +267,8 @@ class TestExtractCommand:
         ("dropout", 0.1), ("n_slots", "10"),
         # "meta", "config" and "vocab" replace the meta or its top-level entry.
         pytest.param("meta", [1], id="meta-list"), ("config", 5), ("vocab", 5),
+        # The version is an int: neither a bool nor a float stands for 1.
+        ("format_version", True), ("format_version", 1.0),
     ])
     def test_bad_checkpoint_config_is_data_error(self, tmp_path, capsys, checkpoint, key, value):
         data = dict(np.load(checkpoint, allow_pickle=False))
@@ -287,6 +289,20 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and len(err.splitlines()) == 1
         assert key in err
+        assert not out.exists()
+
+    def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, checkpoint):
+        data = dict(np.load(checkpoint, allow_pickle=False))
+        data["head.weight"][0, 0] = np.nan
+        np.savez(checkpoint, **data)
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes .\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert "head.weight" in err
         assert not out.exists()
 
     def test_over_length_sentence_skipped(self, tmp_path, checkpoint):

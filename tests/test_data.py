@@ -167,6 +167,53 @@ class TestLcsAlign:
                 assert not got - want
 
 
+def reference_longest_common_run(sent_keys, sent_avail, part_keys, part_avail):
+    """The dynamic program ``data._longest_common_run`` must agree with: the
+    longest common contiguous run of the two masked key lists, ties toward
+    the earliest sentence position, then the earliest part position."""
+    a = [(i, sent_keys[i]) for i, ok in enumerate(sent_avail) if ok]
+    b = [(j, part_keys[j]) for j, ok in enumerate(part_avail) if ok]
+    if not a or not b:
+        return None
+    best_len = 0
+    best_a = best_b = -1
+    prev = [0] * (len(b) + 1)
+    for ai in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        for bj in range(1, len(b) + 1):
+            if a[ai - 1][1] == b[bj - 1][1]:
+                cur[bj] = prev[bj - 1] + 1
+                run, a_start, b_start = cur[bj], ai - cur[bj], bj - cur[bj]
+                if run > best_len or (run == best_len and (a_start, b_start) < (best_a, best_b)):
+                    best_len, best_a, best_b = run, a_start, b_start
+        prev = cur
+    if best_len == 0:
+        return None
+    return (
+        [a[i][0] for i in range(best_a, best_a + best_len)],
+        [b[j][0] for j in range(best_b, best_b + best_len)],
+    )
+
+
+@st.composite
+def masked_keys(draw, max_size):
+    """A key list over a small alphabet (so runs repeat and tie) and an
+    availability mask of the same length."""
+    keys = draw(st.lists(st.sampled_from("abc"), max_size=max_size))
+    avail = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return keys, avail
+
+
+class TestLongestCommonRun:
+    @settings(max_examples=500, deadline=None)
+    @given(sent=masked_keys(40), part=masked_keys(12))
+    @example(sent=(list("ab" * 100), [True] * 200), part=(list("ba" * 75), [True] * 150))
+    def test_equals_reference_dynamic_program(self, sent, part):
+        from slotie.data import _longest_common_run
+
+        assert _longest_common_run(*sent, *part) == reference_longest_common_run(*sent, *part)
+
+
 @st.composite
 def spans_of_sentence(draw):
     """A sentence over a 2-5 word vocabulary, with repeats, and a tuple whose

@@ -124,7 +124,7 @@ def _jittered(model, seed):
     no bias is zero and no layer-norm gain is one."""
     rng = np.random.default_rng(seed)
     for tensor in model.named_parameters().values():
-        tensor.data = tensor.data + rng.normal(0.0, 0.1, size=tensor.data.shape)
+        tensor.data += rng.normal(0.0, 0.1, size=tensor.data.shape)
     return model
 
 

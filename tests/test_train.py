@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import slotie as sl
-from slotie.autodiff import Tensor
 from slotie.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -23,139 +22,171 @@ def tiny_dataset(n_sentences=12, seed=5):
     return [(a.sequence, a.grid) for a in (sl.lcs_align(s.record) for s in samples)]
 
 
+def tiny_model():
+    vocab = sl.build_vocab([sl.tokenize("a b c")])
+    return sl.SlotTagger(vocab, sl.ModelConfig(n_slots=2, hidden=4, blocks=1, ff_multiplier=1))
+
+
 class TestAdam:
     def test_zero_gradient_no_decay_leaves_params(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.zeros(2)
-        cfg = TrainConfig(weight_decay=0.0)
-        adam_step({"p": p}, AdamState(), cfg)
-        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        model = tiny_model()
+        before = model.values.copy()
+        adam_step(model, AdamState(model.values.size), TrainConfig(weight_decay=0.0))
+        np.testing.assert_array_equal(model.values, before)
 
     def test_first_step_closed_form(self):
         # g=1: m_hat = v_hat = 1, so the update is -lr / (1 + eps).
-        p = Tensor(np.array([0.5]), requires_grad=True)
-        p.grad = np.ones(1)
+        model = tiny_model()
+        before = model.values.copy()
+        model.grads[...] = 1.0
         cfg = TrainConfig(learning_rate=5e-4, weight_decay=0.0)
-        adam_step({"p": p}, AdamState(), cfg)
-        expected = 0.5 - 5e-4 * (1.0 / (1.0 + 1e-8))
-        assert p.data[0] == pytest.approx(expected, abs=1e-15)
+        adam_step(model, AdamState(model.values.size), cfg)
+        expected = before - 5e-4 * (1.0 / (1.0 + 1e-8))
+        np.testing.assert_allclose(model.values, expected, rtol=0.0, atol=1e-15)
 
     def test_decoupled_weight_decay_only(self):
-        p = Tensor(np.array([2.0]), requires_grad=True)
-        p.grad = np.zeros(1)
+        model = tiny_model()
+        before = model.values.copy()
         cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1)
-        adam_step({"p": p}, AdamState(), cfg)
-        assert p.data[0] == pytest.approx(2.0 - 1e-2 * 0.1 * 2.0)
+        adam_step(model, AdamState(model.values.size), cfg)
+        np.testing.assert_allclose(model.values, before - 1e-2 * 0.1 * before)
 
     def test_nan_gradient_aborts_without_update(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([np.nan])
-        state = AdamState()
+        model = tiny_model()
+        before = model.values.copy()
+        model.grads[0] = np.nan
+        state = AdamState(model.values.size)
         with pytest.raises(NumericalError):
-            adam_step({"p": p}, state, TrainConfig())
-        assert p.data[0] == 1.0
+            adam_step(model, state, TrainConfig())
+        np.testing.assert_array_equal(model.values, before)
+        assert np.isnan(model.grads[0])
         assert state.step == 0
 
     def test_deterministic_given_state(self):
         cfg = TrainConfig(learning_rate=1e-3)
         results = []
         for _ in range(2):
-            p = Tensor(np.array([0.3, -0.7]), requires_grad=True)
-            state = AdamState()
-            for g in ([1.0, -1.0], [0.5, 0.5], [-0.2, 0.1]):
-                p.grad = np.array(g)
-                adam_step({"p": p}, state, cfg)
-            results.append(p.data.copy())
+            model = tiny_model()
+            state = AdamState(model.values.size)
+            for g in (1.0, -0.5, 0.2):
+                model.grads[...] = g * np.arange(model.grads.size)
+                adam_step(model, state, cfg)
+            results.append(model.values.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
 
-def per_tensor_adam_step(params, state, cfg):
-    """The per-tensor Adam update the flat-buffer ``adam_step`` must match
-    bit for bit; ``state`` carries ``step`` and a ``moments`` dict."""
-    for name, tensor in params.items():
-        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
-            raise NumericalError(f"non-finite gradient in {name}")
+def per_tensor_adam_step(params, grads, state, cfg):
+    """The per-tensor Adam update the in-place ``adam_step`` must match bit
+    for bit; ``params`` and ``grads`` map names to arrays, and ``state``
+    carries ``step`` and a ``moments`` dict."""
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in params.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if name not in state.moments:
-            state.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
-        m, v = state.moments[name]
+    for name, data in params.items():
+        grad = grads[name]
+        m, v = state.moments.setdefault(name, (np.zeros_like(data), np.zeros_like(data)))
         m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
         m_hat = m / correction1
         v_hat = v / correction2
-        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        data = data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if cfg.weight_decay:
-            tensor.data = tensor.data - cfg.learning_rate * cfg.weight_decay * tensor.data
+            data = data - cfg.learning_rate * cfg.weight_decay * data
+        params[name] = data
 
 
-SHAPES = {"first": (3, 4), "second": (5,), "third": (2, 1, 3)}
-
-
-def three_params(seed=0):
-    rng = np.random.default_rng(seed)
-    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
-            for name, shape in SHAPES.items()}
-
-
-def set_grads(params, rng, none=("third",)):
-    for name, tensor in params.items():
-        tensor.grad = None if name in none else rng.normal(size=tensor.shape)
+def set_grads(model, rng, zero=("head.bias",)):
+    """Random gradients for every trainable tensor except those in ``zero``,
+    written into the model's gradient block; returns copies by name."""
+    grads = {}
+    for name, tensor in model.trainable_parameters().items():
+        tensor.grad[...] = 0.0 if name in zero else rng.normal(size=tensor.shape)
+        grads[name] = tensor.grad.copy()
+    return grads
 
 
 class TestFlatAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_matches_per_tensor_update_bit_for_bit(self, weight_decay):
         cfg = TrainConfig(learning_rate=3e-2, weight_decay=weight_decay)
-        flat, oracle = three_params(), three_params()
-        flat_state, oracle_state = AdamState(), SimpleNamespace(step=0, moments={})
-        rng_flat, rng_oracle = np.random.default_rng(1), np.random.default_rng(1)
+        model = tiny_model()
+        params = model.trainable_parameters()
+        oracle = {name: tensor.data.copy() for name, tensor in params.items()}
+        state, oracle_state = AdamState(model.values.size), SimpleNamespace(step=0, moments={})
+        rng = np.random.default_rng(1)
         for _ in range(5):
-            set_grads(flat, rng_flat)
-            set_grads(oracle, rng_oracle)
-            adam_step(flat, flat_state, cfg)
-            per_tensor_adam_step(oracle, oracle_state, cfg)
-            for name in SHAPES:
-                np.testing.assert_array_equal(flat[name].data, oracle[name].data)
-        assert flat_state.step == 5
+            grads = set_grads(model, rng)
+            adam_step(model, state, cfg)
+            per_tensor_adam_step(oracle, grads, oracle_state, cfg)
+            for name, tensor in params.items():
+                np.testing.assert_array_equal(tensor.data, oracle[name])
+            assert not model.grads.any()
+        assert state.step == 5
 
     def test_nan_in_second_parameter_is_named_and_changes_nothing(self):
         cfg = TrainConfig(learning_rate=3e-2)
-        params, state = three_params(), AdamState()
+        model = tiny_model()
+        state = AdamState(model.values.size)
         rng = np.random.default_rng(2)
-        set_grads(params, rng, none=())
-        adam_step(params, state, cfg)
-        before = {name: t.data.copy() for name, t in params.items()}
-        set_grads(params, rng, none=())
-        params["second"].grad[2] = np.nan
-        with pytest.raises(NumericalError, match="second"):
-            adam_step(params, state, cfg)
+        set_grads(model, rng, zero=())
+        adam_step(model, state, cfg)
+        second = list(model.trainable_parameters())[1]
+        set_grads(model, rng, zero=())
+        model.trainable_parameters()[second].grad.flat[2] = np.nan
+        before = model.values.copy(), model.grads.copy(), state.m.copy(), state.v.copy()
+        with pytest.raises(NumericalError, match=second):
+            adam_step(model, state, cfg)
         assert state.step == 1
-        for name, tensor in params.items():
-            np.testing.assert_array_equal(tensor.data, before[name])
+        for kept, now in zip(before, (model.values, model.grads, state.m, state.v)):
+            np.testing.assert_array_equal(now, kept)
 
-    def test_replaced_data_receives_the_next_update(self):
-        cfg = TrainConfig(learning_rate=3e-2)
-        flat, oracle = three_params(), three_params()
-        flat_state, oracle_state = AdamState(), SimpleNamespace(step=0, moments={})
-        rng_flat, rng_oracle = np.random.default_rng(4), np.random.default_rng(4)
-        for step in range(3):
-            if step == 2:
-                # As a checkpoint load or the best-epoch restore does.
-                for params in (flat, oracle):
-                    for tensor in params.values():
-                        tensor.data = np.full(tensor.shape, 0.5)
-            set_grads(flat, rng_flat)
-            set_grads(oracle, rng_oracle)
-            adam_step(flat, flat_state, cfg)
-            per_tensor_adam_step(oracle, oracle_state, cfg)
-        for name in SHAPES:
-            np.testing.assert_array_equal(flat[name].data, oracle[name].data)
-            assert not np.array_equal(flat[name].data, np.full(SHAPES[name], 0.5))
+
+def assert_block_views(model):
+    """Every trainable ``.data`` and ``.grad`` is a view of the model's blocks,
+    and together, in order, they cover them."""
+    params = model.trainable_parameters()
+    for name, tensor in params.items():
+        assert np.shares_memory(tensor.data, model.values), name
+        assert np.shares_memory(tensor.grad, model.grads), name
+    flat = np.concatenate([tensor.data.ravel() for tensor in params.values()])
+    np.testing.assert_array_equal(flat, model.values)
+
+
+class TestParameterBlock:
+    @pytest.mark.parametrize("frozen_encoder", [False, True])
+    def test_views_after_load_and_best_epoch_restore(self, tmp_path, frozen_encoder):
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, seed=2,
+                          validation_fraction=0.25)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64,
+                                   frozen_encoder=frozen_encoder)
+        result = train(tiny_dataset(), cfg, model_cfg)
+        # Without a frozen encoder this run keeps epoch 2 of 3, so it restores.
+        assert_block_views(result.model)
+        head_size = sum(t.data.size for t in result.model.head.named_parameters().values())
+        assert frozen_encoder == (result.model.values.size == head_size)
+        path = tmp_path / "model.npz"
+        result.model.save(path)
+        loaded = sl.SlotTagger.load(path)
+        assert_block_views(loaded)
+        np.testing.assert_array_equal(loaded.values, result.model.values)
+
+    def test_block_gradients_equal_tape_copies(self):
+        dataset = tiny_dataset()[:3]
+        config = sl.ModelConfig(n_slots=10, hidden=8, blocks=2, max_len=64)
+        vocab = sl.build_vocab(seq for seq, _ in dataset)
+        block, copied = (sl.SlotTagger(vocab, config, seed=4) for _ in range(2))
+        for tensor in copied.trainable_parameters().values():
+            tensor.grad = None
+        for model in (block, copied):
+            for seq, grid in dataset:
+                _, _, grad = sl.loss_assignment_gradient(model.forward(seq).probs, grid)
+                model.backward(grad / len(dataset))
+        copies = copied.trainable_parameters()
+        for name, tensor in block.trainable_parameters().items():
+            assert not np.shares_memory(copies[name].grad, copied.grads)
+            np.testing.assert_array_equal(tensor.grad, copies[name].grad)
+        assert block.grads.any()
 
 
 class TestTrainLoop:
