@@ -3,9 +3,9 @@
 The encoder runs once per sentence; all triplets come out of the same
 forward pass, one per non-background slot.  This demo overfits a
 60-sentence corpus in about a minute on a laptop CPU, then decodes a few
-sentences.  Last it times ``predict_many`` plus ``decode``, the packed path
-that ``slotie extract`` runs, for two slot budgets to show that the slot
-count only scales the output head.
+sentences.  Last it times ``predict_packs`` plus ``decode_pack``, the
+packed path that ``slotie extract`` runs, for two slot budgets to show
+that the slot count only scales the output head.
 
 Run from the repository root:  python3 demos/04_train_and_extract.py
 """
@@ -18,6 +18,7 @@ from slotie import (
     TrainConfig,
     TripletPool,
     decode,
+    decode_pack,
     evaluate_macro_f1,
     lcs_align,
     synth_generate,
@@ -77,8 +78,8 @@ for n_slots in (20, 100):
     bias = probe.head.bias.data.reshape(n_slots, 4)
     bias[:, 0] += 4.0  # background-dominant regime, as after training
     tick = time.perf_counter()
-    for seq, probs in zip(sequences, probe.predict_many(sequences)):
-        decode(probs, seq)
+    for pack, probs in probe.predict_packs(sequences):
+        decode_pack(probs, pack)
     speed = len(sequences) / (time.perf_counter() - tick)
     print(f"   N={n_slots:3d}: {speed:7.0f} sentences/sec")
 print(f"final training-set macro F1: {f1:.4f}")

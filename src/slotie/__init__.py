@@ -45,6 +45,7 @@ from .model import (
     build_vocab,
     decode,
     decode_grid,
+    decode_pack,
 )
 from .train import (
     AdamState,

@@ -3,12 +3,13 @@
 Each Tensor wraps a float64 ndarray plus an optional gradient of the same
 shape.  Operations record a closure that propagates the output gradient to
 the inputs; ``backward`` walks the recorded graph in reverse topological
-order.  Gradients accumulate across repeated backward calls until
-``zero_grad``.  Only the primitives needed by the token tagger are
-provided: arithmetic with broadcasting, matmul, transpose, reshape, relu,
-softmax, layer normalization, and embedding lookup.  ``softmax_array`` and
-``layer_norm_array`` compute the same forward values on plain arrays, for
-inference without a graph.
+order.  Leaf gradients accumulate across repeated backward calls until
+their owner resets them in place (``train.adam_step`` zero-fills the
+tagger's gradient block).  Only the primitives needed by the token tagger
+are provided: arithmetic with broadcasting, matmul, transpose, reshape,
+relu, softmax, layer normalization, and embedding lookup.
+``softmax_array`` and ``layer_norm_array`` compute the same forward values
+on plain arrays, for inference without a graph.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class Tensor:
             self.grad = self.grad + grad
         else:
             self.grad += grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad=None) -> None:
         """Propagate ``grad`` (default: ones, scalars only) through the graph.
@@ -227,11 +225,13 @@ class Tensor:
 
         return Tensor._make(self.data * mask, (self,), backward)
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        probs = softmax_array(self.data, axis)
+    def softmax(self, forward: Callable[[np.ndarray], np.ndarray] = softmax_array) -> "Tensor":
+        """Softmax over the last axis, its values computed by ``forward``,
+        which must equal ``softmax_array``."""
+        probs = forward(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            inner = (grad * probs).sum(axis=axis, keepdims=True)
+            inner = (grad * probs).sum(axis=-1, keepdims=True)
             self._accumulate(probs * (grad - inner))
 
         return Tensor._make(probs, (self,), backward)

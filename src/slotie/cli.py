@@ -42,7 +42,8 @@ from .data import (
     write_tuples_tsv,
 )
 from .matching import LossConfig
-from .model import ModelConfig, SlotTagger, decode
+# ``decode`` is the one-sentence path whose output ``extract`` must equal.
+from .model import ModelConfig, SlotTagger, decode, decode_pack  # noqa: F401
 from .scoring import SCHEMES, auc_single_point
 from .train import NumericalError, TrainConfig, train
 
@@ -314,11 +315,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     processed = 0
     tick = time.perf_counter()
     jobs, seqs = itertools.tee(_tokenized(sentences, model.config.max_len))
-    for (sentence, seq), probs in zip(jobs, model.predict_many(seq for _, seq in seqs)):
-        processed += 1
-        extractions = decode(probs, seq, require_all_parts=config["require_all_parts"])
-        if extractions:
-            records.append(GenerativeRecord(sentence, tuple(extractions)))
+    for pack, probs in model.predict_packs(seq for _, seq in seqs):
+        processed += len(pack)
+        # The pack's list comes first, so zip reads no job past the pack.
+        decoded = decode_pack(probs, pack, require_all_parts=config["require_all_parts"])
+        for extractions, (sentence, _) in zip(decoded, jobs):
+            if extractions:
+                records.append(GenerativeRecord(sentence, tuple(extractions)))
     elapsed = time.perf_counter() - tick
     skipped_long = len(sentences) - processed
     write_tuples_tsv(args.out, records)

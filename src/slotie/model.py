@@ -6,20 +6,24 @@ bucket), fixed sinusoidal position signals, and a few blocks of single-head
 self-attention with feedforward layers, residuals and layer normalization.
 The head maps each H-wide hidden state to N x C logits; a softmax over the
 class axis yields the (T, N, C) probability tensor.  Growing N only grows
-the head, the encoder is untouched.
+the head, the encoder is untouched.  Every reduction over the four-wide
+class axis (the head's softmax, the argmax of decoding) runs plane by
+plane through ``core.class_max``/``class_sum``/``class_argmax``.
 
 Training runs on the autodiff tape, one sentence at a time.  The trainable
 parameters live in two flat float64 blocks owned by the tagger, one of
 values and one of gradients; each parameter's ``.data`` and ``.grad`` are
 views of them, so the tape, the optimizer and checkpoints share one
-storage.  Inference
-(``predict_many``) runs the same arithmetic on plain arrays: it packs the
-tokens of consecutive sentences into one matrix as it reads them, and
-yields each sentence's probabilities before it reads the next pack.
+storage.  Inference (``predict_packs``) runs the same arithmetic on plain
+arrays: it packs the tokens of consecutive sentences into one matrix as it
+reads them, and yields each pack's probabilities before it reads the next
+pack; ``decode_pack`` turns a whole pack into extractions in one array
+pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Protocol, Sequence, get_type_hints, runtime_checkable
@@ -34,6 +38,9 @@ from .core import (
     PredictionTensor,
     SlotieError,
     TokenSequence,
+    class_argmax,
+    class_max,
+    class_sum,
     mask_to_extraction,
     typed_value,
 )
@@ -166,7 +173,7 @@ class ReferenceEncoder:
             q = x @ blk["wq"] + blk["bq"]
             k = x @ blk["wk"] + blk["bk"]
             v = x @ blk["wv"] + blk["bv"]
-            attn = ((q @ k.transpose()) * scale).softmax(axis=-1)
+            attn = ((q @ k.transpose()) * scale).softmax()
             y = (attn @ v) @ blk["wo"] + blk["bo"]
             x = layer_norm(x + y, blk["ln1_g"], blk["ln1_b"])
             f = (x @ blk["w1"] + blk["b1"]).relu() @ blk["w2"] + blk["b2"]
@@ -219,6 +226,15 @@ class ReferenceEncoder:
         return {n: t for n, t in self.named_parameters().items() if t.requires_grad}
 
 
+def class_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the trailing class axis, reduced plane by plane; equal
+    to ``softmax_array(logits)`` bit for bit."""
+    exp = logits - class_max(logits)[..., None]
+    np.exp(exp, out=exp)
+    exp /= class_sum(exp)[..., None]
+    return exp
+
+
 class DetectionHead:
     """Affine map from H hidden features to N x C logits per token."""
 
@@ -232,12 +248,12 @@ class DetectionHead:
     def __call__(self, hidden: Tensor) -> Tensor:
         n_tokens = hidden.shape[0]
         logits = hidden @ self.weight + self.bias
-        return logits.reshape(n_tokens, self.config.n_slots, N_CLASSES).softmax(axis=-1)
+        return logits.reshape(n_tokens, self.config.n_slots, N_CLASSES).softmax(class_softmax)
 
     def probs(self, hidden: np.ndarray) -> np.ndarray:
         """``__call__``'s forward value on a plain (T, H) array."""
         logits = hidden @ self.weight.data + self.bias.data
-        return softmax_array(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
+        return class_softmax(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"head.weight": self.weight, "head.bias": self.bias}
@@ -299,18 +315,32 @@ class SlotTagger:
 
     def predict(self, seq: TokenSequence) -> PredictionTensor:
         """Inference-only forward; no graph is recorded."""
-        return next(self.predict_many([seq]))
+        _, p = next(self.predict_packs([seq]))
+        return p
 
     def predict_many(self, seqs: Iterable[TokenSequence]) -> Iterator[PredictionTensor]:
-        """Inference over plain arrays: one ``PredictionTensor`` per sentence,
-        yielded lazily and in input order.
+        """``predict_packs`` one sentence at a time: each sentence's rows of
+        its pack as a ``PredictionTensor``, lazily and in input order."""
+        for pack, p in self.predict_packs(seqs):
+            start = 0
+            for seq in pack:
+                yield PredictionTensor(p.probs[start : start + len(seq)])
+                start += len(seq)
 
-        Consecutive sentences are packed into at most ``PACK_TOKENS`` token
-        rows (a longer sentence, or a one-token one, is a pack of its own),
-        and the per-token work runs once per pack, so only one pack's
-        probabilities are alive at a time.  Each result equals
-        ``forward(seq).probs`` bit for bit.  An encoder other than the
-        reference one is run per sentence through its ``encode``.
+    def predict_packs(
+        self, seqs: Iterable[TokenSequence]
+    ) -> Iterator[tuple[list[TokenSequence], PredictionTensor]]:
+        """Inference over plain arrays, one pack at a time: yields ``(pack,
+        p)``, where ``pack`` lists consecutive input sentences and ``p``
+        stacks their (T, N, C) probabilities in order, checked once.
+
+        A pack holds at most ``PACK_TOKENS`` token rows (a longer sentence,
+        or a one-token one, is a pack of its own), and the per-token work
+        runs once per pack; a pack is yielded before the input is read past
+        it, so only one pack's probabilities are alive at a time.  Each
+        sentence's rows equal ``forward(seq).probs`` bit for bit.  An encoder
+        other than the reference one is run per sentence through its
+        ``encode``.
         """
         pack: list[TokenSequence] = []
         rows = 0
@@ -319,23 +349,19 @@ class SlotTagger:
             # can round differently from the matrix path: a one-token sentence
             # (the only pack with one row) is a pack of its own.
             if pack and (rows + len(seq) > PACK_TOKENS or len(seq) == 1 or rows == 1):
-                yield from self._predict_pack(pack)
+                yield pack, self._predict_pack(pack)
                 pack, rows = [], 0
             pack.append(seq)
             rows += len(seq)
         if pack:
-            yield from self._predict_pack(pack)
+            yield pack, self._predict_pack(pack)
 
-    def _predict_pack(self, pack: list[TokenSequence]) -> Iterator[PredictionTensor]:
+    def _predict_pack(self, pack: list[TokenSequence]) -> PredictionTensor:
         if isinstance(self.encoder, ReferenceEncoder):
             hidden = self.encoder.encode_packed(pack)
         else:
             hidden = np.concatenate([self.encoder.encode(seq).data for seq in pack])
-        probs = self.head.probs(hidden)
-        start = 0
-        for seq in pack:
-            yield PredictionTensor(probs[start : start + len(seq)])
-            start += len(seq)
+        return PredictionTensor(self.head.probs(hidden))
 
     def backward(self, prob_grad: np.ndarray) -> None:
         """Push a (T, N, C) gradient w.r.t. the probabilities into the
@@ -419,7 +445,7 @@ class SlotTagger:
 
 def decode_grid(p: PredictionTensor) -> np.ndarray:
     """Argmax class of every (token, slot), shape (T, N), no filtering."""
-    return p.probs.argmax(axis=2)
+    return class_argmax(p.probs)
 
 
 def decode(
@@ -435,24 +461,40 @@ def decode(
     slot index.  Survivors are rendered to strings; each one's confidence
     is the lowest argmax probability over its non-Background tokens.
     """
-    if p.n_tokens != len(seq):
-        raise ValueError("prediction tensor and sentence cover different token counts")
-    labels = p.probs.argmax(axis=2)
-    # parts[n, k]: slot n labels at least one token with class k + 1.
-    parts = (labels[:, :, None] == np.arange(1, N_CLASSES)).any(axis=0)
-    keep = parts.all(axis=1) if require_all_parts else parts.any(axis=1)
-    chosen = np.take_along_axis(p.probs, labels[:, :, None], axis=2)[:, :, 0]
-    confidences = np.where(labels > 0, chosen, np.inf).min(axis=0)
-    extractions: list[Extraction] = []
-    seen: set[bytes] = set()
-    for n in np.flatnonzero(keep):
-        column = labels[:, n]
-        key = column.tobytes()
+    return decode_pack(p, [seq], require_all_parts)[0]
+
+
+def decode_pack(
+    p: PredictionTensor,
+    seqs: Sequence[TokenSequence],
+    require_all_parts: bool = True,
+) -> list[list[Extraction]]:
+    """``decode`` of every sentence of a pack, as ``predict_packs`` yields
+    it (``p`` stacks the rows of ``seqs`` in order), in one array pass;
+    only the kept slots are rendered one by one."""
+    lengths = [len(seq) for seq in seqs]
+    starts = list(itertools.accumulate(lengths[:-1], initial=0))
+    if p.n_tokens != sum(lengths):
+        raise ValueError("prediction tensor and sentences cover different token counts")
+    top = class_max(p.probs)  # the argmax probability
+    labels = class_argmax(p.probs, top)
+    # present[s, n]: bit c is set when slot n of sentence s labels some
+    # token with class c; parts: the bits of Subject, Relation and Object.
+    present = np.bitwise_or.reduceat(np.left_shift(1, labels), starts)
+    parts = (1 << N_CLASSES) - 2
+    present &= parts
+    keep = present == parts if require_all_parts else present != 0
+    confidences = np.minimum.reduceat(np.where(labels > 0, top, np.inf), starts)
+    extractions: list[list[Extraction]] = [[] for _ in seqs]
+    seen: set[tuple[int, bytes]] = set()
+    for s, n in zip(*(index.tolist() for index in np.nonzero(keep))):
+        column = labels[starts[s] : starts[s] + lengths[s], n]
+        key = (s, column.tobytes())
         if key in seen:
             continue
         seen.add(key)
-        bare = mask_to_extraction(seq, column)
-        extractions.append(
-            Extraction(bare.arg1, bare.rel, bare.arg2, confidence=float(confidences[n]))
+        bare = mask_to_extraction(seqs[s], column)
+        extractions[s].append(
+            Extraction(bare.arg1, bare.rel, bare.arg2, confidence=float(confidences[s, n]))
         )
     return extractions

@@ -53,6 +53,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning rate must be positive, weight decay non-negative")
+        # The decoupled decay scales every parameter by 1 - lr * wd per step.
+        if self.learning_rate * self.weight_decay >= 1.0:
+            raise ValueError(
+                f"learning_rate * weight_decay must be below 1 (a decay step of "
+                f"{self.learning_rate * self.weight_decay} zeroes or flips every parameter)"
+            )
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch size and epoch count must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -127,8 +133,15 @@ def evaluate_macro_f1(
     """Token-wise macro F1 of the argmax slot labels against gold, aggregated
     over the dataset under the loss-optimal assignments."""
     acc = MacroF1Accumulator()
-    for (_, grid), probs in zip(dataset, model.predict_many(seq for seq, _ in dataset)):
-        acc.add(decode_grid(probs), grid, optimal_assignment(probs.probs, grid))
+    grids = (grid for _, grid in dataset)
+    for pack, p in model.predict_packs(seq for seq, _ in dataset):
+        labels = decode_grid(p)
+        start = 0
+        # The pack comes first, so zip reads no grid past the pack.
+        for seq, grid in zip(pack, grids):
+            rows = slice(start, start + len(seq))
+            acc.add(labels[rows], grid, optimal_assignment(p.probs[rows], grid))
+            start = rows.stop
     return acc.value()
 
 

@@ -36,13 +36,13 @@ def sample_pred_path():
 
 
 def _packed_seconds(model, sequences) -> float:
-    """Wall-clock seconds of ``predict_many`` plus ``decode`` over
+    """Wall-clock seconds of ``predict_packs`` plus ``decode_pack`` over
     ``sequences``, the path that ``slotie extract`` runs."""
-    from slotie import decode
+    from slotie import decode_pack
 
     tick = time.perf_counter()
-    for seq, probs in zip(sequences, model.predict_many(sequences)):
-        decode(probs, seq)
+    for pack, probs in model.predict_packs(sequences):
+        decode_pack(probs, pack)
     return time.perf_counter() - tick
 
 

@@ -74,14 +74,14 @@ class TestPrimitives:
 
     def test_softmax(self):
         def build(a, w):
-            return a.softmax(axis=-1) * w  # weighting makes the sum non-trivial
+            return a.softmax() * w  # weighting makes the sum non-trivial
 
         check_op(build, (5, 4), (5, 4))
 
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-50, 50, size=(6, 7)))
-        probs = x.softmax(axis=-1).data
+        probs = x.softmax().data
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -116,8 +116,6 @@ class TestGraphBehavior:
         y.backward()
         y.backward()
         assert x.grad == pytest.approx(6.0)
-        x.zero_grad()
-        assert x.grad is None
 
     def test_second_backward_adds_exactly_the_same_gradients(self):
         # Interior nodes keep their consumers' arrays and leaves add in

@@ -219,6 +219,17 @@ class TestTrainCommand:
         assert flag[2:].replace("-", "_") in err
         assert not out.exists()
 
+    def test_decay_step_of_one_is_data_error(self, tmp_path, capsys, grids_jsonl):
+        # At the default weight decay 1e-6, a learning rate of 1e6 would set
+        # every parameter to zero in the first step.
+        out = tmp_path / "m.npz"
+        capsys.readouterr()
+        assert run("train", "--data", grids_jsonl, "--out", out, "--learning-rate", "1e6") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert "learning_rate * weight_decay" in err
+        assert not out.exists()
+
     def test_more_gold_than_slots_is_data_error(self, tmp_path, capsys):
         tsv = tmp_path / "synth60.tsv"
         grids = tmp_path / "grids60.jsonl"
@@ -319,25 +330,28 @@ class TestExtractCommand:
                    "--out", corpus) == 0
         sentences = [r.sentence for r in sl.read_tuples_tsv(corpus)]
         sentences.insert(11, " ".join(["word"] * 300))
+        sentences.insert(17, "Ada")  # one word: four tokens with the placeholders
         infile = tmp_path / "in.txt"
         infile.write_text("\n".join(sentences) + "\n")
-        out = tmp_path / "out.tsv"
-        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out,
-                   "--no-require-all-parts") == 0
 
         model = sl.SlotTagger.load(checkpoint)
         seqs = [sl.tokenize(s, append_placeholders=True) for s in sentences]
         kept = [(s, seq) for s, seq in zip(sentences, seqs) if len(seq) <= model.config.max_len]
         assert len(kept) == len(sentences) - 1 and sum(len(seq) for _, seq in kept) > 256
-        expected = []
-        for sentence, seq in kept:
-            extractions = sl.decode(model.predict(seq), seq, require_all_parts=False)
-            if extractions:
-                expected.append(sl.GenerativeRecord(sentence, tuple(extractions)))
-        want = tmp_path / "want.tsv"
-        sl.write_tuples_tsv(want, expected)
-        assert len(expected) > 20
-        assert out.read_text().splitlines() == want.read_text().splitlines()
+        assert len(seqs[17]) == 4
+        for flags, require_all_parts in (([], True), (["--no-require-all-parts"], False)):
+            out = tmp_path / f"out-{require_all_parts}.tsv"
+            assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out,
+                       *flags) == 0
+            expected = []
+            for sentence, seq in kept:
+                extractions = sl.decode(model.predict(seq), seq, require_all_parts=require_all_parts)
+                if extractions:
+                    expected.append(sl.GenerativeRecord(sentence, tuple(extractions)))
+            want = tmp_path / f"want-{require_all_parts}.tsv"
+            sl.write_tuples_tsv(want, expected)
+            assert len(expected) > 20
+            assert out.read_text().splitlines() == want.read_text().splitlines()
 
 
 class TestScoreCommand:

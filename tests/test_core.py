@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slotie import (
     BadAnnotation,
@@ -19,6 +20,7 @@ from slotie import (
     sequence_from_tokens,
     tokenize,
 )
+from slotie.core import N_CLASSES, class_argmax, class_max, class_sum
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -234,3 +236,52 @@ class TestGridAndTensorInvariants:
     def test_extraction_confidence_range(self):
         with pytest.raises(ValueError):
             Extraction("a", "b", "c", confidence=1.5)
+
+
+#: Class-axis values: a few exact values that make ties, and any finite
+#: double, with both zeros, subnormals and magnitudes near overflow.
+class_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: (1, N, C) one token, (T, N, C) a sentence, (C, C) the attention matrix of
+#: a one-word sentence with its three placeholders.
+class_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 20), st.just(N_CLASSES)),
+    st.tuples(st.integers(1, 12), st.integers(1, 20), st.just(N_CLASSES)),
+    st.just((N_CLASSES, N_CLASSES)),
+)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestClassAxisReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(x=class_shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=class_values)))
+    def test_equal_numpy_bit_for_bit(self, x):
+        assert_same_bits(class_max(x), x.max(axis=-1))
+        with np.errstate(over="ignore"):  # sums near the top of the range overflow alike
+            assert_same_bits(class_sum(x), x.sum(axis=-1))
+        assert_same_bits(class_argmax(x), x.argmax(axis=-1))
+        assert_same_bits(class_argmax(x, class_max(x)), x.argmax(axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=class_shapes, value=class_values)
+    def test_uniform_rows_tie_to_class_zero(self, shape, value):
+        x = np.full(shape, value)
+        assert not class_argmax(x).any()
+        assert_same_bits(class_max(x), x.max(axis=-1))
+        with np.errstate(over="ignore"):
+            assert_same_bits(class_sum(x), x.sum(axis=-1))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4), (5, 2, 4), (4, 4)])
+    def test_negative_zero_rows(self, shape):
+        x = np.full(shape, -0.0)
+        assert np.signbit(class_max(x)).all() and not np.signbit(class_sum(x)).any()
+        assert_same_bits(class_max(x), x.max(axis=-1))
+        assert_same_bits(class_sum(x), x.sum(axis=-1))
+        assert_same_bits(class_argmax(x), x.argmax(axis=-1))

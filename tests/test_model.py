@@ -15,11 +15,13 @@ from slotie import (
     build_vocab,
     decode,
     decode_grid,
+    decode_pack,
     mask_to_extraction,
     sequence_from_tokens,
     tokenize,
 )
-from slotie.model import PACK_TOKENS
+from slotie.autodiff import softmax_array
+from slotie.model import PACK_TOKENS, class_softmax
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -346,11 +348,11 @@ def reference_decode(p, seq, require_all_parts=True):
 
 
 @st.composite
-def label_columns(draw):
+def label_columns(draw, n_slots=st.integers(1, 8)):
     """(T, N) slot labels over a few class subsets, so slots often miss a
     part, with some columns copied from earlier ones."""
     n_tokens = draw(st.integers(1, 6))
-    n_slots = draw(st.integers(1, 8))
+    n_slots = draw(n_slots)
     subsets = st.sampled_from([(0,), (0, 1), (0, 1, 2), (1, 3), (0, 1, 2, 3), (1, 2, 3)])
     columns = []
     for n in range(n_slots):
@@ -385,6 +387,55 @@ class TestDecodeMatchesReference:
         got = decode(p, seq, require_all_parts=require_all_parts)
         # Extraction equality covers the confidence, compared exactly.
         assert got == reference_decode(p, seq, require_all_parts=require_all_parts)
+
+
+@st.composite
+def label_packs(draw):
+    """The (T, N) labels of 1-5 sentences that share one slot count, some
+    copied from an earlier sentence, whose masks must not collapse into it."""
+    n_slots = st.just(draw(st.integers(1, 8)))
+    sentences = []
+    for i in range(draw(st.integers(1, 5))):
+        if i and draw(st.booleans()):
+            sentences.append(sentences[draw(st.integers(0, i - 1))])
+        else:
+            sentences.append(draw(label_columns(n_slots=n_slots)))
+    return sentences
+
+
+class TestDecodePack:
+    @settings(max_examples=150, deadline=None)
+    @given(packs=label_packs(), seed=st.integers(0, 2**16), require_all_parts=st.booleans())
+    def test_equals_per_sentence_decode(self, packs, seed, require_all_parts):
+        p = tensor_with_argmax(np.concatenate(packs), seed)
+        seqs = [sequence_from_tokens([f"w{t}" for t in range(len(labels))]) for labels in packs]
+        got = decode_pack(p, seqs, require_all_parts=require_all_parts)
+        assert len(got) == len(seqs)
+        start = 0
+        for seq, extractions in zip(seqs, got):
+            rows = PredictionTensor(p.probs[start : start + len(seq)])
+            start += len(seq)
+            # Extraction equality covers the confidence, compared exactly.
+            assert extractions == decode(rows, seq, require_all_parts=require_all_parts)
+            assert extractions == reference_decode(rows, seq, require_all_parts=require_all_parts)
+
+    def test_token_count_mismatch_raises(self):
+        p = tensor_for_masks(np.zeros((2, 5), dtype=int))
+        with pytest.raises(ValueError, match="different token counts"):
+            decode_pack(p, [tokenize("a b"), tokenize("c d")])
+
+
+class TestClassSoftmax:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        logits=st.tuples(st.integers(1, 12), st.integers(1, 20)).flatmap(
+            lambda tn: st.lists(
+                st.floats(-60.0, 60.0), min_size=tn[0] * tn[1] * 4, max_size=tn[0] * tn[1] * 4
+            ).map(lambda v: np.array(v).reshape(tn[0], tn[1], 4))
+        )
+    )
+    def test_equals_softmax_array_bit_for_bit(self, logits):
+        assert class_softmax(logits).tobytes() == softmax_array(logits).tobytes()
 
 
 class TestCheckpoint:

@@ -231,6 +231,21 @@ class TestTrainLoop:
             train([])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("learning_rate, weight_decay", [(1e6, 1e-6), (1.0, 1.0), (2.0, 1.5)])
+    def test_rejects_a_decay_step_of_one_or_more(self, learning_rate, weight_decay):
+        with pytest.raises(ValueError, match="learning_rate \\* weight_decay"):
+            TrainConfig(learning_rate=learning_rate, weight_decay=weight_decay)
+
+    def test_decay_step_below_one_shrinks_without_a_sign_flip(self):
+        cfg = TrainConfig(learning_rate=0.5, weight_decay=1.9)
+        model = tiny_model()
+        before = model.values.copy()
+        adam_step(model, AdamState(model.values.size), cfg)
+        # A zero gradient leaves only the decay: every value scales by 0.05.
+        np.testing.assert_allclose(model.values, before * (1.0 - 0.5 * 1.9), rtol=1e-12)
+
+
 class TestMeasureSpeed:
     def test_steady_state_throughput(self, interleaved_throughput):
         # Doubling the corpus should not change throughput much.
