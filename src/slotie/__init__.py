@@ -37,7 +37,6 @@ from .matching import (
 from .model import (
     CheckpointError,
     DetectionHead,
-    EncoderContract,
     ModelConfig,
     ReferenceEncoder,
     SlotTagger,

@@ -60,9 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-#: Fields of the train dataclasses that neither a flag nor a config key sets.
-_OFF_CLI = ("ff_multiplier",)
-
 #: Flags other than ``--`` plus the name with ``-`` for ``_``; None marks a
 #: config-only setting.
 _FLAG_NAMES = {"max_epochs": "--epochs", "class_weights": None}
@@ -83,7 +80,6 @@ def _dataclass_settings(*classes) -> dict[str, _Setting]:
         f.name: _Setting(get_type_hints(cls)[f.name], f.default)
         for cls in classes
         for f in fields(cls)
-        if f.name not in _OFF_CLI
     }
 
 
@@ -107,11 +103,18 @@ def _load_config_file(path: str | None, command: str) -> dict:
     by the per-command section, both limited to the command's settings.
 
     ``common`` keys the command does not use are left out; an unknown key
-    in the command's own section is a ConfigError.
+    in the command's own section is a ConfigError, and so is malformed YAML.
     """
     if path is None:
         return {}
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except yaml.YAMLError as exc:
+        # PyYAML's own message spans several lines; keep its first problem.
+        mark = getattr(exc, "problem_mark", None)
+        where = f" line {mark.line + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"config file {path}{where}: {problem}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     common = raw.get("common") or {}

@@ -337,6 +337,8 @@ def synth_generate(pool: TripletPool, n_sentences: int, seed: int) -> list[Synth
     within a sentence, and the sampled triplets are the gold extractions.
     Deterministic for a fixed seed.
     """
+    if n_sentences < 1:
+        raise ConfigError(f"cannot generate {n_sentences} sentences; need at least 1")
     if len(pool) < MIN_POOL_SIZE:
         raise ConfigError(f"pool has {len(pool)} triples; need at least {MIN_POOL_SIZE}")
     kinds = list(TEMPLATES)

@@ -44,8 +44,8 @@ class LossConfig:
     def __post_init__(self) -> None:
         if len(self.class_weights) != N_CLASSES:
             raise ValueError(f"need {N_CLASSES} class weights")
-        if any(w < 0 for w in self.class_weights):
-            raise ValueError("class weights must be non-negative")
+        if not all(np.isfinite(w) and w >= 0 for w in self.class_weights):
+            raise ValueError(f"class weights must be finite and >= 0: {self.class_weights}")
 
 
 @dataclass(frozen=True)

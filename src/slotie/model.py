@@ -10,15 +10,15 @@ the head, the encoder is untouched.  Every reduction over the four-wide
 class axis (the head's softmax, the argmax of decoding) runs plane by
 plane through ``core.class_max``/``class_sum``/``class_argmax``.
 
-Training runs on the autodiff tape, one sentence at a time.  The trainable
-parameters live in two flat float64 blocks owned by the tagger, one of
-values and one of gradients; each parameter's ``.data`` and ``.grad`` are
-views of them, so the tape, the optimizer and checkpoints share one
-storage.  Inference (``predict_packs``) runs the same arithmetic on plain
-arrays: it packs the tokens of consecutive sentences into one matrix as it
-reads them, and yields each pack's probabilities before it reads the next
-pack; ``decode_pack`` turns a whole pack into extractions in one array
-pass.
+Training runs on the autodiff tape, one sentence at a time, and trains
+every parameter.  The parameters live in two flat float64 blocks owned by
+the tagger, one of values and one of gradients; each parameter's ``.data``
+and ``.grad`` are views of them, so the tape, the optimizer and checkpoints
+share one storage.  Inference (``predict_packs``) runs the same arithmetic
+on plain arrays: it packs the tokens of consecutive sentences into one
+matrix as it reads them, and yields each pack's probabilities before it
+reads the next pack; ``decode_pack`` turns a whole pack into extractions in
+one array pass.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, get_type_hints, runtime_checkable
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -61,6 +61,9 @@ CHECKPOINT_VERSION = 1
 #: Python over ~10 sentences while keeping the pack's activations small.
 PACK_TOKENS = 256
 
+#: Width of each block's feed-forward layer, as a multiple of ``hidden``.
+FF_MULTIPLIER = 4
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -69,12 +72,10 @@ class ModelConfig:
     n_slots: int = 20
     hidden: int = 64
     blocks: int = 2
-    ff_multiplier: int = 4
     max_len: int = 256
-    frozen_encoder: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.n_slots, self.hidden, self.blocks, self.ff_multiplier, self.max_len) < 1:
+        if min(self.n_slots, self.hidden, self.blocks, self.max_len) < 1:
             raise ValueError("all architecture sizes must be >= 1")
 
 
@@ -104,23 +105,6 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, size=(fan_in, fan_out))
 
 
-@runtime_checkable
-class EncoderContract(Protocol):
-    """What the tagger needs from a token encoder.
-
-    Any object with an H-wide ``encode`` over token sequences (one hidden
-    row per token) and a ``trainable_parameters`` map can replace the
-    reference encoder, e.g. to wrap a large pretrained model.
-    """
-
-    @property
-    def hidden_width(self) -> int: ...
-
-    def encode(self, seq: TokenSequence) -> Tensor: ...
-
-    def trainable_parameters(self) -> dict[str, Tensor]: ...
-
-
 class ReferenceEncoder:
     """Embeddings + sinusoidal positions + K post-norm attention blocks."""
 
@@ -129,30 +113,30 @@ class ReferenceEncoder:
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         hidden = config.hidden
-        ff = config.hidden * config.ff_multiplier
-        trainable = not config.frozen_encoder
-        self.embed = Tensor(rng.normal(0.0, 0.1, size=(len(self.vocab), hidden)), trainable)
+        ff = config.hidden * FF_MULTIPLIER
+        embed = rng.normal(0.0, 0.1, size=(len(self.vocab), hidden))
+        self.embed = Tensor(embed, requires_grad=True)
         # Position signals are fixed; scaled down so content embeddings dominate.
         self.positions = 0.1 * sinusoidal_positions(config.max_len, hidden)
         self.block_params: list[dict[str, Tensor]] = []
         for _ in range(config.blocks):
             block = {
-                "wq": Tensor(_xavier(rng, hidden, hidden), trainable),
-                "bq": Tensor(np.zeros(hidden), trainable),
-                "wk": Tensor(_xavier(rng, hidden, hidden), trainable),
-                "bk": Tensor(np.zeros(hidden), trainable),
-                "wv": Tensor(_xavier(rng, hidden, hidden), trainable),
-                "bv": Tensor(np.zeros(hidden), trainable),
-                "wo": Tensor(_xavier(rng, hidden, hidden), trainable),
-                "bo": Tensor(np.zeros(hidden), trainable),
-                "ln1_g": Tensor(np.ones(hidden), trainable),
-                "ln1_b": Tensor(np.zeros(hidden), trainable),
-                "w1": Tensor(_xavier(rng, hidden, ff), trainable),
-                "b1": Tensor(np.zeros(ff), trainable),
-                "w2": Tensor(_xavier(rng, ff, hidden), trainable),
-                "b2": Tensor(np.zeros(hidden), trainable),
-                "ln2_g": Tensor(np.ones(hidden), trainable),
-                "ln2_b": Tensor(np.zeros(hidden), trainable),
+                "wq": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
+                "bq": Tensor(np.zeros(hidden), requires_grad=True),
+                "wk": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
+                "bk": Tensor(np.zeros(hidden), requires_grad=True),
+                "wv": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
+                "bv": Tensor(np.zeros(hidden), requires_grad=True),
+                "wo": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
+                "bo": Tensor(np.zeros(hidden), requires_grad=True),
+                "ln1_g": Tensor(np.ones(hidden), requires_grad=True),
+                "ln1_b": Tensor(np.zeros(hidden), requires_grad=True),
+                "w1": Tensor(_xavier(rng, hidden, ff), requires_grad=True),
+                "b1": Tensor(np.zeros(ff), requires_grad=True),
+                "w2": Tensor(_xavier(rng, ff, hidden), requires_grad=True),
+                "b2": Tensor(np.zeros(hidden), requires_grad=True),
+                "ln2_g": Tensor(np.ones(hidden), requires_grad=True),
+                "ln2_b": Tensor(np.zeros(hidden), requires_grad=True),
             }
             self.block_params.append(block)
 
@@ -211,19 +195,12 @@ class ReferenceEncoder:
             x, _, _ = layer_norm_array(x + f, p["ln2_g"], p["ln2_b"])
         return x
 
-    @property
-    def hidden_width(self) -> int:
-        return self.config.hidden
-
     def named_parameters(self) -> dict[str, Tensor]:
         params = {"embed": self.embed}
         for i, blk in enumerate(self.block_params):
             for name, tensor in blk.items():
                 params[f"block{i}.{name}"] = tensor
         return params
-
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {n: t for n, t in self.named_parameters().items() if t.requires_grad}
 
 
 def class_softmax(logits: np.ndarray) -> np.ndarray:
@@ -262,13 +239,9 @@ class DetectionHead:
 class SlotTagger:
     """Encoder + head; produces the (T, N, C) probability tensor.
 
-    Any ``EncoderContract`` implementation may replace the reference
-    encoder (its hidden width must match ``config.hidden``); only models
-    built on the reference encoder can be saved to a checkpoint.
-
     ``values`` and ``grads`` are flat float64 blocks over
-    ``trainable_parameters()`` in order.  From construction on, every
-    trainable tensor's ``.data`` and ``.grad`` are reshaped views of them:
+    ``named_parameters()`` in order.  From construction on, every
+    parameter's ``.data`` and ``.grad`` are reshaped views of them:
     backward adds into ``grads`` and the optimizer updates ``values``.
     Write into ``.data`` in place; a rebound ``.data`` leaves training.
     """
@@ -278,22 +251,15 @@ class SlotTagger:
         vocab: dict[str, int],
         config: ModelConfig = ModelConfig(),
         seed: int = 0,
-        encoder: EncoderContract | None = None,
     ):
         if OOV_TOKEN not in vocab or vocab[OOV_TOKEN] != 0:
             raise ValueError(f"vocab must map {OOV_TOKEN!r} to id 0")
         self.config = config
         self.seed = seed
-        self.encoder = encoder if encoder is not None else ReferenceEncoder(vocab, config, seed)
-        if self.encoder.hidden_width != config.hidden:
-            raise ValueError(
-                f"encoder width {self.encoder.hidden_width} differs from "
-                f"configured hidden size {config.hidden}"
-            )
-        self._vocab = dict(vocab)
+        self.encoder = ReferenceEncoder(vocab, config, seed)
         self.head = DetectionHead(config, seed)
         self._last_output: Tensor | None = None
-        params = self.trainable_parameters().values()
+        params = self.named_parameters().values()
         self.values, self.grads = np.zeros((2, sum(t.data.size for t in params)))
         start = 0
         for tensor in params:
@@ -305,7 +271,7 @@ class SlotTagger:
 
     @property
     def vocab(self) -> dict[str, int]:
-        return self._vocab
+        return self.encoder.vocab
 
     def forward(self, seq: TokenSequence) -> PredictionTensor:
         """Run the model, recording the graph for a later ``backward``."""
@@ -338,9 +304,7 @@ class SlotTagger:
         or a one-token one, is a pack of its own), and the per-token work
         runs once per pack; a pack is yielded before the input is read past
         it, so only one pack's probabilities are alive at a time.  Each
-        sentence's rows equal ``forward(seq).probs`` bit for bit.  An encoder
-        other than the reference one is run per sentence through its
-        ``encode``.
+        sentence's rows equal ``forward(seq).probs`` bit for bit.
         """
         pack: list[TokenSequence] = []
         rows = 0
@@ -357,11 +321,7 @@ class SlotTagger:
             yield pack, self._predict_pack(pack)
 
     def _predict_pack(self, pack: list[TokenSequence]) -> PredictionTensor:
-        if isinstance(self.encoder, ReferenceEncoder):
-            hidden = self.encoder.encode_packed(pack)
-        else:
-            hidden = np.concatenate([self.encoder.encode(seq).data for seq in pack])
-        return PredictionTensor(self.head.probs(hidden))
+        return PredictionTensor(self.head.probs(self.encoder.encode_packed(pack)))
 
     def backward(self, prob_grad: np.ndarray) -> None:
         """Push a (T, N, C) gradient w.r.t. the probabilities into the
@@ -372,21 +332,11 @@ class SlotTagger:
         self._last_output = None
 
     def named_parameters(self) -> dict[str, Tensor]:
-        if isinstance(self.encoder, ReferenceEncoder):
-            params = self.encoder.named_parameters()
-        else:
-            params = dict(self.encoder.trainable_parameters())
-        params.update(self.head.named_parameters())
-        return params
-
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {name: t for name, t in self.named_parameters().items() if t.requires_grad}
+        return self.encoder.named_parameters() | self.head.named_parameters()
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        if not isinstance(self.encoder, ReferenceEncoder):
-            raise CheckpointError("only reference-encoder models can be checkpointed")
         id_to_token = sorted(self.vocab, key=self.vocab.get)
         meta = {
             "format_version": CHECKPOINT_VERSION,

@@ -85,7 +85,7 @@ def adam_step(model: SlotTagger, state: AdamState, cfg: TrainConfig) -> None:
     """
     data, grad = model.values, model.grads
     if not np.isfinite(grad).all():
-        params = model.trainable_parameters().items()
+        params = model.named_parameters().items()
         bad = next(name for name, tensor in params if not np.isfinite(tensor.grad).all())
         raise NumericalError(f"non-finite gradient in {bad}")
     state.step += 1

@@ -102,7 +102,7 @@ def test_criterion_2_end_to_end_gradient():
         def loss_value():
             return order_agnostic_loss(model.predict(seq).probs, grid)[0]
 
-        for tensor in model.trainable_parameters().values():
+        for tensor in model.named_parameters().values():
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             flat = tensor.data.reshape(-1)
             gflat = grad.reshape(-1)

@@ -75,6 +75,14 @@ class TestSynthCommand:
         out = tmp_path / "x.tsv"
         assert run("synth", "--pool", pool, "--n", 1, "--seed", 0, "--out", out) == 2
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_sentences_is_data_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x.tsv"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", n, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestConvertCommand:
     def test_imojie_conversion_with_report(self, tmp_path, imojie_fixture_path):
@@ -276,6 +284,8 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("dropout", 0.1), ("n_slots", "10"),
+        # Settings removed from the model; older checkpoints carry them.
+        ("frozen_encoder", False), ("ff_multiplier", 4),
         # "meta", "config" and "vocab" replace the meta or its top-level entry.
         pytest.param("meta", [1], id="meta-list"), ("config", 5), ("vocab", 5),
         # The version is an int: neither a bool nor a float stands for 1.
@@ -454,6 +464,11 @@ class TestConfigKeys:
         ("synth:\n  batch_size: 8\n", "batch_size"),
         ("synth: 5\n", "synth"),
         ("common: [1]\n", "common"),
+        # Malformed YAML: PyYAML's multi-line messages become one line.
+        ("synth: [", "cfg.yaml line 1"),
+        ("synth:\n\tn: 3\n", "cfg.yaml line 2"),
+        ("synth:\n  n: *x\n", "cfg.yaml line 2"),
+        ("synth: !!python/object/apply:os.system ['true']\n", "cfg.yaml line 1"),
     ])
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, named):
         config = tmp_path / "cfg.yaml"
@@ -470,7 +485,6 @@ class TestConfigKeys:
         ("train", "train:\n  class_weights: 5\n", "class_weights"),
         ("train", "train:\n  max_epochs: [1]\n", "max_epochs"),
         ("train", "train:\n  max_epochs: 1.9\n", "max_epochs"),
-        ("train", "train:\n  frozen_encoder: 'false'\n", "frozen_encoder"),
         ("train", "train:\n  seed: '3'\n  target_f1: true\n", "seed"),
         ("train", "train:\n  target_f1: true\n", "target_f1"),
         ("extract", "extract:\n  require_all_parts: 'false'\n", "require_all_parts"),
@@ -527,10 +541,7 @@ class TestSettingsTable:
         table = cli.SETTINGS["train"]
         for cls in (sl.TrainConfig, sl.ModelConfig, sl.LossConfig):
             for field in dataclasses.fields(cls):
-                if field.name in cli._OFF_CLI:
-                    assert field.name not in table
-                else:
-                    assert table[field.name].default == field.default, field.name
+                assert table[field.name].default == field.default, field.name
 
     def test_train_flags_are_the_table_flags(self):
         parser = cli.build_parser()
@@ -542,7 +553,7 @@ class TestSettingsTable:
             "-h", "--help", "--data", "--out", "--config",
             "--learning-rate", "--weight-decay", "--batch-size", "--epochs", "--seed",
             "--validation-fraction", "--target-f1", "--n-slots", "--hidden", "--blocks",
-            "--max-len", "--frozen-encoder", "--no-frozen-encoder",
+            "--max-len",
         }
         table_dests = {a.dest for a in actions if a.dest in cli.SETTINGS["train"]}
         assert table_dests == set(cli.SETTINGS["train"]) - {"class_weights"}

@@ -355,6 +355,11 @@ class TestSynth:
         with pytest.raises(ConfigError):
             synth_generate(small, 1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_sentences_rejected(self, pool, n):
+        with pytest.raises(ConfigError, match="at least 1"):
+            synth_generate(pool, n, seed=0)
+
     def test_gold_aligns_perfectly(self, pool):
         samples = synth_generate(pool, 40, seed=5)
         for s in samples:

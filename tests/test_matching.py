@@ -497,6 +497,9 @@ class TestLossConfig:
             LossConfig(class_weights=(1.0, 2.0, 2.0))
         with pytest.raises(ValueError):
             LossConfig(class_weights=(1.0, -2.0, 2.0, 2.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LossConfig(class_weights=(bad, 1.0, 1.0, 1.0))
 
     def test_entry_points_share_one_core(self):
         rng = np.random.default_rng(13)

@@ -76,47 +76,6 @@ class TestForward:
             np.testing.assert_array_equal(enc20[key], enc100[key])
         assert m100.head.weight.data.shape[1] == 5 * m20.head.weight.data.shape[1]
 
-    def test_frozen_encoder_trains_head_only(self):
-        vocab = build_vocab([tokenize("a b")])
-        model = SlotTagger(vocab, ModelConfig(n_slots=3, hidden=8, blocks=1, max_len=8, frozen_encoder=True))
-        trainable = set(model.trainable_parameters())
-        assert trainable == {"head.weight", "head.bias"}
-
-    def test_custom_encoder_plugs_in(self):
-        from slotie import EncoderContract
-        from slotie.autodiff import Tensor, embedding
-
-        class BagEncoder:
-            """Embedding-only encoder satisfying the tagger's contract."""
-
-            def __init__(self, vocab, width):
-                self.vocab = vocab
-                self.width = width
-                rng = np.random.default_rng(0)
-                self.table = Tensor(rng.normal(size=(len(vocab), width)), requires_grad=True)
-
-            @property
-            def hidden_width(self):
-                return self.width
-
-            def encode(self, seq):
-                ids = [self.vocab.get(t, 0) for t in seq.tokens]
-                return embedding(self.table, np.array(ids))
-
-            def trainable_parameters(self):
-                return {"bag.table": self.table}
-
-        vocab = build_vocab([tokenize("a b c")])
-        encoder = BagEncoder(vocab, 8)
-        assert isinstance(encoder, EncoderContract)
-        model = SlotTagger(vocab, ModelConfig(n_slots=3, hidden=8, blocks=1, max_len=8),
-                           encoder=encoder)
-        p = model.predict(tokenize("a c"))
-        assert p.probs.shape == (2, 3, 4)
-        assert "bag.table" in model.trainable_parameters()
-        with pytest.raises(CheckpointError):
-            model.save("/tmp/never-written.npz")
-
 
 _WORDS = ("the", "quick", "brown", "fox", "jumps", "over")
 

@@ -24,7 +24,7 @@ def tiny_dataset(n_sentences=12, seed=5):
 
 def tiny_model():
     vocab = sl.build_vocab([sl.tokenize("a b c")])
-    return sl.SlotTagger(vocab, sl.ModelConfig(n_slots=2, hidden=4, blocks=1, ff_multiplier=1))
+    return sl.SlotTagger(vocab, sl.ModelConfig(n_slots=2, hidden=4, blocks=1))
 
 
 class TestAdam:
@@ -97,10 +97,10 @@ def per_tensor_adam_step(params, grads, state, cfg):
 
 
 def set_grads(model, rng, zero=("head.bias",)):
-    """Random gradients for every trainable tensor except those in ``zero``,
+    """Random gradients for every parameter except those in ``zero``,
     written into the model's gradient block; returns copies by name."""
     grads = {}
-    for name, tensor in model.trainable_parameters().items():
+    for name, tensor in model.named_parameters().items():
         tensor.grad[...] = 0.0 if name in zero else rng.normal(size=tensor.shape)
         grads[name] = tensor.grad.copy()
     return grads
@@ -111,7 +111,7 @@ class TestFlatAdam:
     def test_matches_per_tensor_update_bit_for_bit(self, weight_decay):
         cfg = TrainConfig(learning_rate=3e-2, weight_decay=weight_decay)
         model = tiny_model()
-        params = model.trainable_parameters()
+        params = model.named_parameters()
         oracle = {name: tensor.data.copy() for name, tensor in params.items()}
         state, oracle_state = AdamState(model.values.size), SimpleNamespace(step=0, moments={})
         rng = np.random.default_rng(1)
@@ -131,9 +131,9 @@ class TestFlatAdam:
         rng = np.random.default_rng(2)
         set_grads(model, rng, zero=())
         adam_step(model, state, cfg)
-        second = list(model.trainable_parameters())[1]
+        second = list(model.named_parameters())[1]
         set_grads(model, rng, zero=())
-        model.trainable_parameters()[second].grad.flat[2] = np.nan
+        model.named_parameters()[second].grad.flat[2] = np.nan
         before = model.values.copy(), model.grads.copy(), state.m.copy(), state.v.copy()
         with pytest.raises(NumericalError, match=second):
             adam_step(model, state, cfg)
@@ -143,9 +143,9 @@ class TestFlatAdam:
 
 
 def assert_block_views(model):
-    """Every trainable ``.data`` and ``.grad`` is a view of the model's blocks,
+    """Every parameter's ``.data`` and ``.grad`` is a view of the model's blocks,
     and together, in order, they cover them."""
-    params = model.trainable_parameters()
+    params = model.named_parameters()
     for name, tensor in params.items():
         assert np.shares_memory(tensor.data, model.values), name
         assert np.shares_memory(tensor.grad, model.grads), name
@@ -154,17 +154,13 @@ def assert_block_views(model):
 
 
 class TestParameterBlock:
-    @pytest.mark.parametrize("frozen_encoder", [False, True])
-    def test_views_after_load_and_best_epoch_restore(self, tmp_path, frozen_encoder):
+    def test_views_after_load_and_best_epoch_restore(self, tmp_path):
         cfg = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, seed=2,
                           validation_fraction=0.25)
-        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64,
-                                   frozen_encoder=frozen_encoder)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
         result = train(tiny_dataset(), cfg, model_cfg)
-        # Without a frozen encoder this run keeps epoch 2 of 3, so it restores.
+        # This run keeps epoch 2 of 3, so it restores.
         assert_block_views(result.model)
-        head_size = sum(t.data.size for t in result.model.head.named_parameters().values())
-        assert frozen_encoder == (result.model.values.size == head_size)
         path = tmp_path / "model.npz"
         result.model.save(path)
         loaded = sl.SlotTagger.load(path)
@@ -176,14 +172,14 @@ class TestParameterBlock:
         config = sl.ModelConfig(n_slots=10, hidden=8, blocks=2, max_len=64)
         vocab = sl.build_vocab(seq for seq, _ in dataset)
         block, copied = (sl.SlotTagger(vocab, config, seed=4) for _ in range(2))
-        for tensor in copied.trainable_parameters().values():
+        for tensor in copied.named_parameters().values():
             tensor.grad = None
         for model in (block, copied):
             for seq, grid in dataset:
                 _, _, grad = sl.loss_assignment_gradient(model.forward(seq).probs, grid)
                 model.backward(grad / len(dataset))
-        copies = copied.trainable_parameters()
-        for name, tensor in block.trainable_parameters().items():
+        copies = copied.named_parameters()
+        for name, tensor in block.named_parameters().items():
             assert not np.shares_memory(copies[name].grad, copied.grads)
             np.testing.assert_array_equal(tensor.grad, copies[name].grad)
         assert block.grads.any()
