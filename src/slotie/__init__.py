@@ -82,7 +82,6 @@ from .scoring import (
     carb_1to1_score,
     carb_score,
     oie2016_score,
-    token_macro_f1,
     wire57_pair,
     wire57_score,
 )

@@ -98,17 +98,34 @@ SETTINGS = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key written twice in one mapping;
+    a ``<<`` merge key is not a key of its own."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _load_config_file(path: str | None, command: str) -> dict:
     """Read the layered YAML config: top-level ``common`` settings overridden
     by the per-command section, both limited to the command's settings.
 
     ``common`` keys the command does not use are left out; an unknown key
-    in the command's own section is a ConfigError, and so is malformed YAML.
+    in the command's own section is a ConfigError, and so are malformed YAML
+    and a key written twice in one mapping.
     """
     if path is None:
         return {}
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), _UniqueKeyLoader) or {}
     except yaml.YAMLError as exc:
         # PyYAML's own message spans several lines; keep its first problem.
         mark = getattr(exc, "problem_mark", None)
@@ -132,7 +149,7 @@ def _load_config_file(path: str | None, command: str) -> dict:
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """defaults < config file < explicitly-given flags, each value checked
-    against its setting's type."""
+    against its setting's choices and type."""
     table = SETTINGS[command]
     resolved = {name: setting.default for name, setting in table.items()}
     resolved.update(_load_config_file(args.config, command))
@@ -140,6 +157,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, name, None)
         if value is not None:
             resolved[name] = value
+    for name, setting in table.items():
+        if setting.choices and resolved[name] is None:
+            raise ConfigError(f"{name!r} is required (flag or config file)")
+        if setting.choices and resolved[name] not in setting.choices:
+            raise ConfigError(f"unknown {name} {resolved[name]!r}")
     return {
         name: typed_value(name, table[name].hint, value, ConfigError)
         for name, value in resolved.items()
@@ -192,7 +214,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 converted.append(aligned)
             else:
                 skipped.append({"sentence": record.sentence, "reason": "no alignable tuples"})
-    elif fmt == "lsoie":
+    else:  # lsoie
         records = read_conll(args.infile)
         records_in = len(records)
         for record in records:
@@ -205,8 +227,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 converted.append(AlignedRecord(sentence, result.sequence, result.grid, ()))
             else:
                 skipped.append({"sentence": sentence, "reason": "no usable annotation layers"})
-    else:
-        raise ConfigError(f"unknown input format {fmt!r}")
     write_grid_jsonl(args.out, converted)
     tuples_out = sum(r.grid.n_gold for r in converted)
     report = {
@@ -350,9 +370,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _resolve(args, "score")
-    score_fn = SCHEMES.get(config["scheme"])
-    if score_fn is None:
-        raise ConfigError(f"unknown scheme {config['scheme']!r}")
     gold_records = read_tuples_tsv(args.gold)
     for record in gold_records:
         for ext in record.tuples:
@@ -377,7 +394,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 f"{record.sentence[:60]}",
                 file=sys.stderr,
             )
-    report = score_fn(gold, pred)
+    report = SCHEMES[config["scheme"]](gold, pred)
     report.auc = auc_single_point(report.precision, report.recall)
     payload = report.to_dict()
     payload["config"] = config

@@ -13,9 +13,10 @@ matching strategy:
   head is a fixed heuristic (the last non-stopword token) and is
   intentionally parser-free.
 
-One driver, ``_score``, runs the sentence loop and assembles the report;
-each scheme supplies one whole-input step (the pair table or the heads),
-its per-sentence fields, and how its totals give precision and recall.
+Each scorer is one function: it builds its whole-input step once (the pair
+table, or the heads), walks the gold sentences in order summing its own
+totals, and hands its per-sentence rows, precision, recall and totals to
+``_report``, which assembles the ``BenchmarkReport``.
 
 All scorers take ``{sentence: [Extraction, ...]}`` maps for gold and
 predictions, keyed by the exact sentence string.  Sentences present only
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from itertools import accumulate, chain, pairwise
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -157,14 +157,6 @@ class MacroF1Accumulator:
         f1 = _ratios(2.0 * precision * recall, precision + recall)
         absent = (self.pred_total == 0) & (self.gold_total == 0)
         return float(np.mean(np.where(absent, 1.0, f1)))
-
-
-def token_macro_f1(pred_labels: np.ndarray, gold: LabelGrid, assignment: Assignment) -> float:
-    """Token-wise macro F1 between decoded (T, N) slot labels and the gold
-    grid under a given slot-to-gold assignment."""
-    acc = MacroF1Accumulator()
-    acc.add(pred_labels, gold, assignment)
-    return acc.value()
 
 
 # -- the pair table -------------------------------------------------------------------
@@ -300,98 +292,73 @@ def _optimal(pairs: list[ScoredPair], n_pred: int, n_gold: int) -> list[ScoredPa
     return [by_index[ij] for ij in chosen if ij in by_index]
 
 
-# -- the corpus driver ----------------------------------------------------------------
+# -- the corpus report ----------------------------------------------------------------
 
 _Corpus = Mapping[str, Sequence[Extraction]]
 
 
-def _score(
-    scheme: str,
-    gold: _Corpus,
-    pred: _Corpus,
-    prepare: Callable[[_Sentences], list],
-    sentence_fn: Callable[[list[Extraction], Sequence[Extraction], object], tuple[int, dict]],
-    sums: dict,
-    finish: Callable[[dict], tuple[float, float, dict]],
-) -> BenchmarkReport:
-    """Run ``sentence_fn`` over every gold sentence and assemble the report.
+def _sentences(gold: _Corpus, pred: _Corpus) -> list[tuple[list[Extraction], Sequence[Extraction]]]:
+    """(pred_exts, gold_exts) of every gold sentence, in the order of ``gold``."""
+    return [(list(pred.get(s, ())), gold_exts) for s, gold_exts in gold.items()]
 
-    ``prepare`` maps all (pred_exts, gold_exts) at once to one value per
-    sentence (its pair-table row, or its heads); ``sentence_fn(pred_exts,
-    gold_exts, value)`` returns the matched count and the scheme fields of
-    the per-sentence row.  The driver adds the rows into ``sums`` (each
-    scheme field's start) and the "matched", "gold" and "pred" counts, and
-    ``finish(sums)`` turns the totals into (precision, recall, totals).
-    """
-    sentences = [(list(pred.get(s, ())), gold_exts) for s, gold_exts in gold.items()]
-    sums = {"matched": 0, "gold": 0, "pred": 0, **sums}
-    per_sentence: list[dict] = []
-    for sentence, (pred_exts, gold_exts), value in zip(gold, sentences, prepare(sentences)):
-        matched, fields = sentence_fn(pred_exts, gold_exts, value)
-        row = {"sentence": sentence, "matched": matched, "gold": len(gold_exts),
-               "pred": len(pred_exts), **fields}
-        for key in sums:
-            sums[key] += row[key]
-        per_sentence.append(row)
-    precision, recall, totals = finish(sums)
+
+def _counts(sentences) -> tuple[int, int]:
+    """The number of predictions and of gold tuples."""
+    return sum(len(p) for p, _ in sentences), sum(len(g) for _, g in sentences)
+
+
+def _report(scheme, gold, sentences, rows, precision, recall, totals) -> BenchmarkReport:
+    """The report of one scheme.  ``rows`` holds each sentence's matched count
+    and scheme fields, in the order of ``gold`` and ``sentences``."""
+    per_sentence = [
+        {"sentence": sentence, "matched": matched, "gold": len(gold_exts),
+         "pred": len(pred_exts), **fields}
+        for sentence, (pred_exts, gold_exts), (matched, fields) in zip(gold, sentences, rows)
+    ]
+    n_pred, n_gold = _counts(sentences)
     return BenchmarkReport(
         scheme, precision, recall, _harmonic(precision, recall),
-        matched=sums["matched"], gold_count=sums["gold"], pred_count=sums["pred"],
+        matched=sum(matched for matched, _ in rows), gold_count=n_gold, pred_count=n_pred,
         per_sentence=per_sentence, totals=totals,
-    )
-
-
-def _precision_recall_sums(sums: dict) -> tuple[float, float, dict]:
-    return (
-        _ratio(sums["precision_sum"], sums["pred"]),
-        _ratio(sums["recall_sum"], sums["gold"]),
-        {"precision_sum": sums["precision_sum"], "recall_sum": sums["recall_sum"]},
     )
 
 
 # -- WiRe57-style scoring --------------------------------------------------------
 
-def _wire57_sentence(pred_exts, gold_exts, table: _SentencePairs):
-    chosen = _greedy(table.pairs, "f1")
-    return len(chosen), {
-        "overlap": sum(p.overlap for p in chosen),
-        "pred_tokens": table.pred_tokens,
-        "gold_tokens": table.gold_tokens,
-    }
-
-
-def _wire57_totals(sums: dict) -> tuple[float, float, dict]:
-    return (
-        _ratio(sums["overlap"], sums["pred_tokens"]),
-        _ratio(sums["overlap"], sums["gold_tokens"]),
-        {"matched_overlap": sums["overlap"], "pred_tokens": sums["pred_tokens"],
-         "gold_tokens": sums["gold_tokens"]},
-    )
-
-
 def wire57_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """Corpus score: greedy per-sentence matching, micro-averaged token
     overlap over all predicted and gold tokens."""
-    return _score(
-        "wire57", gold, pred, partial(_pair_table, drop_stopwords=False, gated_parts=_EVERY_PART),
-        _wire57_sentence, {"overlap": 0, "pred_tokens": 0, "gold_tokens": 0}, _wire57_totals,
+    sentences = _sentences(gold, pred)
+    rows = []
+    overlap = pred_tokens = gold_tokens = 0
+    for table in _pair_table(sentences, False, _EVERY_PART):
+        chosen = _greedy(table.pairs, "f1")
+        sentence_overlap = sum(p.overlap for p in chosen)
+        rows.append((len(chosen), {"overlap": sentence_overlap, "pred_tokens": table.pred_tokens,
+                                   "gold_tokens": table.gold_tokens}))
+        overlap += sentence_overlap
+        pred_tokens += table.pred_tokens
+        gold_tokens += table.gold_tokens
+    return _report(
+        "wire57", gold, sentences, rows, _ratio(overlap, pred_tokens), _ratio(overlap, gold_tokens),
+        {"matched_overlap": overlap, "pred_tokens": pred_tokens, "gold_tokens": gold_tokens},
     )
 
 
 # -- CaRB-style scoring ------------------------------------------------------------
 
-_carb_table = partial(_pair_table, drop_stopwords=True, gated_parts=_RELATION)
-
-
-def _carb_sentence(pred_exts, gold_exts, table: _SentencePairs):
-    recall_sum = 0.0
-    for j in range(len(gold_exts)):
-        recall_sum += max((p.recall for p in table.pairs if p.gold_index == j), default=0.0)
-    chosen = _greedy(table.pairs, "precision")
-    precision_sum = 0.0
-    for pair in chosen:
-        precision_sum += pair.precision
-    return len(chosen), {"recall_sum": recall_sum, "precision_sum": precision_sum}
+def _carb_report(scheme, gold, sentences, rows) -> BenchmarkReport:
+    """Precision is the total ``precision_sum`` over the prediction count,
+    recall the total ``recall_sum`` over the gold count."""
+    precision_sum = recall_sum = 0.0
+    for _, fields in rows:
+        precision_sum += fields["precision_sum"]
+        recall_sum += fields["recall_sum"]
+    n_pred, n_gold = _counts(sentences)
+    return _report(
+        scheme, gold, sentences, rows, _ratio(precision_sum, n_pred), _ratio(recall_sum, n_gold),
+        {"precision_sum": precision_sum, "recall_sum": recall_sum},
+    )
 
 
 def carb_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
@@ -402,28 +369,33 @@ def carb_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     one-to-one (greedy by pair precision, each gold used once) and is the
     mean over predictions of their matched precision.
     """
-    return _score(
-        "carb", gold, pred, _carb_table, _carb_sentence,
-        {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
-    )
-
-
-def _carb11_sentence(pred_exts, gold_exts, table: _SentencePairs):
-    chosen = _optimal(table.pairs, len(pred_exts), len(gold_exts))
-    precision_sum = recall_sum = 0.0
-    for pair in chosen:
-        precision_sum += pair.precision
-        recall_sum += pair.recall
-    return len(chosen), {"precision_sum": precision_sum, "recall_sum": recall_sum}
+    sentences = _sentences(gold, pred)
+    rows = []
+    for (_, gold_exts), table in zip(sentences, _pair_table(sentences, True, _RELATION)):
+        recall_sum = 0.0
+        for j in range(len(gold_exts)):
+            recall_sum += max((p.recall for p in table.pairs if p.gold_index == j), default=0.0)
+        chosen = _greedy(table.pairs, "precision")
+        precision_sum = 0.0
+        for pair in chosen:
+            precision_sum += pair.precision
+        rows.append((len(chosen), {"recall_sum": recall_sum, "precision_sum": precision_sum}))
+    return _carb_report("carb", gold, sentences, rows)
 
 
 def carb_1to1_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """CaRB similarity with a single optimal one-to-one matching (maximum
     total pair F1) driving both precision and recall."""
-    return _score(
-        "carb11", gold, pred, _carb_table, _carb11_sentence,
-        {"precision_sum": 0.0, "recall_sum": 0.0}, _precision_recall_sums,
-    )
+    sentences = _sentences(gold, pred)
+    rows = []
+    for (pred_exts, gold_exts), table in zip(sentences, _pair_table(sentences, True, _RELATION)):
+        chosen = _optimal(table.pairs, len(pred_exts), len(gold_exts))
+        precision_sum = recall_sum = 0.0
+        for pair in chosen:
+            precision_sum += pair.precision
+            recall_sum += pair.recall
+        rows.append((len(chosen), {"precision_sum": precision_sum, "recall_sum": recall_sum}))
+    return _carb_report("carb11", gold, sentences, rows)
 
 
 # -- head-agreement scoring ---------------------------------------------------------
@@ -435,36 +407,33 @@ def default_head(text: str) -> str:
     return tokens[-1] if tokens else ""
 
 
-def _heads(sentences: _Sentences) -> list[tuple[list[tuple], list[tuple]]]:
-    """Per sentence, the (arg1, rel, arg2) head triples of its predictions
-    and of its gold tuples; each distinct part text is tokenized once."""
-    texts = [x for p, g in sentences for e in (*p, *g) for x in e.as_tuple()]
-    head_of = {x: default_head(x) for x in dict.fromkeys(texts)}
-    triples = zip(*[map(head_of.__getitem__, texts)] * 3)  # one iterator, three at a time
-    return [([next(triples) for _ in p], [next(triples) for _ in g]) for p, g in sentences]
-
-
-def _oie2016_sentence(pred_exts, gold_exts, heads):
-    pred_heads, gold_heads = heads
-    used_gold: set[int] = set()
-    for t_heads in pred_heads:
-        for j, g_heads in enumerate(gold_heads):
-            if j not in used_gold and t_heads == g_heads:
-                used_gold.add(j)
-                break
-    return len(used_gold), {}
-
-
-def _oie2016_totals(sums: dict) -> tuple[float, float, dict]:
-    matched = sums["matched"]
-    return _ratio(matched, sums["pred"]), _ratio(matched, sums["gold"]), {"matched": matched}
-
-
 def oie2016_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """Tuples match when the :func:`default_head` of arg1, rel and arg2 all
     agree; one-to-one greedy matching by index order; precision/recall
     over matched counts."""
-    return _score("oie2016", gold, pred, _heads, _oie2016_sentence, {}, _oie2016_totals)
+    sentences = _sentences(gold, pred)
+    # Each distinct part text is tokenized once; triples yields the
+    # (arg1, rel, arg2) heads of each sentence's predictions, then gold.
+    texts = [x for p, g in sentences for e in (*p, *g) for x in e.as_tuple()]
+    head_of = {x: default_head(x) for x in dict.fromkeys(texts)}
+    triples = zip(*[map(head_of.__getitem__, texts)] * 3)  # one iterator, three at a time
+    rows = []
+    for pred_exts, gold_exts in sentences:
+        pred_heads = [next(triples) for _ in pred_exts]
+        gold_heads = [next(triples) for _ in gold_exts]
+        used_gold: set[int] = set()
+        for t_heads in pred_heads:
+            for j, g_heads in enumerate(gold_heads):
+                if j not in used_gold and t_heads == g_heads:
+                    used_gold.add(j)
+                    break
+        rows.append((len(used_gold), {}))
+    matched = sum(m for m, _ in rows)
+    n_pred, n_gold = _counts(sentences)
+    return _report(
+        "oie2016", gold, sentences, rows, _ratio(matched, n_pred), _ratio(matched, n_gold),
+        {"matched": matched},
+    )
 
 
 SCHEMES: dict[str, Callable[..., BenchmarkReport]] = {

@@ -469,6 +469,9 @@ class TestConfigKeys:
         ("synth:\n\tn: 3\n", "cfg.yaml line 2"),
         ("synth:\n  n: *x\n", "cfg.yaml line 2"),
         ("synth: !!python/object/apply:os.system ['true']\n", "cfg.yaml line 1"),
+        # A key written twice in one mapping is rejected, not last-one-wins.
+        ("synth:\n  n: 3\n  n: 5\n", "cfg.yaml line 3"),
+        ("common:\n  seed: 1\ncommon:\n  seed: 2\n", "cfg.yaml line 3"),
     ])
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, named):
         config = tmp_path / "cfg.yaml"
@@ -522,6 +525,29 @@ class TestConfigKeys:
                    "--out", out, "--config", config) == 2
         err = capsys.readouterr().err
         assert err == "data error: unknown scheme 'foo'\n"
+        assert not out.exists()
+
+    def test_merge_key_is_not_a_duplicate(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("base: &base\n  n: 3\n  seed: 2\nsynth:\n  <<: *base\n  n: 4\n")
+        out = tmp_path / "s.tsv"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--out", out, "--config", config) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["config"] == {"n": 4, "seed": 2}
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("convert", "convert:\n  format: foo\n", "unknown format 'foo'"),
+        ("score", "common:\n  seed: 1\n", "'scheme' is required (flag or config file)"),
+    ])
+    def test_bad_choice_in_config_is_data_error(self, tmp_path, capsys, sample_gold_path,
+                                                command, text, message):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        out = tmp_path / "out"
+        paths = {"convert": ("--in", sample_gold_path, "--out", out, "--report", tmp_path / "r"),
+                 "score": ("--gold", sample_gold_path, "--pred", sample_gold_path, "--out", out)}
+        assert run(command, *paths[command], "--config", config) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
     def test_unused_common_keys_are_left_out(self, tmp_path, checkpoint):

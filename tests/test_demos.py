@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion from the repository root.
 
 Demo 04 trains a model for about 20 s, so it is left to be run by hand;
-every demo's imports from slotie are still checked against the package.
+every demo's imports from slotie are still checked against the package,
+and the package's own modules against imports they never use.
 """
 
 import ast
@@ -49,3 +50,22 @@ def test_demo_imports_exist(demo):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{demo} imports names slotie lacks: {missing}"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "slotie").glob("*.py") if p.name != "__init__.py")
+)
+def test_module_imports_are_used(module):
+    source = (ROOT / "src" / "slotie" / module).read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        and not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+    assert not unused, f"{module} imports names it never uses: {unused}"

@@ -1,5 +1,7 @@
 from collections import Counter
 from dataclasses import astuple
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from slotie import (
     carb_score,
     oie2016_score,
     read_tuples_tsv,
-    token_macro_f1,
     wire57_pair,
     wire57_score,
 )
@@ -156,6 +157,53 @@ def test_pair_table_equals_counter_oracle(sentences):
                      for e in (*pred_exts, *gold_exts)]
             assert (row.pred_tokens, row.gold_tokens) == (
                 sum(sizes[: len(pred_exts)]), sum(sizes[len(pred_exts):]))
+
+
+# Per scheme: its per-sentence fields, the row field that each total sums,
+# and the (numerator, denominator) of precision and of recall.
+_CARB_SUMS = ({"precision_sum": "precision_sum", "recall_sum": "recall_sum"},
+              ("precision_sum", "pred"), ("recall_sum", "gold"))
+_REPORT_SUMS = {
+    "wire57": (["overlap", "pred_tokens", "gold_tokens"],
+               {"matched_overlap": "overlap", "pred_tokens": "pred_tokens",
+                "gold_tokens": "gold_tokens"},
+               ("matched_overlap", "pred_tokens"), ("matched_overlap", "gold_tokens")),
+    "carb": (["recall_sum", "precision_sum"], *_CARB_SUMS),
+    "carb11": (["precision_sum", "recall_sum"], *_CARB_SUMS),
+    "oie2016": ([], {"matched": "matched"}, ("matched", "pred"), ("matched", "gold")),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences=_sentence_sets, unpredicted=st.sets(st.integers(0, 3)))
+# CaRB sums whose float total depends on the order of addition.
+@example(sentences=[([ext("cat sat", "sat", "mat sat")], [ext("cat", "sat", "dog")]),
+                    ([ext("mat ran", "sat", "sat dog")], [ext("dog big sat", "sat", "dog sat dog")]),
+                    ([ext("mat big", "sat", "sat big")], [ext("cat cat", "sat", "mat")])],
+         unpredicted=set())
+def test_report_totals_are_the_row_sums(sentences, unpredicted):
+    gold = {f"s{k}": gold_exts for k, (_, gold_exts) in enumerate(sentences)}
+    pred = {f"s{k}": pred_exts for k, (pred_exts, _) in enumerate(sentences)
+            if k not in unpredicted}
+    assert SCHEMES.keys() == _REPORT_SUMS.keys()
+    for scheme, (row_fields, summed, precision_of, recall_of) in _REPORT_SUMS.items():
+        report = SCHEMES[scheme](gold, pred)
+        rows = report.per_sentence
+        assert [list(row) for row in rows] == [["sentence", "matched", "gold", "pred", *row_fields]
+                                               for _ in gold]
+        assert [(row["sentence"], row["gold"], row["pred"]) for row in rows] == [
+            (s, len(gold[s]), len(pred.get(s, ()))) for s in gold]
+        assert (report.matched, report.gold_count, report.pred_count) == tuple(
+            sum(row[key] for row in rows) for key in ("matched", "gold", "pred"))
+        # Left to right, as the scorers add floats (no compensated sum()).
+        assert report.totals == {
+            total: reduce(add, (row[key] for row in rows), 0) for total, key in summed.items()}
+        sums = {**report.totals, "pred": report.pred_count, "gold": report.gold_count}
+        precision, recall = (sums[n] / sums[d] if sums[d] else 0.0
+                             for n, d in (precision_of, recall_of))
+        assert (report.precision, report.recall) == (precision, recall), scheme
+        assert report.f1 == (2.0 * precision * recall / (precision + recall)
+                             if precision + recall else 0.0)
 
 
 def greedy_simulation(gold_exts, pred_exts):
@@ -316,22 +364,25 @@ def slot_labels(*masks):
 
 class TestTokenMacroF1:
     def test_identical_grids(self):
-        grid = LabelGrid([[S, R, O, B]])
-        assert token_macro_f1(slot_labels((S, R, O, B)), grid, Assignment(((0, 0),), 1.0)) == 1.0
+        acc = MacroF1Accumulator()
+        acc.add(slot_labels((S, R, O, B)), LabelGrid([[S, R, O, B]]), Assignment(((0, 0),), 1.0))
+        assert acc.value() == 1.0
 
     def test_all_background_hand_case(self):
         # 4 tokens: Background F1 = 0.4, the rest 0 -> macro 0.1.
         gold = LabelGrid([[S, R, O, B]])
-        value = token_macro_f1(slot_labels((B, B, B, B)), gold, Assignment(((0, 0),), 0.0))
-        assert value == pytest.approx(0.1, abs=1e-12)
+        acc = MacroF1Accumulator()
+        acc.add(slot_labels((B, B, B, B)), gold, Assignment(((0, 0),), 0.0))
+        assert acc.value() == pytest.approx(0.1, abs=1e-12)
 
     def test_gold_swap_with_rematching_invariant(self):
         pred = slot_labels((S, R, O, B), (B, S, R, O))
         gold_a = LabelGrid([[S, R, O, B], [B, S, R, O]])
         gold_b = LabelGrid(gold_a.labels[::-1])
-        a = token_macro_f1(pred, gold_a, Assignment(((0, 0), (1, 1)), 2.0))
-        b = token_macro_f1(pred, gold_b, Assignment(((0, 1), (1, 0)), 2.0))
-        assert a == b == 1.0
+        a, b = MacroF1Accumulator(), MacroF1Accumulator()
+        a.add(pred, gold_a, Assignment(((0, 0), (1, 1)), 2.0))
+        b.add(pred, gold_b, Assignment(((0, 1), (1, 0)), 2.0))
+        assert a.value() == b.value() == 1.0
 
     def test_unmatched_slots_scored_against_background(self):
         acc = MacroF1Accumulator()
