@@ -27,10 +27,12 @@ class GraphError(SlotieError):
 
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax of a plain array along ``axis``: the forward value of
-    ``Tensor.softmax``."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    ``Tensor.softmax``.  ``x`` is left as it is; the steps after the
+    shift run in place on the array the shift allocates."""
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def layer_norm_array(
@@ -38,14 +40,19 @@ def layer_norm_array(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of a plain array over its last axis: the forward value of
     :func:`layer_norm`, plus the normalized rows and the per-row inverse
-    standard deviation that its backward reads."""
+    standard deviation that its backward reads.  ``x`` is left as it is;
+    two arrays of its size are allocated, and each step after them runs
+    in place, in the order of the plain expressions."""
     # sum / width is what ndarray.mean computes, without its wrapper.
     width = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / width
-    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    normed = x - x.sum(axis=-1, keepdims=True) / width
+    out = normed * normed
+    var = out.sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv
-    return normed * gain + bias, normed, inv
+    normed *= inv
+    np.multiply(normed, gain, out=out)
+    out += bias
+    return out, normed, inv
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -257,25 +257,31 @@ def sequence_from_tokens(tokens: Sequence[str], append_placeholders: bool = Fals
 _TRIPLET_CLASSES = (TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT)
 
 
-def mask_to_extraction(seq: TokenSequence, labels: Sequence[int] | np.ndarray) -> Extraction:
-    """Concatenate, in token order, the Subject/Relation/Object tokens of one
-    mask row (a length-T sequence of TokenClass ids) into an (arg1, rel,
-    arg2) extraction.
-
-    Placeholder tokens keep their bracketed surface form verbatim.  Raises
-    NoTriplet for an all-Background mask.
-    """
-    row = np.asarray(labels).tolist()
-    if len(row) != len(seq):
-        raise BadAnnotation(f"mask covers {len(row)} tokens but the sentence has {len(seq)}")
+def mask_parts(seq: TokenSequence, row: list[int]) -> tuple[str, str, str]:
+    """The Subject, Relation and Object strings of one mask row (a list of
+    TokenClass ids, one per token): each class's tokens joined by spaces
+    in token order.  Placeholder tokens keep their bracketed form."""
     # parts[c]: the tokens labeled with class id c, in token order.
     parts: list[list[str]] = [[] for _ in range(N_CLASSES)]
     for token, label in zip(seq.tokens, row):
         parts[label].append(token)
-    subject, relation, obj = (parts[c] for c in _TRIPLET_CLASSES)
-    if not (subject or relation or obj):
+    subject, relation, obj = (" ".join(parts[c]) for c in _TRIPLET_CLASSES)
+    return subject, relation, obj
+
+
+def mask_to_extraction(seq: TokenSequence, labels: Sequence[int] | np.ndarray) -> Extraction:
+    """Concatenate, in token order, the Subject/Relation/Object tokens of one
+    mask row (a length-T sequence of TokenClass ids) into an (arg1, rel,
+    arg2) extraction (see :func:`mask_parts`).
+
+    Raises NoTriplet for an all-Background mask.
+    """
+    row = np.asarray(labels).tolist()
+    if len(row) != len(seq):
+        raise BadAnnotation(f"mask covers {len(row)} tokens but the sentence has {len(seq)}")
+    if not any(row):
         raise NoTriplet("mask labels every token Background")
-    return Extraction(" ".join(subject), " ".join(relation), " ".join(obj))
+    return Extraction(*mask_parts(seq, row))
 
 
 def grid_from_tuples(

@@ -416,11 +416,13 @@ def write_tuples_tsv(path, records: Iterable[GenerativeRecord]) -> None:
         if not record.sentence.strip():
             raise FormatError(f"blank sentence {record.sentence!r}")
         for ext in record.tuples:
-            fields = (record.sentence, *ext.as_tuple())
-            if any(c in f for f in fields for c in "\t\n\r"):
-                raise FormatError(f"tabs/newlines not allowed in fields: {fields!r}")
             conf = "1.0" if ext.confidence is None else str(float(ext.confidence))
-            lines.append("\t".join((record.sentence, conf, ext.arg1, ext.rel, ext.arg2)))
+            line = "\t".join((record.sentence, conf, ext.arg1, ext.rel, ext.arg2))
+            # Four tabs are the separators; a fifth or a line break is a field's.
+            if line.count("\t") != 4 or "\n" in line or "\r" in line:
+                fields = (record.sentence, *ext.as_tuple())
+                raise FormatError(f"tabs/newlines not allowed in fields: {fields!r}")
+            lines.append(line)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

@@ -12,19 +12,27 @@ plane through ``core.class_max``/``class_sum``/``class_argmax``.
 
 Training runs on the autodiff tape, one sentence at a time, and trains
 every parameter.  The parameters live in two flat float64 blocks owned by
-the tagger, one of values and one of gradients; each parameter's ``.data``
-and ``.grad`` are views of them, so the tape, the optimizer and checkpoints
-share one storage.  Inference (``predict_packs``) runs the same arithmetic
-on plain arrays: it packs the tokens of consecutive sentences into one
-matrix as it reads them, and yields each pack's probabilities before it
-reads the next pack; ``decode_pack`` turns a whole pack into extractions in
-one array pass.
+the tagger, one of values and one of gradients, laid out by
+``parameter_shapes``; each parameter's ``.data`` and ``.grad`` are views of
+them, so the tape, the optimizer and checkpoints share one storage.  A new
+tagger draws its initial values into the zeroed block; a loaded one takes
+the checkpoint's block as it is and draws nothing.  A checkpoint (format
+version 2) is a ``__meta__`` JSON string plus that one ``values`` array.
+
+Inference (``predict_packs``) runs the same arithmetic on plain arrays: it
+packs the tokens of consecutive sentences into one matrix as it reads
+them, and yields each pack's probabilities before it reads the next pack;
+``decode_pack`` turns a whole pack into extractions in one array pass.
+Its forward adds biases and residuals and applies the ReLU mask in place
+on fresh matrix products, in the tape's operation order, so its bits equal
+the tape's.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
@@ -41,7 +49,7 @@ from .core import (
     class_argmax,
     class_max,
     class_sum,
-    mask_to_extraction,
+    mask_parts,
     typed_value,
 )
 
@@ -55,7 +63,7 @@ class CheckpointError(SlotieError):
 
 
 OOV_TOKEN = "<unk>"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Token rows per pack in ``predict_many``: enough to amortise the per-pack
 #: Python over ~10 sentences while keeping the pack's activations small.
@@ -105,40 +113,63 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, size=(fan_in, fan_out))
 
 
-class ReferenceEncoder:
-    """Embeddings + sinusoidal positions + K post-norm attention blocks."""
+def parameter_shapes(n_vocab: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in ``named_parameters()`` order:
+    the layout of a tagger's flat blocks and of a checkpoint's values."""
+    hidden, ff = config.hidden, config.hidden * FF_MULTIPLIER
+    block = {
+        "wq": (hidden, hidden), "bq": (hidden,),
+        "wk": (hidden, hidden), "bk": (hidden,),
+        "wv": (hidden, hidden), "bv": (hidden,),
+        "wo": (hidden, hidden), "bo": (hidden,),
+        "ln1_g": (hidden,), "ln1_b": (hidden,),
+        "w1": (hidden, ff), "b1": (ff,),
+        "w2": (ff, hidden), "b2": (hidden,),
+        "ln2_g": (hidden,), "ln2_b": (hidden,),
+    }
+    shapes = {"embed": (n_vocab, hidden)}
+    for i in range(config.blocks):
+        shapes |= {f"block{i}.{name}": shape for name, shape in block.items()}
+    out = config.n_slots * N_CLASSES
+    return shapes | {"head.weight": (hidden, out), "head.bias": (out,)}
 
-    def __init__(self, vocab: dict[str, int], config: ModelConfig, seed: int = 0):
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, with the bias added in place to the fresh product."""
+    out = x @ w
+    out += b
+    return out
+
+
+class ReferenceEncoder:
+    """Embeddings + sinusoidal positions + K post-norm attention blocks.
+
+    ``params`` maps ``parameter_shapes`` names to the tagger's tensors; the
+    encoder keeps the ``embed`` and ``block{i}.*`` ones."""
+
+    def __init__(self, vocab: dict[str, int], config: ModelConfig, params: dict[str, Tensor]):
         self.vocab = dict(vocab)
         self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        hidden = config.hidden
-        ff = config.hidden * FF_MULTIPLIER
-        embed = rng.normal(0.0, 0.1, size=(len(self.vocab), hidden))
-        self.embed = Tensor(embed, requires_grad=True)
+        self.embed = params["embed"]
         # Position signals are fixed; scaled down so content embeddings dominate.
-        self.positions = 0.1 * sinusoidal_positions(config.max_len, hidden)
+        self.positions = 0.1 * sinusoidal_positions(config.max_len, config.hidden)
         self.block_params: list[dict[str, Tensor]] = []
-        for _ in range(config.blocks):
-            block = {
-                "wq": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
-                "bq": Tensor(np.zeros(hidden), requires_grad=True),
-                "wk": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
-                "bk": Tensor(np.zeros(hidden), requires_grad=True),
-                "wv": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
-                "bv": Tensor(np.zeros(hidden), requires_grad=True),
-                "wo": Tensor(_xavier(rng, hidden, hidden), requires_grad=True),
-                "bo": Tensor(np.zeros(hidden), requires_grad=True),
-                "ln1_g": Tensor(np.ones(hidden), requires_grad=True),
-                "ln1_b": Tensor(np.zeros(hidden), requires_grad=True),
-                "w1": Tensor(_xavier(rng, hidden, ff), requires_grad=True),
-                "b1": Tensor(np.zeros(ff), requires_grad=True),
-                "w2": Tensor(_xavier(rng, ff, hidden), requires_grad=True),
-                "b2": Tensor(np.zeros(hidden), requires_grad=True),
-                "ln2_g": Tensor(np.ones(hidden), requires_grad=True),
-                "ln2_b": Tensor(np.zeros(hidden), requires_grad=True),
-            }
-            self.block_params.append(block)
+        for i in range(config.blocks):
+            prefix = f"block{i}."
+            self.block_params.append(
+                {name[len(prefix) :]: t for name, t in params.items() if name.startswith(prefix)}
+            )
+
+    def initialise(self, seed: int) -> None:
+        """Draw the initial values over zeroed parameters: N(0, 0.1)
+        embeddings, Xavier-normal matrices, unit layer-norm gains."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        self.embed.data[...] = rng.normal(0.0, 0.1, size=self.embed.shape)
+        for blk in self.block_params:
+            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+                blk[name].data[...] = _xavier(rng, *blk[name].shape)
+            blk["ln1_g"].data.fill(1.0)
+            blk["ln2_g"].data.fill(1.0)
 
     def token_ids(self, seq: TokenSequence) -> np.ndarray:
         oov = self.vocab[OOV_TOKEN]
@@ -175,24 +206,31 @@ class ReferenceEncoder:
         ``SlotTagger.predict_many``).
         """
         ids = np.concatenate([self.token_ids(seq) for seq in seqs])
-        x = self.embed.data[ids] + np.concatenate([self._positions(seq) for seq in seqs])
+        x = self.embed.data[ids]
+        x += np.concatenate([self._positions(seq) for seq in seqs])
         bounds = np.cumsum([0] + [len(seq) for seq in seqs]).tolist()
         spans = list(zip(bounds[:-1], bounds[1:]))
         scale = 1.0 / np.sqrt(self.config.hidden)
+        # Sums run in place on fresh arrays; ``a += b`` gives the bits of
+        # ``b + a``, since floating-point addition commutes.
         for blk in self.block_params:
             p = {name: tensor.data for name, tensor in blk.items()}
-            q = x @ p["wq"] + p["bq"]
-            k = x @ p["wk"] + p["bk"]
-            v = x @ p["wv"] + p["bv"]
+            q = _affine(x, p["wq"], p["bq"])
+            k = _affine(x, p["wk"], p["bk"])
+            v = _affine(x, p["wv"], p["bv"])
             mixed = np.empty_like(v)
             for start, stop in spans:
-                attn = softmax_array((q[start:stop] @ k[start:stop].T) * scale)
-                mixed[start:stop] = attn @ v[start:stop]
-            y = mixed @ p["wo"] + p["bo"]
-            x, _, _ = layer_norm_array(x + y, p["ln1_g"], p["ln1_b"])
-            h = x @ p["w1"] + p["b1"]
-            f = (h * (h > 0.0)) @ p["w2"] + p["b2"]
-            x, _, _ = layer_norm_array(x + f, p["ln2_g"], p["ln2_b"])
+                scores = q[start:stop] @ k[start:stop].T
+                scores *= scale
+                np.matmul(softmax_array(scores), v[start:stop], out=mixed[start:stop])
+            y = _affine(mixed, p["wo"], p["bo"])
+            y += x
+            x, _, _ = layer_norm_array(y, p["ln1_g"], p["ln1_b"])
+            h = _affine(x, p["w1"], p["b1"])
+            h *= h > 0.0
+            f = _affine(h, p["w2"], p["b2"])
+            f += x
+            x, _, _ = layer_norm_array(f, p["ln2_g"], p["ln2_b"])
         return x
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -215,12 +253,15 @@ def class_softmax(logits: np.ndarray) -> np.ndarray:
 class DetectionHead:
     """Affine map from H hidden features to N x C logits per token."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        out = config.n_slots * N_CLASSES
+    def __init__(self, config: ModelConfig, weight: Tensor, bias: Tensor):
         self.config = config
-        self.weight = Tensor(_xavier(rng, config.hidden, out), requires_grad=True)
-        self.bias = Tensor(np.zeros(out), requires_grad=True)
+        self.weight = weight
+        self.bias = bias
+
+    def initialise(self, seed: int) -> None:
+        """Draw a Xavier-normal weight; the bias stays zero."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        self.weight.data[...] = _xavier(rng, *self.weight.shape)
 
     def __call__(self, hidden: Tensor) -> Tensor:
         n_tokens = hidden.shape[0]
@@ -229,7 +270,7 @@ class DetectionHead:
 
     def probs(self, hidden: np.ndarray) -> np.ndarray:
         """``__call__``'s forward value on a plain (T, H) array."""
-        logits = hidden @ self.weight.data + self.bias.data
+        logits = _affine(hidden, self.weight.data, self.bias.data)
         return class_softmax(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -239,11 +280,15 @@ class DetectionHead:
 class SlotTagger:
     """Encoder + head; produces the (T, N, C) probability tensor.
 
-    ``values`` and ``grads`` are flat float64 blocks over
-    ``named_parameters()`` in order.  From construction on, every
+    ``values`` and ``grads`` are flat float64 blocks laid out as
+    ``parameter_shapes``, which is ``named_parameters()`` order.  Every
     parameter's ``.data`` and ``.grad`` are reshaped views of them:
     backward adds into ``grads`` and the optimizer updates ``values``.
     Write into ``.data`` in place; a rebound ``.data`` leaves training.
+
+    Given ``values`` (a flat float64 array of that layout, as ``load``
+    reads it), the tagger takes that array as its value block; otherwise
+    it draws its initial parameters from ``seed``.
     """
 
     def __init__(
@@ -251,23 +296,34 @@ class SlotTagger:
         vocab: dict[str, int],
         config: ModelConfig = ModelConfig(),
         seed: int = 0,
+        values: np.ndarray | None = None,
     ):
         if OOV_TOKEN not in vocab or vocab[OOV_TOKEN] != 0:
             raise ValueError(f"vocab must map {OOV_TOKEN!r} to id 0")
         self.config = config
         self.seed = seed
-        self.encoder = ReferenceEncoder(vocab, config, seed)
-        self.head = DetectionHead(config, seed)
-        self._last_output: Tensor | None = None
-        params = self.named_parameters().values()
-        self.values, self.grads = np.zeros((2, sum(t.data.size for t in params)))
+        shapes = parameter_shapes(len(vocab), config)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if values is not None and (values.dtype != np.float64 or values.shape != (size,)):
+            raise ValueError(
+                f"parameter values are {values.dtype} of shape {values.shape}, "
+                f"expected float64 of shape ({size},) for this config and vocab"
+            )
+        self.values = np.zeros(size) if values is None else values
+        self.grads = np.zeros(size)
+        params: dict[str, Tensor] = {}
         start = 0
-        for tensor in params:
-            stop = start + tensor.data.size
-            self.values[start:stop] = tensor.data.ravel()
-            tensor.data = self.values[start:stop].reshape(tensor.shape)
-            tensor.grad = self.grads[start:stop].reshape(tensor.shape)
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            params[name] = Tensor(self.values[start:stop].reshape(shape), requires_grad=True)
+            params[name].grad = self.grads[start:stop].reshape(shape)
             start = stop
+        self.encoder = ReferenceEncoder(vocab, config, params)
+        self.head = DetectionHead(config, params["head.weight"], params["head.bias"])
+        if values is None:
+            self.encoder.initialise(seed)
+            self.head.initialise(seed)
+        self._last_output: Tensor | None = None
 
     @property
     def vocab(self) -> dict[str, int]:
@@ -344,10 +400,9 @@ class SlotTagger:
             "vocab": id_to_token,
             "seed": self.seed,
         }
-        arrays = {name: t.data for name, t in self.named_parameters().items()}
         # An open file, not a path: np.savez appends ".npz" to a path without it.
         with open(path, "wb") as out:
-            np.savez(out, __meta__=np.array(json.dumps(meta)), **arrays)
+            np.savez(out, __meta__=np.array(json.dumps(meta)), values=self.values)
 
     @classmethod
     def load(cls, path) -> "SlotTagger":
@@ -370,7 +425,6 @@ class SlotTagger:
                 typed_value(key, hint, meta[key], CheckpointError)
                 for key, hint in (("vocab", tuple[str, ...]), ("config", dict), ("seed", int))
             )
-            vocab = {token: i for i, token in enumerate(tokens)}
             hints = get_type_hints(ModelConfig)
             unknown = sorted(set(stored_config) - set(hints))
             if unknown:
@@ -378,18 +432,18 @@ class SlotTagger:
             config = {
                 k: typed_value(k, hints[k], v, CheckpointError) for k, v in stored_config.items()
             }
-            model = cls(vocab, ModelConfig(**config), seed=seed)
-            for name, tensor in model.named_parameters().items():
-                if name not in archive:
-                    raise CheckpointError(f"checkpoint is missing parameter {name}")
-                stored = archive[name]
-                if stored.shape != tensor.data.shape:
-                    raise CheckpointError(
-                        f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
-                    )
-                tensor.data[...] = stored
-                if not np.isfinite(tensor.data).all():
-                    raise CheckpointError(f"parameter {name} holds non-finite values")
+            if "values" not in archive:
+                raise CheckpointError("checkpoint carries no parameter values")
+            values = archive["values"]
+        vocab = {token: i for i, token in enumerate(tokens)}
+        try:
+            model = cls(vocab, ModelConfig(**config), seed=seed, values=values)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {exc}") from exc
+        if not np.isfinite(values).all():
+            params = model.named_parameters().items()
+            bad = next(name for name, tensor in params if not np.isfinite(tensor.data).all())
+            raise CheckpointError(f"parameter {bad} holds non-finite values")
         return model
 
 
@@ -443,8 +497,6 @@ def decode_pack(
         if key in seen:
             continue
         seen.add(key)
-        bare = mask_to_extraction(seqs[s], column)
-        extractions[s].append(
-            Extraction(bare.arg1, bare.rel, bare.arg2, confidence=float(confidences[s, n]))
-        )
+        arg1, rel, arg2 = mask_parts(seqs[s], column.tolist())
+        extractions[s].append(Extraction(arg1, rel, arg2, float(confidences[s, n])))
     return extractions

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from slotie.autodiff import GraphError, Tensor, embedding, layer_norm
+from slotie.autodiff import (
+    GraphError,
+    Tensor,
+    embedding,
+    layer_norm,
+    layer_norm_array,
+    softmax_array,
+)
 
 
 def finite_difference(fn, tensors, h=1e-6):
@@ -182,3 +191,54 @@ class TestGraphBehavior:
             y = y + 1.0
         y.backward()
         assert x.grad == pytest.approx(1.0)
+
+
+# Finite values from tiny to near the float64 limit, where sums and squares
+# overflow; shapes include one-wide rows.
+_values = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1e-300])
+)
+_planes = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 9)), elements=_values)
+
+
+def _softmax_expressions(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def _layer_norm_expressions(x, gain, bias, eps=1e-5):
+    width = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / width
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv
+    return normed * gain + bias, normed, inv
+
+
+class TestArrayForwards:
+    """The in-place forwards equal the plain expressions bit for bit and
+    leave their input unchanged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_planes, axis=st.sampled_from([-1, 0]))
+    def test_softmax_array(self, x, axis):
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            got = softmax_array(x, axis)
+            want = _softmax_expressions(x, axis)
+        assert x.tobytes() == before.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_planes, data=st.data())
+    def test_layer_norm_array(self, x, data):
+        width = x.shape[-1]
+        gain, bias = (data.draw(arrays(np.float64, width, elements=_values)) for _ in range(2))
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            got = layer_norm_array(x, gain, bias)
+            want = _layer_norm_expressions(x, gain, bias)
+        assert x.tobytes() == before.tobytes()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -282,14 +282,27 @@ class TestExtractCommand:
         lines = [l for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) <= 10 * len(sentences)
 
+    def _extract_fails(self, tmp_path, capsys, checkpoint) -> str:
+        """Run extract on ``checkpoint``; assert exit 2 with one data-error
+        line and no output file, and return that line."""
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes .\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+        return err
+
     @pytest.mark.parametrize("key, value", [
         ("dropout", 0.1), ("n_slots", "10"),
         # Settings removed from the model; older checkpoints carry them.
         ("frozen_encoder", False), ("ff_multiplier", 4),
         # "meta", "config" and "vocab" replace the meta or its top-level entry.
         pytest.param("meta", [1], id="meta-list"), ("config", 5), ("vocab", 5),
-        # The version is an int: neither a bool nor a float stands for 1.
-        ("format_version", True), ("format_version", 1.0),
+        # The version is an int: neither a bool nor a float stands for 2.
+        ("format_version", True), ("format_version", 2.0),
     ])
     def test_bad_checkpoint_config_is_data_error(self, tmp_path, capsys, checkpoint, key, value):
         data = dict(np.load(checkpoint, allow_pickle=False))
@@ -302,29 +315,39 @@ class TestExtractCommand:
             meta["config"][key] = value
         data["__meta__"] = np.array(json.dumps(meta))
         np.savez(checkpoint, **data)
-        infile = tmp_path / "in.txt"
-        infile.write_text("Ada wrote notes .\n")
-        out = tmp_path / "out.tsv"
-        capsys.readouterr()
-        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and len(err.splitlines()) == 1
-        assert key in err
-        assert not out.exists()
+        assert key in self._extract_fails(tmp_path, capsys, checkpoint)
 
     def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, checkpoint):
+        # The NaN sits in the head.weight span of the one values block.
+        model = sl.SlotTagger.load(checkpoint)
+        model.head.weight.data[0, 0] = np.nan
+        assert np.isnan(model.values).sum() == 1
+        model.save(checkpoint)
+        assert "head.weight" in self._extract_fails(tmp_path, capsys, checkpoint)
+
+    @pytest.mark.parametrize("resize", [
+        pytest.param(lambda v: v[:-1], id="one-short"),
+        pytest.param(lambda v: np.append(v, 0.0), id="one-extra"),
+        pytest.param(lambda v: v.reshape(1, -1), id="two-d"),
+        pytest.param(lambda v: v.astype(np.float32), id="float32"),
+    ])
+    def test_values_of_wrong_size_are_data_error(self, tmp_path, capsys, checkpoint, resize):
         data = dict(np.load(checkpoint, allow_pickle=False))
-        data["head.weight"][0, 0] = np.nan
+        data["values"] = resize(data["values"])
         np.savez(checkpoint, **data)
-        infile = tmp_path / "in.txt"
-        infile.write_text("Ada wrote notes .\n")
-        out = tmp_path / "out.tsv"
-        capsys.readouterr()
-        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and len(err.splitlines()) == 1
-        assert "head.weight" in err
-        assert not out.exists()
+        assert "values" in self._extract_fails(tmp_path, capsys, checkpoint)
+
+    def test_version_1_archive_is_data_error(self, tmp_path, capsys):
+        # Version 1 stored each parameter as its own array.
+        vocab = sl.build_vocab([sl.tokenize("Ada wrote notes .")])
+        model = sl.SlotTagger(vocab, sl.ModelConfig(n_slots=2, hidden=4, blocks=2), seed=0)
+        arrays = {name: t.data for name, t in model.named_parameters().items()}
+        assert len(arrays) == 35
+        meta = {"format_version": 1, "config": dataclasses.asdict(model.config),
+                "vocab": list(vocab), "seed": 0}
+        checkpoint = tmp_path / "v1.npz"
+        np.savez(checkpoint, __meta__=np.array(json.dumps(meta)), **arrays)
+        assert "version 1 " in self._extract_fails(tmp_path, capsys, checkpoint)
 
     def test_over_length_sentence_skipped(self, tmp_path, checkpoint):
         infile = tmp_path / "sents.txt"

@@ -415,6 +415,20 @@ class TestTuplesTsv:
         write_tuples_tsv(path, records)
         assert read_tuples_tsv(path) == records
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    @pytest.mark.parametrize("field", ["sentence", "arg1", "rel", "arg2"])
+    def test_separator_in_a_field_writes_nothing(self, tmp_path, field, char):
+        parts = {"sentence": "s s", "arg1": "a", "rel": "r", "arg2": "o"}
+        parts[field] = f"x{char}y"
+        ok = GenerativeRecord("fine .", (Extraction("a", "r", "o", 0.5),))
+        bad = GenerativeRecord(
+            parts["sentence"], (Extraction(parts["arg1"], parts["rel"], parts["arg2"]),)
+        )
+        path = tmp_path / "t.tsv"
+        with pytest.raises(FormatError, match="tabs/newlines"):
+            write_tuples_tsv(path, [ok, bad])
+        assert not path.exists()
+
     def test_missing_confidence_written_as_one(self, tmp_path):
         path = tmp_path / "t.tsv"
         write_tuples_tsv(path, [GenerativeRecord("s", (Extraction("a", "b", "c"),))])

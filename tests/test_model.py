@@ -421,6 +421,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             SlotTagger.load(path)
 
+    def test_archive_is_meta_and_one_values_block(self, small_model, tmp_path):
+        path = tmp_path / "model.npz"
+        small_model.save(path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["__meta__", "values"]
+            values = archive["values"]
+        flat = [t.data.ravel() for t in small_model.named_parameters().values()]
+        assert values.tobytes() == np.concatenate(flat).tobytes()
+
+    def test_save_load_save_is_byte_identical(self, small_model, tmp_path):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        small_model.save(first)
+        SlotTagger.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_load_draws_no_random_numbers(self, small_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        small_model.save(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = SlotTagger.load(path)
+        np.testing.assert_array_equal(loaded.values, small_model.values)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a checkpoint")
