@@ -301,8 +301,9 @@ class TestExtractCommand:
         ("frozen_encoder", False), ("ff_multiplier", 4),
         # "meta", "config" and "vocab" replace the meta or its top-level entry.
         pytest.param("meta", [1], id="meta-list"), ("config", 5), ("vocab", 5),
-        # The version is an int: neither a bool nor a float stands for 2.
-        ("format_version", True), ("format_version", 2.0),
+        # The version is an int: neither a bool nor a float stands for it,
+        # whether the float names the current version or the retired one.
+        ("format_version", True), ("format_version", 1.0), ("format_version", 2.0),
     ])
     def test_bad_checkpoint_config_is_data_error(self, tmp_path, capsys, checkpoint, key, value):
         data = dict(np.load(checkpoint, allow_pickle=False))
