@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import N_CLASSES, LabelGrid, PredictionTensor, SlotieError, TokenClass
 
@@ -87,6 +86,15 @@ def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.n
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
+def linear_sum_assignment(cost_matrix: np.ndarray, maximize: bool = False):
+    """``scipy.optimize.linear_sum_assignment``, imported on first use:
+    ``extract`` never solves an assignment, and importing scipy.optimize
+    costs more memory and start-up time than the rest of slotie."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix, maximize=maximize)
+
+
 def _optimal_total(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
@@ -110,8 +118,9 @@ def _unique_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]] | N
     lowered = values.copy()
     lowered[rows, cols] -= 2.0 * tol
     again_rows, again_cols = linear_sum_assignment(lowered, maximize=True)
-    if np.array_equal(rows, again_rows) and np.array_equal(cols, again_cols):
-        return list(zip(rows.tolist(), cols.tolist()))
+    rows, cols = rows.tolist(), cols.tolist()
+    if rows == again_rows.tolist() and cols == again_cols.tolist():
+        return list(zip(rows, cols))
     return None
 
 
@@ -120,22 +129,27 @@ def _lexicographic_optimum(values: np.ndarray, tol: float) -> list[tuple[int, in
     optimum, fixed one slot at a time by re-solving the rest."""
     n_slots, n_gold = values.shape
     target = _optimal_total(values)
+    rows = values.tolist()
     pairs: list[tuple[int, int]] = []
     remaining = list(range(n_gold))
     fixed = 0.0
     for slot in range(n_slots):
         if not remaining:
             break
-        later_slots = np.arange(slot + 1, n_slots)
         for gold_index in remaining:
             rest = [c for c in remaining if c != gold_index]
-            if len(rest) > len(later_slots):
+            if len(rest) > n_slots - slot - 1:
                 continue
-            completion = _optimal_total(values[np.ix_(later_slots, rest)]) if rest else 0.0
-            if fixed + values[slot, gold_index] + completion >= target - tol:
+            if not rest:
+                completion = 0.0
+            elif len(rest) == 1:  # the one gold left takes its best later slot
+                completion = max(row[rest[0]] for row in rows[slot + 1:])
+            else:
+                completion = _optimal_total(values[slot + 1:, rest])
+            if fixed + rows[slot][gold_index] + completion >= target - tol:
                 pairs.append((slot, gold_index))
                 remaining.remove(gold_index)
-                fixed += float(values[slot, gold_index])
+                fixed += rows[slot][gold_index]
                 break
         # No acceptable gold means some optimal assignment skips this slot.
     return pairs
@@ -162,8 +176,8 @@ def hungarian_max(sim: np.ndarray) -> Assignment:
     pairs = _unique_optimum(values, tol)
     if pairs is None:
         pairs = _lexicographic_optimum(values, tol)
-    total = float(sum(values[n, m] for n, m in pairs))
-    return Assignment(tuple(pairs), total)
+    rows = values.tolist()
+    return Assignment(tuple(pairs), float(sum(rows[n][m] for n, m in pairs)))
 
 
 def slot_targets(shape: tuple[int, int], gold: LabelGrid, assignment: Assignment) -> np.ndarray:

@@ -27,7 +27,7 @@ prediction sets score precision 0, not 1.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, pairwise
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -84,8 +84,7 @@ def _ratios(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScoredPair:
+class ScoredPair(NamedTuple):
     """Token-overlap scores for one (prediction, gold) pair."""
 
     pred_index: int
@@ -190,7 +189,9 @@ def _count_table(sentences: _Sentences, drop_stopwords: bool) -> tuple[np.ndarra
     # A count never exceeds its part's size, so this dtype cannot overflow.
     table = np.zeros(len(parts) * width, np.min_scalar_type(part_sizes.max(initial=0)))
     cells = np.repeat(np.arange(len(parts)) * width, part_sizes) + np.array(columns, np.int64)
-    np.add.at(table, cells, 1)
+    # Counting the distinct cells makes no int64 copy of the whole table.
+    present, counts = np.unique(cells, return_counts=True)
+    table[present] = counts
     return table.reshape(len(parts) // 3, 3, width), part_sizes.reshape(-1, 3).sum(axis=1)
 
 
@@ -236,7 +237,7 @@ def _pair_table(
 
 def _lone_pair(t, g, pred_index, gold_index, drop_stopwords, gated_parts) -> ScoredPair | None:
     (pairs, _, _), = _pair_table([([t], [g])], drop_stopwords, gated_parts)
-    return replace(pairs[0], pred_index=pred_index, gold_index=gold_index) if pairs else None
+    return pairs[0]._replace(pred_index=pred_index, gold_index=gold_index) if pairs else None
 
 
 def wire57_pair(

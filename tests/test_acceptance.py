@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import itertools
+import json
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -374,3 +377,57 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     for name in run_a:
         assert run_a[name] == run_b[name], f"{name} differs between runs"
     report("criterion-10", f"{len(run_a)} pipeline artifacts byte-identical across runs")
+
+
+# Prints the OpenBLAS thread count in use (None where this numpy build does
+# not expose it), then the sha256 of the packed probabilities over 200
+# held-out sentences and of the gradients summed over 40 training sentences.
+_BLAS_BITS_SCRIPT = """
+import ctypes, hashlib, json, pathlib
+import numpy as np
+import slotie as sl
+from slotie.matching import loss_assignment_gradient
+
+threads = None
+for lib_path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    lib = ctypes.CDLL(str(lib_path))
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if threads is None and hasattr(lib, symbol):
+            get_threads = getattr(lib, symbol)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = get_threads()
+pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
+aligned = [sl.lcs_align(s.record) for s in sl.synth_generate(pool, 40, seed=7)]
+heldout = [sl.tokenize(s.record.sentence, append_placeholders=True)
+           for s in sl.synth_generate(pool, 200, seed=8)]
+model = sl.SlotTagger(sl.build_vocab(a.sequence for a in aligned), sl.ModelConfig(), seed=0)
+probs = hashlib.sha256()
+for _, p in model.predict_packs(heldout):
+    probs.update(p.probs.tobytes())
+for a in aligned:
+    model.backward(loss_assignment_gradient(model.forward(a.sequence).probs, a.grid)[2])
+print(json.dumps({"threads": threads, "probs": probs.hexdigest(),
+                  "grads": hashlib.sha256(model.grads.tobytes()).hexdigest()}))
+"""
+
+
+def test_blas_thread_count_leaves_bits_unchanged():
+    """Criterion-10 compares runs on one host; this checks that the BLAS
+    thread count, which follows the host's cores, does not change the bits:
+    one and two OpenBLAS threads give the same packed probabilities and
+    summed training gradients.  One
+    subprocess per thread count, since OpenBLAS reads the variable when
+    numpy is first imported."""
+    src = str(Path(sl.__file__).resolve().parents[1])
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_BITS_SCRIPT], env=env, check=True,
+                              cwd=Path(__file__).resolve().parents[1], capture_output=True,
+                              text=True, timeout=300)
+        runs[threads] = json.loads(done.stdout)
+        assert runs[threads].pop("threads") in (None, threads)
+    assert runs[1] == runs[2]
+    report("blas-threads", f"1 and 2 OpenBLAS threads give identical bits: {runs[1]}")

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +375,18 @@ class TestHungarianMax:
         assert a.pairs == ((0, 0), (1, 1))
         assert (a.pairs, a.total) == lexicographic_oracle(values)
         assert len(calls) > 2
+
+    def test_scipy_is_imported_on_the_first_solve(self):
+        # A fresh interpreter: this one imported scipy.optimize above.
+        script = ("import sys, slotie.cli, slotie.model\n"
+                  "print('scipy.optimize' in sys.modules)\n"
+                  "slotie.hungarian_max([[0.5, 0.1], [0.2, 0.7]])\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        src = str(Path(matching.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestOrderAgnosticLoss:

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import astuple
 from functools import reduce
 from operator import add
 
@@ -152,7 +151,8 @@ def test_pair_table_equals_counter_oracle(sentences):
             ]
             assert row.pairs == [pair for pair in expected if pair is not None]
             for pair in row.pairs:  # plain Python numbers, as the JSON report needs
-                assert list(map(type, astuple(pair))) == [int, int, float, float, float, int, int, int]
+                assert type(pair) is ScoredPair
+                assert list(map(type, pair)) == [int, int, float, float, float, int, int, int]
             sizes = [sum(len(scoring_tokens(x, drop_stopwords)) for x in e.as_tuple())
                      for e in (*pred_exts, *gold_exts)]
             assert (row.pred_tokens, row.gold_tokens) == (

@@ -209,6 +209,24 @@ class TestTrainLoop:
             (s.train_loss, s.val_macro_f1) for s in r2.history
         ]
 
+    def test_gold_row_order_leaves_training_bit_identical(self):
+        """Order-agnosticism over a whole run: every matched slot's target is
+        its gold mask, whatever row it sits in, so reversing the gold rows
+        changes no bit of the trained parameters or of the histories."""
+        dataset = tiny_dataset(n_sentences=40, seed=11)
+        reordered = [(seq, sl.LabelGrid(grid.labels[::-1])) for seq, grid in dataset]
+        moved = sum(not np.array_equal(a.labels, b.labels)
+                    for (_, a), (_, b) in zip(dataset, reordered))
+        assert moved > len(dataset) // 2
+        cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=3, seed=3,
+                          validation_fraction=0.25)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=16, blocks=1, max_len=64)
+        r1 = train(dataset, cfg, model_cfg)
+        r2 = train(reordered, cfg, model_cfg)
+        assert np.array_equal(r1.model.values, r2.model.values)
+        assert r1.history == r2.history
+        assert (r1.best_epoch, r1.best_val_f1) == (r2.best_epoch, r2.best_val_f1)
+
     def test_best_checkpoint_marker_monotone(self):
         dataset = tiny_dataset()
         cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=6, seed=1,
