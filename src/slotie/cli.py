@@ -11,6 +11,7 @@ and 2 for every other slotie error and for unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -18,8 +19,6 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
-
-import yaml
 
 from . import __version__
 from .core import SlotieError, tokenize, typed_value
@@ -98,20 +97,27 @@ SETTINGS = {
 }
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+@functools.cache
+def _unique_key_loader():
     """``yaml.SafeLoader`` that rejects a key written twice in one mapping;
-    a ``<<`` merge key is not a key of its own."""
+    a ``<<`` merge key is not a key of its own.  Built on first use, so a
+    command run without ``--config`` never imports PyYAML."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
-        return super().construct_mapping(node, deep)
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return UniqueKeyLoader
 
 
 def _load_config_file(path: str | None, command: str) -> dict:
@@ -124,8 +130,10 @@ def _load_config_file(path: str | None, command: str) -> dict:
     """
     if path is None:
         return {}
+    import yaml
+
     try:
-        raw = yaml.load(Path(path).read_text(encoding="utf-8"), _UniqueKeyLoader) or {}
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), _unique_key_loader()) or {}
     except yaml.YAMLError as exc:
         # PyYAML's own message spans several lines; keep its first problem.
         mark = getattr(exc, "problem_mark", None)

@@ -11,7 +11,11 @@ as a constant when differentiating (straight-through the matching).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -86,13 +90,42 @@ def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.n
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
-def linear_sum_assignment(cost_matrix: np.ndarray, maximize: bool = False):
-    """``scipy.optimize.linear_sum_assignment``, imported on first use:
-    ``extract`` never solves an assignment, and importing scipy.optimize
-    costs more memory and start-up time than the rest of slotie."""
-    from scipy.optimize import linear_sum_assignment as solve
+#: scipy's compiled solver once the first solve has loaded it.
+_solver = None
 
-    return solve(cost_matrix, maximize=maximize)
+
+def _load_solver():
+    """``linear_sum_assignment`` from scipy's compiled ``_lsap`` module,
+    loaded by itself: importing scipy.optimize for it would cost more memory
+    and start-up time than the rest of slotie.  scipy.optimize re-exports
+    this very function; its file layout is private to scipy, so a missing
+    file falls back to the public import."""
+    module = sys.modules.get("scipy.optimize._lsap")
+    # find_spec of a top-level package runs none of its code.
+    scipy_spec = None if module else importlib.util.find_spec("scipy")
+    if scipy_spec is not None:
+        folder = Path(scipy_spec.submodule_search_locations[0]) / "optimize"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = folder / ("_lsap" + suffix)
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                break
+    if module is None:
+        from scipy.optimize import linear_sum_assignment as solve
+
+        return solve
+    return module.linear_sum_assignment
+
+
+def linear_sum_assignment(cost_matrix: np.ndarray, maximize: bool = False):
+    """``scipy.optimize.linear_sum_assignment``, loaded on the first solve
+    (``extract`` never solves one) without the rest of scipy.optimize."""
+    global _solver
+    if _solver is None:
+        _solver = _load_solver()
+    return _solver(cost_matrix, maximize=maximize)
 
 
 def _optimal_total(values: np.ndarray) -> float:

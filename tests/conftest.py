@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -33,6 +36,26 @@ def sample_gold_path():
 @pytest.fixture(scope="session")
 def sample_pred_path():
     return DATA / "sample_pred.tsv"
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``run(script, **env)``: the standard output of ``script`` run by a
+    fresh interpreter from the repository root, with ``src`` first on
+    PYTHONPATH and ``env`` added to the environment.  A fresh interpreter
+    sees what a command imports by itself, and environment variables that
+    libraries read once, at import.  A failing script fails the test with
+    its standard error."""
+
+    def run(script: str, **env: str) -> str:
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                              env={**os.environ, **env, "PYTHONPATH": path}, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 def _packed_seconds(model, sequences) -> float:

@@ -6,8 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import itertools
 import json
 import os
-import subprocess
-import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -412,22 +410,17 @@ print(json.dumps({"threads": threads, "probs": probs.hexdigest(),
 """
 
 
-def test_blas_thread_count_leaves_bits_unchanged():
+def test_blas_thread_count_leaves_bits_unchanged(fresh_python):
     """Criterion-10 compares runs on one host; this checks that the BLAS
     thread count, which follows the host's cores, does not change the bits:
     one and two OpenBLAS threads give the same packed probabilities and
     summed training gradients.  One
     subprocess per thread count, since OpenBLAS reads the variable when
     numpy is first imported."""
-    src = str(Path(sl.__file__).resolve().parents[1])
     runs = {}
     for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", _BLAS_BITS_SCRIPT], env=env, check=True,
-                              cwd=Path(__file__).resolve().parents[1], capture_output=True,
-                              text=True, timeout=300)
-        runs[threads] = json.loads(done.stdout)
+        runs[threads] = json.loads(fresh_python(_BLAS_BITS_SCRIPT,
+                                                OPENBLAS_NUM_THREADS=str(threads)))
         assert runs[threads].pop("threads") in (None, threads)
     assert runs[1] == runs[2]
     report("blas-threads", f"1 and 2 OpenBLAS threads give identical bits: {runs[1]}")

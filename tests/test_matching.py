@@ -1,12 +1,10 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from slotie import (
@@ -376,17 +374,109 @@ class TestHungarianMax:
         assert (a.pairs, a.total) == lexicographic_oracle(values)
         assert len(calls) > 2
 
-    def test_scipy_is_imported_on_the_first_solve(self):
+
+@st.composite
+def solver_cases(draw):
+    """``(values, maximize)``: a 1-25 by 1-25 cost matrix, taller or wider,
+    of floats or of small integers, which tie often, with one NaN or
+    infinite cell now and then."""
+    shape = (draw(st.integers(1, 25)), draw(st.integers(1, 25)))
+    if draw(st.booleans()):
+        elements = st.integers(-3, 3)
+    else:
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, shape, elements=elements))
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        values[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = bad
+    return values, draw(st.booleans())
+
+
+def solve_or_refuse(solve, values, maximize):
+    try:
+        rows, cols = solve(values, maximize=maximize)
+    except ValueError as exc:
+        return str(exc)
+    return [rows.tolist(), cols.tolist()]
+
+
+#: Solves the cases in the JSON file named by SOLVER_CASES with
+#: ``matching.linear_sum_assignment`` in a fresh interpreter, where
+#: scipy.optimize is never imported, so every solve runs the separately
+#: loaded compiled module.
+_LOADED_SOLVER_SCRIPT = """
+import json, os, sys
+import numpy as np
+from slotie import matching
+results = []
+for values, maximize in json.loads(open(os.environ["SOLVER_CASES"]).read()):
+    try:
+        rows, cols = matching.linear_sum_assignment(np.array(values, float), maximize=maximize)
+        results.append([rows.tolist(), cols.tolist()])
+    except ValueError as exc:
+        results.append(str(exc))
+print(json.dumps(["scipy.optimize" in sys.modules, results]))
+"""
+
+#: Square, tall and wide matrices, with ties and without.
+SOLVER_CASES = [[[0.5, 0.1], [0.2, 0.7]], [[1.0, 1.0], [1.0, 1.0], [0.0, 2.0]],
+                [[3.0, 1.0, 2.0]], [[0.25, 0.5, 0.5], [0.5, 0.25, 0.5]], [[2.0], [2.0], [1.0]]]
+
+
+class TestSolver:
+    @settings(max_examples=25, deadline=None)
+    @given(cases=st.lists(solver_cases(), min_size=1, max_size=12))
+    def test_equals_scipy_optimize(self, cases, fresh_python, tmp_path_factory):
+        """The loaded solver, run in a fresh interpreter, against this
+        one's scipy.optimize: the same rows and columns, and the same
+        ValueError for NaN and for an infinity in the solve's direction."""
+        path = tmp_path_factory.mktemp("solver") / "cases.json"
+        path.write_text(json.dumps([[values.tolist(), maximize] for values, maximize in cases]))
+        imported, got = json.loads(fresh_python(_LOADED_SOLVER_SCRIPT, SOLVER_CASES=str(path)))
+        want = [solve_or_refuse(linear_sum_assignment, values, maximize)
+                for values, maximize in cases]
+        assert (imported, got) == (False, want)
+        for (values, maximize), result in zip(cases, want):
+            if np.isnan(values).any() or (values == (np.inf if maximize else -np.inf)).any():
+                assert result == "matrix contains invalid numeric entries"
+
+    def test_train_and_carb11_leave_scipy_optimize_and_yaml_unimported(self, fresh_python,
+                                                                       tmp_path):
         # A fresh interpreter: this one imported scipy.optimize above.
-        script = ("import sys, slotie.cli, slotie.model\n"
-                  "print('scipy.optimize' in sys.modules)\n"
-                  "slotie.hungarian_max([[0.5, 0.1], [0.2, 0.7]])\n"
-                  "print('scipy.optimize' in sys.modules)\n")
-        src = str(Path(matching.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert done.stdout.split() == ["False", "True"]
+        script = f"""
+import sys
+from slotie import cli, matching
+unloaded = matching._solver is None
+d = {str(tmp_path)!r}
+for argv in (
+    ["synth", "--pool", "data/pool_en.tsv", "--n", "12", "--seed", "3", "--out", d + "/s.tsv"],
+    ["convert", "--format", "tuples", "--in", d + "/s.tsv", "--out", d + "/g.jsonl",
+     "--report", d + "/r.json"],
+    ["train", "--data", d + "/g.jsonl", "--out", d + "/m.npz", "--epochs", "1",
+     "--n-slots", "6", "--hidden", "8", "--blocks", "1"],
+    ["score", "--scheme", "carb11", "--gold", d + "/s.tsv", "--pred", d + "/s.tsv",
+     "--out", d + "/c.json"],
+):
+    assert cli.main(argv) == 0, argv
+print(unloaded, matching._solver is not None, "scipy.optimize" in sys.modules,
+      "yaml" in sys.modules)
+"""
+        assert fresh_python(script).split()[-4:] == ["True", "True", "False", "False"]
+
+    def test_solves_match_through_the_fallback_import(self, fresh_python):
+        # With no compiled module to find, the first solve imports scipy.optimize.
+        script = f"""
+import importlib.machinery, json, sys
+import numpy as np
+from slotie import matching
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+solves = [[a.tolist() for a in matching.linear_sum_assignment(np.array(case), maximize=m)]
+          for case in {SOLVER_CASES!r} for m in (False, True)]
+print(json.dumps(["scipy.optimize" in sys.modules, solves]))
+"""
+        want = [[a.tolist() for a in linear_sum_assignment(np.array(case), maximize=m)]
+                for case in SOLVER_CASES for m in (False, True)]
+        assert json.loads(fresh_python(script)) == [True, want]
 
 
 class TestOrderAgnosticLoss:
