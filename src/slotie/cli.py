@@ -458,9 +458,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except KeyError as exc:
-        print(f"data error: missing key {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (SlotieError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -60,15 +60,21 @@ class ConllRecord:
     role_labels: tuple[tuple[str, ...], ...]
 
 
-#: Sentence templates and their sampling probabilities: a single triplet
-#: closed by a period, two triplets joined by a conjunction, 3-5 triplets
-#: joined by commas, and 2-9 triplets joined by periods.
-TEMPLATES = {"single": 0.10, "pair": 0.20, "commas": 0.35, "periods": 0.35}
+#: Sentence templates, ``kind -> (probability, fewest, most, separator)``:
+#: a sentence of that kind joins fewest to most triplet phrases with the
+#: separator and closes with a period.  A ``None`` separator is a
+#: conjunction drawn from ``CONJUNCTIONS`` after the triplets.
+TEMPLATES = {
+    "single": (0.10, 1, 1, " . "),
+    "pair": (0.20, 2, 2, None),
+    "commas": (0.35, 3, 5, " , "),
+    "periods": (0.35, 2, 9, " . "),
+}
 
 CONJUNCTIONS = ("while", "and")
 
 #: The largest template can draw this many triplets from the pool.
-MIN_POOL_SIZE = 9
+MIN_POOL_SIZE = max(most for _, _, most, _ in TEMPLATES.values())
 
 
 @dataclass(frozen=True)
@@ -319,16 +325,6 @@ class SynthSample:
     template: str
 
 
-def _template_count(kind: str, rng: np.random.Generator) -> int:
-    if kind == "single":
-        return 1
-    if kind == "pair":
-        return 2
-    if kind == "commas":
-        return int(rng.integers(3, 6))
-    return int(rng.integers(2, 10))
-
-
 def synth_generate(pool: TripletPool, n_sentences: int, seed: int) -> list[SynthSample]:
     """Generate sentences by lexicalizing pool triplets into templates.
 
@@ -342,23 +338,17 @@ def synth_generate(pool: TripletPool, n_sentences: int, seed: int) -> list[Synth
     if len(pool) < MIN_POOL_SIZE:
         raise ConfigError(f"pool has {len(pool)} triples; need at least {MIN_POOL_SIZE}")
     kinds = list(TEMPLATES)
-    probs = np.array(list(TEMPLATES.values()))
+    probs = np.array([probability for probability, *_ in TEMPLATES.values()])
     rng = np.random.default_rng(seed)
     samples: list[SynthSample] = []
     for _ in range(n_sentences):
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        count = _template_count(kind, rng)
+        _, fewest, most, separator = TEMPLATES[kind]
+        count = fewest if fewest == most else int(rng.integers(fewest, most + 1))
         chosen = [pool.triples[i] for i in rng.choice(len(pool), size=count, replace=False)]
-        phrases = [" ".join(triple) for triple in chosen]
-        if kind == "single":
-            sentence = phrases[0] + " ."
-        elif kind == "pair":
-            conj = CONJUNCTIONS[int(rng.integers(len(CONJUNCTIONS)))]
-            sentence = f"{phrases[0]} {conj} {phrases[1]} ."
-        elif kind == "commas":
-            sentence = " , ".join(phrases) + " ."
-        else:
-            sentence = " . ".join(phrases) + " ."
+        if separator is None:
+            separator = f" {CONJUNCTIONS[int(rng.integers(len(CONJUNCTIONS)))]} "
+        sentence = separator.join(" ".join(triple) for triple in chosen) + " ."
         extractions = tuple(Extraction(s, r, o) for s, r, o in chosen)
         samples.append(SynthSample(GenerativeRecord(sentence, extractions), kind))
     return samples

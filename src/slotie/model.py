@@ -13,11 +13,13 @@ plane through ``core.class_max``/``class_sum``/``class_argmax``.
 Training runs on the autodiff tape, one sentence at a time, and trains
 every parameter.  The parameters live in two flat float64 blocks owned by
 the tagger, one of values and one of gradients, laid out by
-``parameter_shapes``; each parameter's ``.data`` and ``.grad`` are views of
-them, so the tape, the optimizer and checkpoints share one storage.  A new
-tagger draws its initial values into the zeroed block; a loaded one takes
-the checkpoint's block as it is and draws nothing.  A checkpoint (format
-version 2) is a ``__meta__`` JSON string plus that one ``values`` array.
+``parameter_shapes``; the tagger's one name-to-``Tensor`` table holds a
+view of them per parameter, which the encoder and head share, so the tape,
+the optimizer and checkpoints share one storage.  A new tagger draws its
+initial values over that table in layout order; a loaded one takes the
+checkpoint's block as it is and draws nothing.  A checkpoint (format
+version 2) is a ``__meta__`` JSON string plus that one ``values`` array;
+any failure to read one is a ``CheckpointError``.
 
 Inference (``predict_packs``) runs the same arithmetic on plain arrays: it
 packs the tokens of consecutive sentences into one matrix as it reads
@@ -108,11 +110,6 @@ def sinusoidal_positions(max_len: int, width: int) -> np.ndarray:
     return table
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    scale = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, scale, size=(fan_in, fan_out))
-
-
 def parameter_shapes(n_vocab: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape by name, in ``named_parameters()`` order:
     the layout of a tagger's flat blocks and of a checkpoint's values."""
@@ -159,17 +156,6 @@ class ReferenceEncoder:
             self.block_params.append(
                 {name[len(prefix) :]: t for name, t in params.items() if name.startswith(prefix)}
             )
-
-    def initialise(self, seed: int) -> None:
-        """Draw the initial values over zeroed parameters: N(0, 0.1)
-        embeddings, Xavier-normal matrices, unit layer-norm gains."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self.embed.data[...] = rng.normal(0.0, 0.1, size=self.embed.shape)
-        for blk in self.block_params:
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-                blk[name].data[...] = _xavier(rng, *blk[name].shape)
-            blk["ln1_g"].data.fill(1.0)
-            blk["ln2_g"].data.fill(1.0)
 
     def token_ids(self, seq: TokenSequence) -> np.ndarray:
         oov = self.vocab[OOV_TOKEN]
@@ -233,13 +219,6 @@ class ReferenceEncoder:
             x, _, _ = layer_norm_array(f, p["ln2_g"], p["ln2_b"])
         return x
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        params = {"embed": self.embed}
-        for i, blk in enumerate(self.block_params):
-            for name, tensor in blk.items():
-                params[f"block{i}.{name}"] = tensor
-        return params
-
 
 def class_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the trailing class axis, reduced plane by plane; equal
@@ -258,11 +237,6 @@ class DetectionHead:
         self.weight = weight
         self.bias = bias
 
-    def initialise(self, seed: int) -> None:
-        """Draw a Xavier-normal weight; the bias stays zero."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.weight.data[...] = _xavier(rng, *self.weight.shape)
-
     def __call__(self, hidden: Tensor) -> Tensor:
         n_tokens = hidden.shape[0]
         logits = hidden @ self.weight + self.bias
@@ -272,9 +246,6 @@ class DetectionHead:
         """``__call__``'s forward value on a plain (T, H) array."""
         logits = _affine(hidden, self.weight.data, self.bias.data)
         return class_softmax(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"head.weight": self.weight, "head.bias": self.bias}
 
 
 class SlotTagger:
@@ -311,18 +282,28 @@ class SlotTagger:
             )
         self.values = np.zeros(size) if values is None else values
         self.grads = np.zeros(size)
-        params: dict[str, Tensor] = {}
+        self._params: dict[str, Tensor] = {}
         start = 0
         for name, shape in shapes.items():
             stop = start + math.prod(shape)
-            params[name] = Tensor(self.values[start:stop].reshape(shape), requires_grad=True)
-            params[name].grad = self.grads[start:stop].reshape(shape)
+            self._params[name] = Tensor(self.values[start:stop].reshape(shape), requires_grad=True)
+            self._params[name].grad = self.grads[start:stop].reshape(shape)
             start = stop
-        self.encoder = ReferenceEncoder(vocab, config, params)
-        self.head = DetectionHead(config, params["head.weight"], params["head.bias"])
+        self.encoder = ReferenceEncoder(vocab, config, self._params)
+        self.head = DetectionHead(config, self._params["head.weight"], self._params["head.bias"])
         if values is None:
-            self.encoder.initialise(seed)
-            self.head.initialise(seed)
+            # One stream for the encoder and one for the head, each drawn in
+            # layout order: N(0, 0.1) embeddings, Xavier-normal matrices and
+            # unit layer-norm gains; biases stay zero.
+            streams = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in (0, 1)]
+            for name, shape in shapes.items():
+                rng, data = streams[name.startswith("head.")], self._params[name].data
+                if name == "embed":
+                    data[...] = rng.normal(0.0, 0.1, size=shape)
+                elif name.endswith("_g"):
+                    data.fill(1.0)
+                elif len(shape) == 2:
+                    data[...] = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
         self._last_output: Tensor | None = None
 
     @property
@@ -388,7 +369,7 @@ class SlotTagger:
         self._last_output = None
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return self.encoder.named_parameters() | self.head.named_parameters()
+        return dict(self._params)
 
     # -- persistence ---------------------------------------------------------
 
@@ -407,44 +388,41 @@ class SlotTagger:
     @classmethod
     def load(cls, path) -> "SlotTagger":
         try:
-            archive = np.load(path, allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        with archive:
-            if "__meta__" not in archive:
-                raise CheckpointError("checkpoint carries no metadata")
-            meta = json.loads(str(archive["__meta__"]))
-            if not isinstance(meta, dict):
-                raise CheckpointError(f"checkpoint meta is a {type(meta).__name__}, not a dict")
-            version = meta.get("format_version")
-            if typed_value("format_version", int, version, CheckpointError) != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
-                )
-            tokens, stored_config, seed = (
-                typed_value(key, hint, meta[key], CheckpointError)
-                for key, hint in (("vocab", tuple[str, ...]), ("config", dict), ("seed", int))
-            )
-            hints = get_type_hints(ModelConfig)
-            unknown = sorted(set(stored_config) - set(hints))
-            if unknown:
-                raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
-            config = {
-                k: typed_value(k, hints[k], v, CheckpointError) for k, v in stored_config.items()
-            }
-            if "values" not in archive:
-                raise CheckpointError("checkpoint carries no parameter values")
-            values = archive["values"]
-        vocab = {token: i for i, token in enumerate(tokens)}
-        try:
-            model = cls(vocab, ModelConfig(**config), seed=seed, values=values)
-        except ValueError as exc:
-            raise CheckpointError(f"checkpoint {exc}") from exc
+            with np.load(path, allow_pickle=False) as archive:
+                vocab, config, seed = _checkpoint_meta(json.loads(str(archive["__meta__"])))
+                values = archive["values"]
+            model = cls(vocab, config, seed=seed, values=values)
+        # A missing member or meta key is a KeyError, meta that is not JSON a
+        # ValueError, and a .npy file (an array, no context manager) a TypeError.
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            raise CheckpointError(f"cannot read checkpoint {path}: {reason}") from exc
         if not np.isfinite(values).all():
             params = model.named_parameters().items()
             bad = next(name for name, tensor in params if not np.isfinite(tensor.data).all())
             raise CheckpointError(f"parameter {bad} holds non-finite values")
         return model
+
+
+def _checkpoint_meta(meta) -> tuple[dict[str, int], ModelConfig, int]:
+    """The vocabulary, config and seed that checkpoint ``meta`` records."""
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint meta is a {type(meta).__name__}, not a dict")
+    version = meta.get("format_version")
+    if typed_value("format_version", int, version, CheckpointError) != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
+        )
+    tokens, stored, seed = (
+        typed_value(key, hint, meta[key], CheckpointError)
+        for key, hint in (("vocab", tuple[str, ...]), ("config", dict), ("seed", int))
+    )
+    hints = get_type_hints(ModelConfig)
+    unknown = sorted(set(stored) - set(hints))
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
+    config = {k: typed_value(k, hints[k], v, CheckpointError) for k, v in stored.items()}
+    return {token: i for i, token in enumerate(tokens)}, ModelConfig(**config), seed
 
 
 def decode_grid(p: PredictionTensor) -> np.ndarray:

@@ -38,7 +38,6 @@ from .core import Extraction, LabelGrid, N_CLASSES
 from .data import tuple_part_tokens
 from .matching import Assignment, hungarian_max, slot_targets
 
-STOPWORDS_VERSION = "en-1"
 _STOPWORDS_PATH = Path(__file__).with_name("stopwords_en.txt")
 
 

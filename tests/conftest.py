@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -36,6 +38,26 @@ def sample_gold_path():
 @pytest.fixture(scope="session")
 def sample_pred_path():
     return DATA / "sample_pred.tsv"
+
+
+@pytest.fixture()
+def nan_loss_from(monkeypatch):
+    """``patch(first)``: from its ``first``-th call on (counting from 0),
+    the training loop's loss is NaN.  The patch goes into the module
+    ``slotie.train``; the package attribute of that name is the function."""
+    module = importlib.import_module("slotie.train")
+    real = module.loss_assignment_gradient
+
+    def patch(first: int) -> None:
+        calls = itertools.count()
+
+        def loss_assignment_gradient(*args, **kwargs):
+            loss, assignment, grad = real(*args, **kwargs)
+            return (float("nan") if next(calls) >= first else loss), assignment, grad
+
+        monkeypatch.setattr(module, "loss_assignment_gradient", loss_assignment_gradient)
+
+    return patch
 
 
 @pytest.fixture(scope="session")

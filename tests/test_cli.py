@@ -205,6 +205,28 @@ class TestTrainCommand:
         assert run("extract", "--checkpoint", out, "--in", infile,
                    "--out", tmp_path / "out.tsv") == 0
 
+    def test_divergence_exits_3_with_the_epoch_1_checkpoint(
+        self, tmp_path, capsys, grids_jsonl, nan_loss_from
+    ):
+        flags = ("--data", grids_jsonl, "--n-slots", 10, "--hidden", 8, "--blocks", 1,
+                 "--validation-fraction", 0, "--batch-size", 4)
+        epoch_1 = tmp_path / "epoch1.npz"
+        assert run("train", *flags, "--out", epoch_1, "--epochs", 1) == 0
+        # Validating on the training set makes an epoch one loss call per
+        # grid.  NaN from epoch 2's second batch on: its first has stepped Adam.
+        nan_loss_from(len(sl.read_grid_jsonl(grids_jsonl)) + 4)
+        out = tmp_path / "model.npz"
+        capsys.readouterr()
+        assert run("train", *flags, "--out", out, "--epochs", 3) == 3
+        metrics = json.loads(Path(str(out) + ".metrics.json").read_text())
+        assert metrics["diverged"] is True and metrics["best_epoch"] == 1
+        diagnostics = metrics["diagnostics"]
+        assert diagnostics.startswith("non-finite loss") and "(epoch 2)" in diagnostics
+        assert len(metrics["history"]) == 1
+        assert f"training diverged: {diagnostics}" in capsys.readouterr().err.splitlines()
+        np.testing.assert_array_equal(sl.SlotTagger.load(out).values,
+                                      sl.SlotTagger.load(epoch_1).values)
+
     def test_non_list_mask_row_is_data_error(self, tmp_path, capsys):
         grids = tmp_path / "grids.jsonl"
         grids.write_text(
@@ -254,6 +276,15 @@ class TestTrainCommand:
             err.strip()
         ]
         assert "Traceback" not in err
+
+
+def _without_meta_key(key):
+    """An edit of a checkpoint's arrays that drops ``key`` from its meta."""
+    def edit(data):
+        meta = json.loads(str(data["__meta__"]))
+        del meta[key]
+        data["__meta__"] = np.array(json.dumps(meta))
+    return edit
 
 
 class TestExtractCommand:
@@ -317,6 +348,30 @@ class TestExtractCommand:
         data["__meta__"] = np.array(json.dumps(meta))
         np.savez(checkpoint, **data)
         assert key in self._extract_fails(tmp_path, capsys, checkpoint)
+
+    @pytest.mark.parametrize("edit, named", [
+        *(pytest.param(_without_meta_key(key), key, id=f"meta-without-{key}")
+          for key in ("seed", "vocab", "config")),
+        pytest.param(lambda data: data.update(__meta__=np.array("{not json")), "JSONDecodeError",
+                     id="meta-not-json"),
+        pytest.param(lambda data: data.pop("__meta__"), "__meta__", id="no-meta-member"),
+        pytest.param(lambda data: data.pop("values"), "values", id="no-values-member"),
+    ])
+    def test_unreadable_checkpoint_is_data_error(self, tmp_path, capsys, checkpoint, edit, named):
+        data = dict(np.load(checkpoint, allow_pickle=False))
+        edit(data)
+        np.savez(checkpoint, **data)
+        with pytest.raises(sl.CheckpointError, match=named):
+            sl.SlotTagger.load(checkpoint)
+        err = self._extract_fails(tmp_path, capsys, checkpoint)
+        assert f"cannot read checkpoint {checkpoint}" in err and named in err
+
+    def test_npy_file_is_data_error(self, tmp_path, capsys, checkpoint):
+        array = tmp_path / "values.npy"
+        np.save(array, sl.SlotTagger.load(checkpoint).values)
+        with pytest.raises(sl.CheckpointError):
+            sl.SlotTagger.load(array)
+        assert f"cannot read checkpoint {array}" in self._extract_fails(tmp_path, capsys, array)
 
     def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, checkpoint):
         # The NaN sits in the head.weight span of the one values block.

@@ -23,6 +23,7 @@ from slotie import (
     template_frequencies,
 )
 from slotie.data import (
+    MIN_POOL_SIZE,
     ConfigError,
     ConllRecord,
     FormatError,
@@ -349,6 +350,38 @@ class TestSynth:
         for s in samples:
             tuples = [e.as_tuple() for e in s.record.tuples]
             assert len(set(tuples)) == len(tuples)
+
+    def test_draws_in_documented_order(self, pool):
+        """Per sentence: the kind, the triplet count only where it varies,
+        the triplets, and for a pair then its conjunction."""
+        kinds = ("single", "pair", "commas", "periods")
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for _ in range(50):
+                kind = kinds[int(rng.choice(4, p=[0.10, 0.20, 0.35, 0.35]))]
+                if kind == "commas":
+                    count = int(rng.integers(3, 6))
+                elif kind == "periods":
+                    count = int(rng.integers(2, 10))
+                else:
+                    count = kinds.index(kind) + 1
+                chosen = [pool.triples[i] for i in rng.choice(len(pool), size=count, replace=False)]
+                phrases = [" ".join(triple) for triple in chosen]
+                if kind == "pair":
+                    conjunction = ("while", "and")[int(rng.integers(2))]
+                    sentence = f"{phrases[0]} {conjunction} {phrases[1]} ."
+                else:
+                    sentence = (" , " if kind == "commas" else " . ").join(phrases) + " ."
+                expected.append((kind, sentence, [Extraction(*triple) for triple in chosen]))
+            got = [(s.template, s.record.sentence, list(s.record.tuples))
+                   for s in synth_generate(pool, 50, seed)]
+            assert got == expected, f"seed {seed}"
+
+    def test_pool_of_min_size_fills_the_largest_template(self):
+        pool = TripletPool(tuple((f"s{i}", "r", f"o{i}") for i in range(MIN_POOL_SIZE)))
+        samples = synth_generate(pool, 300, seed=0)
+        assert max(len(s.record.tuples) for s in samples) == MIN_POOL_SIZE == 9
 
     def test_pool_too_small(self):
         small = TripletPool((("a", "b", "c"),) * 8)

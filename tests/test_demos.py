@@ -8,8 +8,10 @@ and the package's own modules against imports they never use.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,46 @@ def test_module_imports_are_used(module):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """Every name ``tree`` reads, attribute it reads, and name it imports."""
+    return [
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+
+
+def test_module_level_names_are_referenced():
+    """Every module-level function, class and UPPER_CASE constant of the
+    package is read somewhere outside its own definition: in the package,
+    the tests, the demos or the benchmark."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    references = Counter(name for tree in trees.values() for name in _references(tree))
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "slotie":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [(node.name, node)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.id, node) for t in targets
+                           if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+            else:
+                defined = []
+            for name, definition in defined:
+                if references[name] == _references(definition).count(name):
+                    unreferenced.append(f"{path.name}:{name}")
+    assert not unreferenced, f"module-level names nothing reads: {unreferenced}"

@@ -69,12 +69,43 @@ class TestForward:
         cfg100 = ModelConfig(n_slots=100, hidden=16, blocks=2, max_len=16)
         m20 = SlotTagger(vocab, cfg20, seed=1)
         m100 = SlotTagger(vocab, cfg100, seed=1)
-        enc20 = {k: v.data for k, v in m20.encoder.named_parameters().items()}
-        enc100 = {k: v.data for k, v in m100.encoder.named_parameters().items()}
+        enc20, enc100 = (
+            {k: v.data for k, v in m.named_parameters().items() if not k.startswith("head.")}
+            for m in (m20, m100)
+        )
         assert enc20.keys() == enc100.keys()
         for key in enc20:
             np.testing.assert_array_equal(enc20[key], enc100[key])
         assert m100.head.weight.data.shape[1] == 5 * m20.head.weight.data.shape[1]
+
+
+class TestInitialValues:
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_values_are_the_documented_draws(self, blocks, seed):
+        """The encoder's stream draws the embedding, then each block's six
+        matrices in layout order; the head's stream draws its weight."""
+        vocab = build_vocab([tokenize("a b c")])
+        model = SlotTagger(vocab, ModelConfig(n_slots=3, hidden=6, blocks=blocks), seed=seed)
+        encoder, head = (np.random.default_rng(np.random.SeedSequence([seed, i])) for i in (0, 1))
+
+        def xavier(rng, fan_in, fan_out):
+            return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out))
+
+        expected = {"embed": encoder.normal(0.0, 0.1, size=(len(vocab), 6))}
+        for i in range(blocks):
+            block = {}
+            for part in "qkvo":
+                block[f"w{part}"], block[f"b{part}"] = xavier(encoder, 6, 6), np.zeros(6)
+            block["ln1_g"], block["ln1_b"] = np.ones(6), np.zeros(6)
+            block["w1"], block["b1"] = xavier(encoder, 6, 24), np.zeros(24)
+            block["w2"], block["b2"] = xavier(encoder, 24, 6), np.zeros(6)
+            block["ln2_g"], block["ln2_b"] = np.ones(6), np.zeros(6)
+            expected |= {f"block{i}.{name}": value for name, value in block.items()}
+        expected["head.weight"], expected["head.bias"] = xavier(head, 6, 12), np.zeros(12)
+        assert list(model.named_parameters()) == list(expected)
+        flat = np.concatenate([value.ravel() for value in expected.values()])
+        np.testing.assert_array_equal(model.values, flat)
 
 
 _WORDS = ("the", "quick", "brown", "fox", "jumps", "over")

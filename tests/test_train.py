@@ -245,6 +245,34 @@ class TestTrainLoop:
             train([])
 
 
+class TestDivergence:
+    """A non-finite loss aborts training and keeps the best snapshot so far.
+    Validating on the training set makes an epoch ``len(dataset)`` loss
+    calls."""
+
+    CONFIG = dict(batch_size=4, validation_fraction=0.0, seed=0)
+    MODEL = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
+
+    def test_epoch_2_divergence_keeps_epoch_1(self, nan_loss_from):
+        dataset = tiny_dataset()
+        epoch_1 = train(dataset, TrainConfig(max_epochs=1, **self.CONFIG), self.MODEL)
+        # NaN from epoch 2's second batch on: its first batch has stepped Adam.
+        nan_loss_from(len(dataset) + 4)
+        result = train(dataset, TrainConfig(max_epochs=3, **self.CONFIG), self.MODEL)
+        assert result.diverged and "(epoch 2)" in result.diagnostics
+        assert result.best_epoch == 1 and len(result.history) == 1
+        assert result.best_val_f1 == epoch_1.best_val_f1
+        np.testing.assert_array_equal(result.model.values, epoch_1.model.values)
+
+    def test_epoch_1_divergence_keeps_initial_parameters(self, nan_loss_from):
+        nan_loss_from(4)  # the first batch steps Adam, the second diverges
+        result = train(tiny_dataset(), TrainConfig(max_epochs=3, **self.CONFIG), self.MODEL)
+        assert result.diverged and "(epoch 1)" in result.diagnostics
+        assert result.best_epoch == 0 and result.best_val_f1 == -1.0 and not result.history
+        fresh = sl.SlotTagger(result.model.vocab, self.MODEL, seed=0)
+        np.testing.assert_array_equal(result.model.values, fresh.values)
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("learning_rate, weight_decay", [(1e6, 1e-6), (1.0, 1.0), (2.0, 1.5)])
     def test_rejects_a_decay_step_of_one_or_more(self, learning_rate, weight_decay):
