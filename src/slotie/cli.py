@@ -86,10 +86,18 @@ def _pick(cls, config: dict):
     return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
 
 
+#: ``convert``'s input formats: ``format -> (reader, converter, reason for
+#: a record that keeps no tuple)``.
+_FORMATS = {
+    "imojie": (read_imojie_jsonl, lcs_align, "no alignable tuples"),
+    "lsoie": (read_conll, lsoie_convert, "no usable annotation layers"),
+    "tuples": (read_tuples_tsv, lcs_align, "no alignable tuples"),
+}
+
 #: Every command's settings: the defaults, flags, value types and artifact
 #: ``config`` all come from this table.
 SETTINGS = {
-    "convert": {"format": _Setting(str, choices=("imojie", "lsoie", "tuples"))},
+    "convert": {"format": _Setting(str, choices=tuple(_FORMATS))},
     "synth": {"n": _Setting(int, 1000), "seed": _Setting(int, 0)},
     "train": _dataclass_settings(TrainConfig, ModelConfig, LossConfig),
     "extract": {"require_all_parts": _Setting(bool, True)},
@@ -205,45 +213,29 @@ def _write_meta(out_path, command: str, config: dict, extra: dict) -> None:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     config = _resolve(args, "convert")
-    fmt = config["format"]
+    reader, convert, empty_reason = _FORMATS[config["format"]]
+    records = reader(args.infile)
     skipped: list[dict] = []
     converted: list[AlignedRecord] = []
     tuples_in = 0
-    records_in = 0
-    if fmt in ("imojie", "tuples"):
-        records = (read_imojie_jsonl if fmt == "imojie" else read_tuples_tsv)(args.infile)
-        records_in = len(records)
-        for record in records:
-            tuples_in += len(record.tuples)
-            aligned = lcs_align(record)
-            for skip in aligned.skipped:
-                skipped.append({"sentence": record.sentence, "reason": skip.reason,
-                                "tuple": list(skip.extraction.as_tuple()),
-                                "unmatched": list(skip.unmatched)})
-            if aligned.grid.n_gold > 0:
-                converted.append(aligned)
-            else:
-                skipped.append({"sentence": record.sentence, "reason": "no alignable tuples"})
-    else:  # lsoie
-        records = read_conll(args.infile)
-        records_in = len(records)
-        for record in records:
-            tuples_in += len(record.role_labels)
-            result = lsoie_convert(record)
-            sentence = " ".join(record.tokens)
-            for reason in result.rejected:
-                skipped.append({"sentence": sentence, "reason": reason})
-            if result.accepted:
-                converted.append(AlignedRecord(sentence, result.sequence, result.grid, ()))
-            else:
-                skipped.append({"sentence": sentence, "reason": "no usable annotation layers"})
+    for aligned in map(convert, records):
+        tuples_in += aligned.grid.n_gold + len(aligned.skipped)
+        for skip in aligned.skipped:
+            entry = {"sentence": aligned.sentence, "reason": skip.reason}
+            if skip.extraction is not None:
+                entry.update(tuple=list(skip.extraction.as_tuple()), unmatched=list(skip.unmatched))
+            skipped.append(entry)
+        if aligned.grid.n_gold > 0:
+            converted.append(aligned)
+        else:
+            skipped.append({"sentence": aligned.sentence, "reason": empty_reason})
     write_grid_jsonl(args.out, converted)
     tuples_out = sum(r.grid.n_gold for r in converted)
     report = {
         "command": "convert",
         "config": config,
         "input": str(args.infile),
-        "records_in": records_in,
+        "records_in": len(records),
         "records_out": len(converted),
         "tuples_in": tuples_in,
         "tuples_out": tuples_out,
@@ -251,7 +243,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     }
     _write_json(args.report, report)
     print(
-        f"converted {len(converted)}/{records_in} records "
+        f"converted {len(converted)}/{len(records)} records "
         f"({tuples_out}/{tuples_in} tuples) -> {args.out}",
         file=sys.stderr,
     )

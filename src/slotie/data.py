@@ -1,12 +1,12 @@
 """Dataset ingestion and generation.
 
-Three ways of producing training grids are supported: aligning string
-tuples onto their sentence by iterated longest-common-substring matching
-(generation-style corpora), collapsing n-ary CoNLL role annotations into
-subject/relation/object masks, and generating synthetic sentences from a
-pool of lexicalized knowledge-base triplets.  The module also owns the
-plain-text file formats: the tuples TSV used between extraction and
-scoring, the JSON-lines training-grid format, and the triplet-pool TSV.
+Two converters turn a corpus record into one ``AlignedRecord`` of masks
+and skips: ``lcs_align`` aligns string tuples onto their sentence by
+iterated longest-common-substring matching (generation-style corpora), and
+``lsoie_convert`` collapses n-ary CoNLL role layers into subject/relation/
+object masks.  ``synth_generate`` makes sentences from a pool of
+lexicalized knowledge-base triplets.  The module also owns the plain-text
+file formats: tuples TSV, JSON-lines grids, IMoJIE, CoNLL and the pool.
 """
 
 from __future__ import annotations
@@ -79,14 +79,19 @@ MIN_POOL_SIZE = max(most for _, _, most, _ in TEMPLATES.values())
 
 @dataclass(frozen=True)
 class TripletPool:
-    """Lexicalized (subject, relation, object) triples."""
+    """Lexicalized (subject, relation, object) triples, none with an empty
+    part and none repeated, lest one sentence hold the same gold tuple twice."""
 
     triples: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
+        seen: set[tuple[str, str, str]] = set()
         for triple in self.triples:
             if not all(part.strip() for part in triple):
                 raise ConfigError(f"pool triple has an empty part: {triple}")
+            if triple in seen:
+                raise ConfigError(f"pool repeats the triple {triple}")
+            seen.add(triple)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -106,15 +111,19 @@ class TripletPool:
 
 @dataclass(frozen=True)
 class SkippedTuple:
-    extraction: Extraction
+    """A tuple that a converter left out, and why; a CoNLL role layer has
+    no ``extraction``.  ``unmatched``: tuple tokens no sentence token took."""
+
+    extraction: Extraction | None
     reason: str
     unmatched: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class AlignedRecord:
-    """Alignment output: the placeholder-extended sequence, the accepted
-    masks, and a report of skipped tuples."""
+    """Converter output, from ``lcs_align`` and ``lsoie_convert`` alike:
+    the sentence, its placeholder-extended sequence, one mask row per kept
+    tuple, and a skip entry per tuple that was left out."""
 
     sentence: str
     sequence: TokenSequence
@@ -193,6 +202,17 @@ def _grid(rows: list[list[int]], n_tokens: int) -> LabelGrid:
     return LabelGrid(np.array(rows, dtype=np.int64).reshape(len(rows), n_tokens))
 
 
+def _aligned(
+    sentence: str, sequence: TokenSequence, outcomes: Iterable[list[int] | SkippedTuple]
+) -> AlignedRecord:
+    """Split per-tuple outcomes into grid rows and skips."""
+    rows: list[list[int]] = []
+    skipped: list[SkippedTuple] = []
+    for outcome in outcomes:
+        (skipped if isinstance(outcome, SkippedTuple) else rows).append(outcome)
+    return AlignedRecord(sentence, sequence, _grid(rows, len(sequence)), tuple(skipped))
+
+
 def lcs_align(record: GenerativeRecord) -> AlignedRecord:
     """Project string tuples onto token masks by iterated longest-common-run
     matching with exclusion.
@@ -205,31 +225,12 @@ def lcs_align(record: GenerativeRecord) -> AlignedRecord:
     """
     seq = tokenize(record.sentence, append_placeholders=True)
     sent_keys = [*seq.body_tokens, *_PLACEHOLDER_KEYS.values()]
-    rows: list[list[int]] = []
-    skipped: list[SkippedTuple] = []
-    for ext in record.tuples:
-        outcome = _align_tuple(sent_keys, ext)
-        if isinstance(outcome, SkippedTuple):
-            skipped.append(outcome)
-        else:
-            rows.append(outcome)
-    return AlignedRecord(record.sentence, seq, _grid(rows, len(seq)), tuple(skipped))
+    return _aligned(record.sentence, seq, (_align_tuple(sent_keys, ext) for ext in record.tuples))
 
 
 # -- n-ary CoNLL conversion ---------------------------------------------------
 
 _TAG_RE = re.compile(r"^(P|A(\d+))-(B|I)$")
-
-
-@dataclass(frozen=True)
-class ConllConversion:
-    sequence: TokenSequence
-    grid: LabelGrid
-    rejected: tuple[str, ...]
-
-    @property
-    def accepted(self) -> bool:
-        return self.grid.n_gold > 0
 
 
 def read_conll(path) -> list[ConllRecord]:
@@ -265,9 +266,12 @@ def read_conll(path) -> list[ConllRecord]:
     return records
 
 
-def _layer_classes(tags: Sequence[str]) -> list[TokenClass]:
-    """Map one role-tag layer to token classes, validating B/I continuity."""
-    classes: list[TokenClass] = []
+def _layer_row(index: int, tags: Sequence[str], n_tokens: int) -> list[int] | SkippedTuple:
+    """One role-tag layer as a mask row, its B/I continuity checked, or a
+    skip when the layer lacks a predicate, an A0 or any higher argument."""
+    if len(tags) != n_tokens:
+        raise BadAnnotation(f"layer {index} has {len(tags)} tags for {n_tokens} tokens")
+    classes: list[int] = []
     prev_role: str | None = None
     for position, tag in enumerate(tags):
         if tag == "O":
@@ -287,34 +291,28 @@ def _layer_classes(tags: Sequence[str]) -> list[TokenClass]:
             classes.append(TokenClass.SUBJECT)
         else:
             classes.append(TokenClass.OBJECT)
-    return classes
+    present = set(classes)
+    if TokenClass.RELATION not in present:
+        return SkippedTuple(None, f"layer {index}: no predicate")
+    if TokenClass.SUBJECT not in present or TokenClass.OBJECT not in present:
+        return SkippedTuple(None, f"layer {index}: fewer than two arguments")
+    return classes + [TokenClass.BACKGROUND] * len(PLACEHOLDER_TOKENS)
 
 
-def lsoie_convert(record: ConllRecord) -> ConllConversion:
+def lsoie_convert(record: ConllRecord) -> AlignedRecord:
     """Collapse n-ary role annotations into triplet masks.
 
     Per layer: the predicate span becomes the Relation, A0 becomes the
     Subject, and every higher-numbered argument merges into the Object.  A
-    layer is rejected when it lacks a predicate, an A0, or any higher
-    argument.  The appended placeholders carry Background labels.
+    layer that lacks a predicate, an A0, or any higher argument becomes a
+    skip with no extraction.  The appended placeholders carry Background
+    labels, and the record's sentence is its tokens joined by spaces.
     """
-    rejected: list[str] = []
-    rows: list[list[int]] = []
-    for layer_index, tags in enumerate(record.role_labels):
-        if len(tags) != len(record.tokens):
-            raise BadAnnotation(f"layer {layer_index} has {len(tags)} tags for {len(record.tokens)} tokens")
-        classes = _layer_classes(tags)
-        present = set(classes)
-        if TokenClass.RELATION not in present:
-            rejected.append(f"layer {layer_index}: no predicate")
-            continue
-        if TokenClass.SUBJECT not in present or TokenClass.OBJECT not in present:
-            rejected.append(f"layer {layer_index}: fewer than two arguments")
-            continue
-        classes.extend([TokenClass.BACKGROUND] * len(PLACEHOLDER_TOKENS))
-        rows.append(classes)
+    n_tokens = len(record.tokens)
+    # A list, built first: a malformed layer is reported before a bad token.
+    outcomes = [_layer_row(i, tags, n_tokens) for i, tags in enumerate(record.role_labels)]
     sequence = sequence_from_tokens(record.tokens, append_placeholders=True)
-    return ConllConversion(sequence, _grid(rows, len(sequence)), tuple(rejected))
+    return _aligned(" ".join(record.tokens), sequence, outcomes)
 
 
 # -- synthetic sentence generation --------------------------------------------

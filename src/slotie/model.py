@@ -388,13 +388,18 @@ class SlotTagger:
     @classmethod
     def load(cls, path) -> "SlotTagger":
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                vocab, config, seed = _checkpoint_meta(json.loads(str(archive["__meta__"])))
-                values = archive["values"]
+            with open(path, "rb") as file:
+                # np.load's own zip test: any other file would reach its .npy
+                # or pickle branch and come back as an array or pickle advice.
+                if file.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                    raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
+                file.seek(0)
+                with np.load(file, allow_pickle=False) as archive:
+                    vocab, config, seed = _checkpoint_meta(json.loads(str(archive["__meta__"])))
+                    values = archive["values"]
             model = cls(vocab, config, seed=seed, values=values)
-        # A missing member or meta key is a KeyError, meta that is not JSON a
-        # ValueError, and a .npy file (an array, no context manager) a TypeError.
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        # A missing member or meta key is a KeyError, meta that is not JSON a ValueError.
+        except (OSError, KeyError, ValueError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise CheckpointError(f"cannot read checkpoint {path}: {reason}") from exc
         if not np.isfinite(values).all():

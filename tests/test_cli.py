@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,9 @@ import pytest
 import slotie as sl
 from slotie import cli
 from slotie.cli import main
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -74,6 +78,16 @@ class TestSynthCommand:
         pool.write_text("a\tb\tc\n")
         out = tmp_path / "x.tsv"
         assert run("synth", "--pool", pool, "--n", 1, "--seed", 0, "--out", out) == 2
+
+    def test_repeated_pool_triple_is_data_error(self, tmp_path, capsys):
+        pool = tmp_path / "pool.tsv"
+        lines = [f"s{i}\tr\to{i}\n" for i in range(12)]
+        pool.write_text("".join(lines + [lines[3]]))
+        out = tmp_path / "x.tsv"
+        assert run("synth", "--pool", pool, "--n", 1, "--seed", 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: pool repeats the triple ('s3', 'r', 'o3')\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_sentences_is_data_error(self, tmp_path, capsys, n):
@@ -149,6 +163,31 @@ class TestConvertCommand:
                    "--out", tmp_path / "o", "--report", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert err == f"data error: {bad}:2: blank sentence\n"
+
+    #: sha256 of the grids file and of the report that ``convert`` writes
+    #: for each shipped input, so any change to a mask, a skip entry or a
+    #: count shows up as a digest mismatch.
+    PINNED_OUTPUTS = {
+        "imojie": ("tests/fixtures/imojie_100.jsonl",
+                   "e6062a2fc31fed46f5c9fdb0a9cd0302ff8bced6a7765680039c048edd5e415e",
+                   "ff61ad7ef7453582b5d548139e64c5affc4c98632b147e491e301f1a544dab43"),
+        "lsoie": ("tests/fixtures/lsoie_sample.conll",
+                  "03ec9778a8abd6a5cd582e8f56c57bd0246ffaa5fcc9aa027e233499b05e0b06",
+                  "9d38097218b7c25456a52fb8d0b30ea5720310edfab9b7f75c4cbd2fff209708"),
+        "tuples": ("data/sample_gold.tsv",
+                   "73fce17cd3be762e5dee9cc1040cf656d522c983884d2f194048b686368b82d8",
+                   "a522bacfb99deeb600dd4d5062a1b7231522671d487b2da822de3b600f6ebf69"),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED_OUTPUTS))
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch, fmt):
+        infile, grids_digest, report_digest = self.PINNED_OUTPUTS[fmt]
+        # The report records ``input`` as given, so the path stays relative.
+        monkeypatch.chdir(ROOT)
+        out, report = tmp_path / "grids.jsonl", tmp_path / "report.json"
+        assert run("convert", "--format", fmt, "--in", infile, "--out", out, "--report", report) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == grids_digest
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
 
 class TestTrainCommand:
@@ -369,9 +408,15 @@ class TestExtractCommand:
     def test_npy_file_is_data_error(self, tmp_path, capsys, checkpoint):
         array = tmp_path / "values.npy"
         np.save(array, sl.SlotTagger.load(checkpoint).values)
-        with pytest.raises(sl.CheckpointError):
-            sl.SlotTagger.load(array)
-        assert f"cannot read checkpoint {array}" in self._extract_fails(tmp_path, capsys, array)
+        # numpy reads a text file as pickled data and offers to unpickle it.
+        text = tmp_path / "bogus.npz"
+        text.write_text("not a checkpoint\n")
+        for path in (array, text):
+            expected = f"cannot read checkpoint {path}: not an .npz archive"
+            with pytest.raises(sl.CheckpointError) as caught:
+                sl.SlotTagger.load(path)
+            assert str(caught.value) == expected
+            assert self._extract_fails(tmp_path, capsys, path) == f"data error: {expected}\n"
 
     def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, checkpoint):
         # The NaN sits in the head.weight span of the one values block.

@@ -27,6 +27,7 @@ from slotie.data import (
     ConfigError,
     ConllRecord,
     FormatError,
+    SkippedTuple,
     read_grid_jsonl,
     read_imojie_jsonl,
     read_tuples_tsv,
@@ -254,7 +255,8 @@ class TestConll:
         rec = ConllRecord(("Rain", "fell", "on", "Monday"),
                           (("A0-B", "P-B", "A1-B", "A1-I"),))
         out = lsoie_convert(rec)
-        assert out.accepted
+        assert out.grid.n_gold == 1 and out.skipped == ()
+        assert out.sentence == "Rain fell on Monday"
         assert letters(out.grid.labels[0]) == "SROOBBB"
 
     def test_higher_arguments_merge_into_object(self):
@@ -268,13 +270,13 @@ class TestConll:
     def test_missing_second_argument_rejected(self):
         rec = ConllRecord(("Rain", "fell"), (("A0-B", "P-B"),))
         out = lsoie_convert(rec)
-        assert not out.accepted
-        assert "fewer than two arguments" in out.rejected[0]
+        assert out.grid.n_gold == 0
+        assert out.skipped == (SkippedTuple(None, "layer 0: fewer than two arguments"),)
 
     def test_missing_predicate_rejected(self):
         rec = ConllRecord(("Rain", "fell"), (("A0-B", "A1-B"),))
         out = lsoie_convert(rec)
-        assert "no predicate" in out.rejected[0]
+        assert [skip.reason for skip in out.skipped] == ["layer 0: no predicate"]
 
     def test_malformed_bi_sequence(self):
         rec = ConllRecord(("a", "b"), (("A0-I", "P-B"),))
@@ -298,7 +300,8 @@ class TestConll:
         # record 0 layer 1 lacks arguments; record 2 lacks a second argument
         assert results[0].grid.n_gold == 1
         assert results[1].grid.n_gold == 1
-        assert not results[2].accepted
+        assert results[2].grid.n_gold == 0
+        assert [skip.reason for skip in results[0].skipped] == ["layer 1: fewer than two arguments"]
         assert results[3].grid.n_gold == 1
 
 
@@ -384,9 +387,14 @@ class TestSynth:
         assert max(len(s.record.tuples) for s in samples) == MIN_POOL_SIZE == 9
 
     def test_pool_too_small(self):
-        small = TripletPool((("a", "b", "c"),) * 8)
-        with pytest.raises(ConfigError):
+        small = TripletPool(tuple((f"s{i}", "r", f"o{i}") for i in range(MIN_POOL_SIZE - 1)))
+        with pytest.raises(ConfigError, match="need at least"):
             synth_generate(small, 1, seed=0)
+
+    def test_pool_rejects_a_repeated_triple(self):
+        triples = [(f"s{i}", "r", f"o{i}") for i in range(MIN_POOL_SIZE)]
+        with pytest.raises(ConfigError, match=r"pool repeats the triple \('s1', 'r', 'o1'\)"):
+            TripletPool((*triples, triples[1], triples[2]))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_sentences_rejected(self, pool, n):

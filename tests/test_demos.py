@@ -2,7 +2,8 @@
 
 Demo 04 trains a model for about 20 s, so it is left to be run by hand;
 every demo's imports from slotie are still checked against the package,
-and the package's own modules against imports they never use.
+and the package's own modules against imports they never use and against
+module-level names and methods that nothing reads.
 """
 
 import ast
@@ -87,20 +88,26 @@ def _references(tree: ast.AST) -> list[str]:
     ]
 
 
-def test_module_level_names_are_referenced():
-    """Every module-level function, class and UPPER_CASE constant of the
-    package is read somewhere outside its own definition: in the package,
-    the tests, the demos or the benchmark."""
+def _parsed():
+    """The package's parsed modules, and a count of every name read in the
+    package, the tests, the demos or the benchmark."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src", "tests", "demos", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     references = Counter(name for tree in trees.values() for name in _references(tree))
+    package = {path: tree for path, tree in trees.items() if path.parent == ROOT / "src" / "slotie"}
+    return package, references
+
+
+def test_module_level_names_are_referenced():
+    """Every module-level function, class and UPPER_CASE constant of the
+    package is read somewhere outside its own definition: in the package,
+    the tests, the demos or the benchmark."""
+    package, references = _parsed()
     unreferenced = []
-    for path, tree in trees.items():
-        if path.parent != ROOT / "src" / "slotie":
-            continue
+    for path, tree in package.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined = [(node.name, node)]
@@ -114,3 +121,20 @@ def test_module_level_names_are_referenced():
                 if references[name] == _references(definition).count(name):
                     unreferenced.append(f"{path.name}:{name}")
     assert not unreferenced, f"module-level names nothing reads: {unreferenced}"
+
+
+def test_methods_are_referenced():
+    """Every method and property of a module-level package class, dunders
+    aside, is read somewhere outside its own definition.  A class built
+    inside a function (the YAML loader) only overrides hooks its library
+    calls, so it is left out."""
+    package, references = _parsed()
+    unreferenced = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path, tree in package.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name)
+        and references[node.name] == _references(node).count(node.name)
+    ]
+    assert not unreferenced, f"methods nothing reads: {unreferenced}"

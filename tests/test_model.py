@@ -480,6 +480,14 @@ class TestCheckpoint:
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointError):
+        # Text, an empty file and a file shorter than the zip signature.
+        for content in (b"not a checkpoint", b"", b"PK"):
+            path.write_bytes(content)
+            with pytest.raises(CheckpointError) as caught:
+                SlotTagger.load(path)
+            assert str(caught.value) == f"cannot read checkpoint {path}: not an .npz archive"
+
+    def test_missing_file_names_file_not_found(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        with pytest.raises(CheckpointError, match="FileNotFoundError: .*No such file"):
             SlotTagger.load(path)
