@@ -16,7 +16,6 @@ from slotie import (
     grid_from_tuples,
     hungarian_max,
     loss_assignment_gradient,
-    order_agnostic_loss,
     similarity_matrix,
     tokenize,
 )
@@ -39,11 +38,11 @@ print("optimal assignment:", assignment.pairs, f"total={assignment.total:.3f}")
 
 print()
 print("=== loss is order-agnostic ===")
-loss, _ = order_agnostic_loss(probs, grid)
+loss, _, _ = loss_assignment_gradient(probs, grid)
 print(f"loss at random probabilities: {loss:.4f}")
 two = grid_from_tuples(seq, [((0,), (1,), (2, 3, 4)), ((0,), (1,), (4,))])
-loss_a, _ = order_agnostic_loss(probs, two)
-loss_b, _ = order_agnostic_loss(probs, LabelGrid(two.labels[::-1]))
+loss_a, _, _ = loss_assignment_gradient(probs, two)
+loss_b, _, _ = loss_assignment_gradient(probs, LabelGrid(two.labels[::-1]))
 print(f"two gold masks, listed either way: {loss_a:.10f} == {loss_b:.10f}")
 
 print()
@@ -52,7 +51,7 @@ grad = loss_assignment_gradient(probs, grid)[2]
 step = probs - 0.5 * grad
 step = np.clip(step, 1e-9, None)
 step /= step.sum(axis=2, keepdims=True)
-after, _ = order_agnostic_loss(step, grid)
+after, _, _ = loss_assignment_gradient(step, grid)
 print(f"one crude descent step: {loss:.4f} -> {after:.4f}")
 
 print()
@@ -63,9 +62,9 @@ checks = []
 for i in rng.choice(flat.size, size=8, replace=False):
     orig = flat[i]
     flat[i] = orig + h
-    up, _ = order_agnostic_loss(probs, grid)
+    up, _, _ = loss_assignment_gradient(probs, grid)
     flat[i] = orig - h
-    down, _ = order_agnostic_loss(probs, grid)
+    down, _, _ = loss_assignment_gradient(probs, grid)
     flat[i] = orig
     checks.append((grad.reshape(-1)[i], (up - down) / (2 * h)))
 for analytic, numeric in checks:

@@ -31,7 +31,6 @@ from .matching import (
     TooManyGold,
     hungarian_max,
     loss_assignment_gradient,
-    order_agnostic_loss,
     similarity_matrix,
 )
 from .model import (

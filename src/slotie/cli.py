@@ -34,6 +34,7 @@ from .data import (
     read_grid_jsonl,
     read_imojie_jsonl,
     read_lines,
+    read_text,
     read_tuples_tsv,
     synth_generate,
     template_frequencies,
@@ -141,7 +142,7 @@ def _load_config_file(path: str | None, command: str) -> dict:
     import yaml
 
     try:
-        raw = yaml.load(Path(path).read_text(encoding="utf-8"), _unique_key_loader()) or {}
+        raw = yaml.load(read_text(path), _unique_key_loader()) or {}
     except yaml.YAMLError as exc:
         # PyYAML's own message spans several lines; keep its first problem.
         mark = getattr(exc, "problem_mark", None)
@@ -335,7 +336,13 @@ def _tokenized(sentences: list[str], max_len: int):
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve(args, "extract")
     model = SlotTagger.load(args.checkpoint)
-    sentences = [line for line in read_lines(args.infile) if line.strip()]
+    sentences: list[str] = []
+    for lineno, line in enumerate(read_lines(args.infile), start=1):
+        # A tuples-TSV field holds no tab, so no extraction of it could be written.
+        if "\t" in line and line.strip():
+            raise FormatError(f"{args.infile}:{lineno}: a sentence may not hold a tab")
+        if line.strip():
+            sentences.append(line)
     records: list[GenerativeRecord] = []
     processed = 0
     tick = time.perf_counter()

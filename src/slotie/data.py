@@ -85,28 +85,37 @@ class TripletPool:
     triples: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str, str]] = set()
+        seen: dict[tuple[str, str, str], None] = {}
         for triple in self.triples:
-            if not all(part.strip() for part in triple):
-                raise ConfigError(f"pool triple has an empty part: {triple}")
-            if triple in seen:
-                raise ConfigError(f"pool repeats the triple {triple}")
-            seen.add(triple)
+            if fault := _admit_triple(triple, seen):
+                raise ConfigError(fault)
 
     def __len__(self) -> int:
         return len(self.triples)
 
     @classmethod
     def from_tsv(cls, path) -> "TripletPool":
-        triples: list[tuple[str, str, str]] = []
+        triples: dict[tuple[str, str, str], None] = {}
         for lineno, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
-            cols = line.rstrip("\n").split("\t")
+            cols = line.split("\t")
             if len(cols) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(cols)}")
-            triples.append((cols[0], cols[1], cols[2]))
+            if fault := _admit_triple((cols[0], cols[1], cols[2]), triples):
+                raise FormatError(f"{path}:{lineno}: {fault}")
         return cls(tuple(triples))
+
+
+def _admit_triple(triple: tuple[str, str, str], seen: dict[tuple[str, str, str], None]) -> str:
+    """Add ``triple`` to the pool triples ``seen`` holds in order, or, if it
+    has an empty part or repeats one of them, return why not (else "")."""
+    if not all(part.strip() for part in triple):
+        return f"pool triple has an empty part: {triple}"
+    if triple in seen:
+        return f"pool repeats the triple {triple}"
+    seen[triple] = None
+    return ""
 
 
 @dataclass(frozen=True)
@@ -360,15 +369,25 @@ def template_frequencies(samples: Iterable[SynthSample]) -> dict[str, float]:
 
 # -- file formats --------------------------------------------------------------
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, broken at "\n" only.
+def read_text(path) -> str:
+    """A UTF-8 text file's text, with "\r\n" and "\r" read as "\n"; a byte
+    that is not UTF-8 is a FormatError naming the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # ``read_text`` decodes the whole file at once: ``exc.object`` is its bytes.
+        head = exc.object[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
-    ``read_text`` already turns "\r\n" and "\r" into "\n";
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file (``read_text``), broken at "\n" only:
     ``str.splitlines`` would also break a record at U+0085, U+2028 and
     other characters that ``json.dumps(ensure_ascii=False)`` and the TSV
     writer leave raw inside a field.
     """
-    return Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    return read_text(path).removesuffix("\n").split("\n")
 
 
 def read_tuples_tsv(path) -> list[GenerativeRecord]:

@@ -62,9 +62,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     total: float
 
-    def slot_to_gold(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def _as_probs(p: PredictionTensor | np.ndarray) -> np.ndarray:
     probs = p.probs if isinstance(p, PredictionTensor) else np.asarray(p, dtype=np.float64)
@@ -263,25 +260,12 @@ def loss_assignment_gradient(
     gold: LabelGrid,
     cfg: LossConfig = LossConfig(),
 ) -> tuple[float, Assignment, np.ndarray]:
-    """Loss value, assignment, and analytic gradient in one pass, holding
-    the assignment fixed when differentiating."""
+    """Matching loss for one sentence, its assignment, and the analytic
+    gradient, holding the assignment fixed when differentiating.  The loss
+    is invariant to the gold order and, up to slot relabeling, to the slot order."""
     probs = _as_probs(p)
     if gold.labels.shape[1] != probs.shape[0]:
         raise ShapeError("gold grid and predictions cover different token counts")
     assignment = optimal_assignment(probs, gold)
     loss, grad = loss_given_assignment(probs, gold, assignment, cfg)
     return loss, assignment, grad
-
-
-def order_agnostic_loss(
-    p: PredictionTensor | np.ndarray,
-    gold: LabelGrid,
-    cfg: LossConfig = LossConfig(),
-) -> tuple[float, Assignment]:
-    """Matching loss for one sentence; returns the assignment it used.
-
-    The loss value is invariant to the listed order of gold masks and, up
-    to slot relabeling, to the order of prediction slots.
-    """
-    loss, assignment, _ = loss_assignment_gradient(p, gold, cfg)
-    return loss, assignment

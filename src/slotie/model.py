@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
@@ -67,7 +68,7 @@ class CheckpointError(SlotieError):
 OOV_TOKEN = "<unk>"
 CHECKPOINT_VERSION = 2
 
-#: Token rows per pack in ``predict_many``: enough to amortise the per-pack
+#: Token rows per pack in ``predict_packs``: enough to amortise the per-pack
 #: Python over ~10 sentences while keeping the pack's activations small.
 PACK_TOKENS = 256
 
@@ -189,7 +190,7 @@ class ReferenceEncoder:
         sentence on its own rows.  Every operation runs in ``encode``'s
         order, so each sentence's rows equal ``encode(seq).data``, except
         that a one-token sentence must be packed alone (see
-        ``SlotTagger.predict_many``).
+        ``SlotTagger.predict_packs``).
         """
         ids = np.concatenate([self.token_ids(seq) for seq in seqs])
         x = self.embed.data[ids]
@@ -321,15 +322,6 @@ class SlotTagger:
         _, p = next(self.predict_packs([seq]))
         return p
 
-    def predict_many(self, seqs: Iterable[TokenSequence]) -> Iterator[PredictionTensor]:
-        """``predict_packs`` one sentence at a time: each sentence's rows of
-        its pack as a ``PredictionTensor``, lazily and in input order."""
-        for pack, p in self.predict_packs(seqs):
-            start = 0
-            for seq in pack:
-                yield PredictionTensor(p.probs[start : start + len(seq)])
-                start += len(seq)
-
     def predict_packs(
         self, seqs: Iterable[TokenSequence]
     ) -> Iterator[tuple[list[TokenSequence], PredictionTensor]]:
@@ -399,7 +391,7 @@ class SlotTagger:
                     values = archive["values"]
             model = cls(vocab, config, seed=seed, values=values)
         # A missing member or meta key is a KeyError, meta that is not JSON a ValueError.
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise CheckpointError(f"cannot read checkpoint {path}: {reason}") from exc
         if not np.isfinite(values).all():

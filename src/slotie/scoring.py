@@ -234,11 +234,6 @@ def _pair_table(
     ]
 
 
-def _lone_pair(t, g, pred_index, gold_index, drop_stopwords, gated_parts) -> ScoredPair | None:
-    (pairs, _, _), = _pair_table([([t], [g])], drop_stopwords, gated_parts)
-    return pairs[0]._replace(pred_index=pred_index, gold_index=gold_index) if pairs else None
-
-
 def wire57_pair(
     t: Extraction, g: Extraction, pred_index: int = 0, gold_index: int = 0
 ) -> ScoredPair | None:
@@ -249,15 +244,8 @@ def wire57_pair(
     per-part multiset overlaps by the prediction's token count, recall by
     the gold's token count.
     """
-    return _lone_pair(t, g, pred_index, gold_index, False, _EVERY_PART)
-
-
-def carb_pair(
-    t: Extraction, g: Extraction, pred_index: int = 0, gold_index: int = 0
-) -> ScoredPair | None:
-    """Stopword-filtered token-overlap scores; the pair qualifies only when
-    the relation fields share at least one (filtered) token."""
-    return _lone_pair(t, g, pred_index, gold_index, True, _RELATION)
+    (pairs, _, _), = _pair_table([([t], [g])], False, _EVERY_PART)
+    return pairs[0]._replace(pred_index=pred_index, gold_index=gold_index) if pairs else None
 
 
 # -- matching -------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from slotie import (
     PLACEHOLDER_TOKENS,
     TokenClass,
     hungarian_max,
-    order_agnostic_loss,
     read_imojie_jsonl,
     read_tuples_tsv,
     synth_generate,
@@ -101,7 +100,7 @@ def test_criterion_2_end_to_end_gradient():
         model.backward(dldp)
 
         def loss_value():
-            return order_agnostic_loss(model.predict(seq).probs, grid)[0]
+            return loss_assignment_gradient(model.predict(seq).probs, grid)[0]
 
         for tensor in model.named_parameters().values():
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
@@ -135,12 +134,12 @@ def test_criterion_3_order_agnosticism():
         n_gold = int(rng.integers(1, n_slots + 1))
         probs = random_probs(rng, n_tokens, n_slots)
         grid = random_grid(rng, n_tokens, n_gold)
-        loss, _ = order_agnostic_loss(probs, grid)
+        loss, _, _ = loss_assignment_gradient(probs, grid)
         gold_perm = rng.permutation(n_gold)
         shuffled = LabelGrid(grid.labels[gold_perm])
-        loss_gold, _ = order_agnostic_loss(probs, shuffled)
+        loss_gold, _, _ = loss_assignment_gradient(probs, shuffled)
         slot_perm = rng.permutation(n_slots)
-        loss_slot, _ = order_agnostic_loss(probs[:, slot_perm, :], grid)
+        loss_slot, _, _ = loss_assignment_gradient(probs[:, slot_perm, :], grid)
         worst = max(worst, abs(loss_gold - loss), abs(loss_slot - loss))
     assert worst <= 1e-9
     report("criterion-3", f"gold/slot permutations shift the loss by at most {worst:.1e}")
@@ -154,11 +153,11 @@ def test_criterion_4_perfect_prediction_limit():
         n_gold = int(rng.integers(1, n_slots + 1))
         grid = random_grid(rng, n_tokens, n_gold)
         target = one_hot_tensor(grid, n_slots)
-        loss, _ = order_agnostic_loss(target, grid)
+        loss, _, _ = loss_assignment_gradient(target, grid)
         assert loss <= 1e-9
         uniform = np.full_like(target, 0.25)
         losses = [
-            order_agnostic_loss((1 - a) * uniform + a * target, grid)[0]
+            loss_assignment_gradient((1 - a) * uniform + a * target, grid)[0]
             for a in np.linspace(0.0, 1.0, 10)
         ]
         assert all(b < a for a, b in zip(losses, losses[1:]))

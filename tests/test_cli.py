@@ -86,7 +86,18 @@ class TestSynthCommand:
         out = tmp_path / "x.tsv"
         assert run("synth", "--pool", pool, "--n", 1, "--seed", 0, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err == "data error: pool repeats the triple ('s3', 'r', 'o3')\n"
+        assert err == f"data error: {pool}:13: pool repeats the triple ('s3', 'r', 'o3')\n"
+        assert not out.exists()
+
+    def test_empty_pool_part_names_its_line(self, tmp_path, capsys):
+        pool = tmp_path / "pool.tsv"
+        lines = [f"s{i}\tr\to{i}\n" for i in range(12)]
+        lines[5] = "s5\t \to5\n"
+        pool.write_text("".join(lines))
+        out = tmp_path / "x.tsv"
+        assert run("synth", "--pool", pool, "--n", 1, "--seed", 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {pool}:6: pool triple has an empty part: ('s5', ' ', 'o5')\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -418,6 +429,18 @@ class TestExtractCommand:
             assert str(caught.value) == expected
             assert self._extract_fails(tmp_path, capsys, path) == f"data error: {expected}\n"
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: raw[: len(raw) // 2], id="truncated"),
+        pytest.param(lambda raw: raw[:-300] + bytes([raw[-300] ^ 0xFF]) + raw[-299:],
+                     id="byte-flipped"),
+    ])
+    def test_damaged_archive_is_data_error(self, tmp_path, capsys, checkpoint, damage):
+        checkpoint.write_bytes(damage(checkpoint.read_bytes()))
+        with pytest.raises(sl.CheckpointError, match="BadZipFile"):
+            sl.SlotTagger.load(checkpoint)
+        err = self._extract_fails(tmp_path, capsys, checkpoint)
+        assert err.startswith(f"data error: cannot read checkpoint {checkpoint}: BadZipFile: ")
+
     def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, checkpoint):
         # The NaN sits in the head.weight span of the one values block.
         model = sl.SlotTagger.load(checkpoint)
@@ -449,6 +472,23 @@ class TestExtractCommand:
         checkpoint = tmp_path / "v1.npz"
         np.savez(checkpoint, __meta__=np.array(json.dumps(meta)), **arrays)
         assert "version 1 " in self._extract_fails(tmp_path, capsys, checkpoint)
+
+    @pytest.mark.parametrize("trained", [True, False], ids=["trained", "untrained"])
+    def test_tab_in_sentence_is_data_error(self, tmp_path, capsys, checkpoint, trained):
+        # Whether the sentence yields an extraction depends on the model;
+        # the tab is rejected before any prediction.
+        if not trained:
+            vocab = sl.build_vocab([sl.tokenize("Ada wrote notes .")])
+            checkpoint = tmp_path / "untrained.npz"
+            sl.SlotTagger(vocab, sl.ModelConfig(n_slots=4, hidden=8, blocks=1)).save(checkpoint)
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes .\n \t \nAda wrote\tnotes .\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {infile}:3: a sentence may not hold a tab\n")
+        assert not out.exists()
 
     def test_over_length_sentence_skipped(self, tmp_path, checkpoint):
         infile = tmp_path / "sents.txt"
@@ -581,6 +621,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("read", ["pool", "config", "gold", "pred"])
+    def test_undecodable_input_names_its_file_and_line(self, tmp_path, capsys,
+                                                       sample_gold_path, read):
+        bad = tmp_path / "bad.txt"
+        # The whole file is decoded before it is parsed.  "\r\n" and a lone
+        # "\r" each end one line, as the readers see them.
+        bad.write_bytes(b"a\r\nb\rc\nd\xff\n")
+        out = tmp_path / "out"
+        args = {
+            "pool": ("synth", "--pool", bad),
+            "config": ("synth", "--pool", "data/pool_en.tsv", "--config", bad),
+            "gold": ("score", "--scheme", "carb", "--gold", bad, "--pred", sample_gold_path),
+            "pred": ("score", "--scheme", "carb", "--gold", sample_gold_path, "--pred", bad),
+        }[read]
+        assert run(*args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}:4: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1 and not out.exists()
 
 
 class TestConfigKeys:

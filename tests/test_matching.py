@@ -16,7 +16,6 @@ from slotie import (
     hungarian_max,
     loss_assignment_gradient,
     matching,
-    order_agnostic_loss,
     similarity_matrix,
 )
 from slotie.matching import EPS, loss_given_assignment, slot_targets
@@ -306,7 +305,8 @@ class TestGoldArrayProperties:
         shuffled = LabelGrid([rows[i] for i in perm])
         sim = similarity_matrix(probs, grid)
         assert np.array_equal(similarity_matrix(probs, shuffled), sim[:, perm])
-        assert order_agnostic_loss(probs, shuffled)[0] == order_agnostic_loss(probs, grid)[0]
+        loss = loss_assignment_gradient(probs, grid)[0]
+        assert loss_assignment_gradient(probs, shuffled)[0] == loss
 
 
 class TestHungarianMax:
@@ -484,7 +484,7 @@ class TestOrderAgnosticLoss:
         rng = np.random.default_rng(5)
         _, grid = random_instance(rng, n_tokens=6, n_slots=5, n_gold=3)
         probs = one_hot_grid_tensor(grid, 5)
-        loss, assignment = order_agnostic_loss(probs, grid)
+        loss, assignment, _ = loss_assignment_gradient(probs, grid)
         assert loss <= 1e-9
         assert len(assignment.pairs) == 3
 
@@ -492,10 +492,10 @@ class TestOrderAgnosticLoss:
         rng = np.random.default_rng(6)
         for _ in range(40):
             probs, grid = random_instance(rng, n_tokens=5, n_slots=4, n_gold=3)
-            loss, a = order_agnostic_loss(probs, grid)
+            loss, a, _ = loss_assignment_gradient(probs, grid)
             perm = rng.permutation(3)
             shuffled = LabelGrid(grid.labels[perm])
-            loss2, a2 = order_agnostic_loss(probs, shuffled)
+            loss2, a2, _ = loss_assignment_gradient(probs, shuffled)
             assert loss2 == pytest.approx(loss, abs=1e-9)
             assert a2.total == pytest.approx(a.total, abs=1e-9)
 
@@ -503,9 +503,9 @@ class TestOrderAgnosticLoss:
         rng = np.random.default_rng(7)
         for _ in range(40):
             probs, grid = random_instance(rng, n_tokens=5, n_slots=4, n_gold=2)
-            loss, a = order_agnostic_loss(probs, grid)
+            loss, a, _ = loss_assignment_gradient(probs, grid)
             perm = rng.permutation(4)
-            loss2, a2 = order_agnostic_loss(probs[:, perm, :], grid)
+            loss2, a2, _ = loss_assignment_gradient(probs[:, perm, :], grid)
             assert loss2 == pytest.approx(loss, abs=1e-9)
             remapped = {(int(np.where(perm == n)[0][0]), m) for n, m in a.pairs}
             assert set(a2.pairs) == remapped
@@ -516,7 +516,7 @@ class TestOrderAgnosticLoss:
         # Background.  Loss = (2*(-ln 0.6) + 1*(-ln 0.7)) / 2.
         probs = np.array([[[0.1, 0.6, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]]])
         grid = LabelGrid([[S]])
-        loss, assignment = order_agnostic_loss(probs, grid)
+        loss, assignment, _ = loss_assignment_gradient(probs, grid)
         assert assignment.pairs == ((0, 0),)
         assert loss == pytest.approx(0.6891630957353569, abs=1e-12)
         # Cross-check against enumerating both possible matchings.
@@ -530,7 +530,7 @@ class TestOrderAgnosticLoss:
     def test_no_gold_targets_background_everywhere(self):
         probs = np.full((2, 3, 4), 0.25)
         grid = LabelGrid(np.zeros((0, 2)))
-        loss, assignment = order_agnostic_loss(probs, grid)
+        loss, assignment, _ = loss_assignment_gradient(probs, grid)
         assert assignment.pairs == ()
         assert loss == pytest.approx(-np.log(0.25), abs=1e-12)
 
@@ -542,7 +542,7 @@ class TestOrderAgnosticLoss:
         losses = []
         for alpha in np.linspace(0.0, 1.0, 11):
             probs = (1 - alpha) * uniform + alpha * target
-            losses.append(order_agnostic_loss(probs, grid)[0])
+            losses.append(loss_assignment_gradient(probs, grid)[0])
         assert all(b < a for a, b in zip(losses, losses[1:]))
         assert losses[-1] <= 1e-9
 
@@ -550,7 +550,7 @@ class TestOrderAgnosticLoss:
         probs = np.zeros((1, 1, 4))
         probs[0, 0, 0] = 1.0
         grid = LabelGrid([[S]])
-        loss, _ = order_agnostic_loss(probs, grid)
+        loss, _, _ = loss_assignment_gradient(probs, grid)
         assert np.isfinite(loss)
 
 
@@ -612,7 +612,6 @@ class TestLossConfig:
         probs, grid = random_instance(rng)
         cfg = LossConfig(class_weights=(1.0, 3.0, 2.0, 0.5))
         loss, assignment, grad = loss_assignment_gradient(probs, grid, cfg)
-        assert order_agnostic_loss(probs, grid, cfg) == (loss, assignment)
         fixed_loss, fixed_grad = loss_given_assignment(probs, grid, assignment, cfg)
         assert fixed_loss == loss
         assert np.array_equal(fixed_grad, grad)

@@ -135,7 +135,19 @@ _packing_seqs = st.builds(
 )
 
 
+def _assert_packs_equal_forward(model, packs, seqs):
+    """``packs`` (what ``predict_packs`` yielded for ``seqs``) hold ``seqs``
+    in order, and each pack's probabilities are ``forward``'s rows of its
+    sentences, stacked in order, bit for bit."""
+    assert [seq for pack, _ in packs for seq in pack] == list(seqs)
+    for pack, p in packs:
+        want = np.concatenate([model.forward(seq).probs for seq in pack])
+        np.testing.assert_array_equal(p.probs, want)
+
+
 class TestPredictMany:
+    """Inference over many sentences, through ``predict_packs``."""
+
     @settings(max_examples=150, deadline=None)
     @given(
         blocks=st.integers(1, 2),
@@ -150,10 +162,8 @@ class TestPredictMany:
             if starts_pack or not packs:
                 packs.append([])
             packs[-1].append(seq)
-        got = [p for pack in packs for p in model.predict_many(pack)]
-        assert len(got) == len(seqs)
-        for seq, p in zip(seqs, got):
-            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+        for pack in packs:
+            _assert_packs_equal_forward(model, list(model.predict_packs(pack)), pack)
 
     def test_pack_over_256_rows_at_default_config(self):
         vocab = build_vocab([tokenize(" ".join(_WORDS))])
@@ -165,10 +175,7 @@ class TestPredictMany:
             for n in rng.integers(1, 30, size=24)
         ]
         assert sum(len(seq) for seq in seqs) > 256
-        got = list(model.predict_many(seqs))
-        assert len(got) == len(seqs)
-        for seq, p in zip(seqs, got):
-            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+        _assert_packs_equal_forward(model, list(model.predict_packs(seqs)), seqs)
 
     @pytest.mark.parametrize(
         "sizes, packs",
@@ -190,14 +197,12 @@ class TestPredictMany:
         monkeypatch.setattr(model.encoder, "encode_packed", recording)
         rng = np.random.default_rng(1)
         seqs = [sequence_from_tokens(list(rng.choice(_WORDS, size=n))) for n in sizes]
-        got = list(model.predict_many(iter(seqs)))
+        got = list(model.predict_packs(iter(seqs)))
         assert calls == packs
         for call in calls:
             assert sum(call) <= PACK_TOKENS or len(call) == 1
             assert 1 not in call or call == [1]
-        assert len(got) == len(seqs)
-        for seq, p in zip(seqs, got):
-            np.testing.assert_array_equal(p.probs, model.forward(seq).probs)
+        _assert_packs_equal_forward(model, got, seqs)
 
     def test_yields_the_first_pack_before_reading_past_it(self):
         class ReadPastFirstPack(Exception):
@@ -209,18 +214,20 @@ class TestPredictMany:
             yield from (sequence_from_tokens(["fox"] * 100) for _ in range(3))
             raise ReadPastFirstPack
 
-        results = _packing_model(1, 8).predict_many(sentences())
-        assert [next(results).n_tokens, next(results).n_tokens] == [100, 100]
+        results = _packing_model(1, 8).predict_packs(sentences())
+        pack, p = next(results)
+        assert [len(seq) for seq in pack] == [100, 100]
+        assert p.n_tokens == 200
         with pytest.raises(ReadPastFirstPack):
             next(results)
 
     def test_no_sequences(self, small_model):
-        assert list(small_model.predict_many([])) == []
+        assert list(small_model.predict_packs([])) == []
 
     def test_over_length_sequence_raises(self, small_model):
         with pytest.raises(TooLong):
-            list(small_model.predict_many([tokenize("the fox"),
-                                           tokenize(" ".join(["fox"] * 65))]))
+            list(small_model.predict_packs([tokenize("the fox"),
+                                            tokenize(" ".join(["fox"] * 65))]))
 
 
 def tensor_for_masks(rows):

@@ -395,12 +395,12 @@ def reference_counts(pred_labels, gold, assignment):
     """Per-class counts from the per-slot, per-class loop that the
     confusion-matrix accumulator replaced."""
     tp, pred_total, gold_total = (np.zeros(4, dtype=np.int64) for _ in range(3))
-    slot_to_gold = assignment.slot_to_gold()
+    gold_of_slot = dict(assignment.pairs)
     gold_labels = gold.labels
     for slot in range(pred_labels.shape[1]):
         predicted = pred_labels[:, slot]
-        if slot in slot_to_gold:
-            target = gold_labels[slot_to_gold[slot]]
+        if slot in gold_of_slot:
+            target = gold_labels[gold_of_slot[slot]]
         else:
             target = np.full_like(predicted, int(B))
         for klass in range(4):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slotie import Extraction, read_tuples_tsv, synth_generate
-from slotie.scoring import SCHEMES, carb_pair, wire57_pair
+from slotie.scoring import _EVERY_PART, _RELATION, SCHEMES, _pair_table
 
 SYNTH_SENTENCES = 200
 SYNTH_SEED = 7
@@ -133,11 +133,12 @@ def test_precision_and_recall_stay_in_unit_interval(gold, pred):
         assert 0.0 <= report.recall <= 1.0, name
 
 
-def _f1_ties(pair_fn, gold, pred):
-    """Whether two candidate pairs of one sentence tie on F1."""
-    for sentence, gold_exts in gold.items():
-        pairs = [pair_fn(t, g) for t in pred.get(sentence, ()) for g in gold_exts]
-        f1s = sorted(p.f1 for p in pairs if p is not None)
+def _f1_ties(gold, pred, drop_stopwords, gated_parts):
+    """Whether two candidate pairs of one sentence tie on F1, under the
+    scheme that filters stopwords and gates parts this way."""
+    sentences = [(list(pred.get(sentence, ())), gold_exts) for sentence, gold_exts in gold.items()]
+    for table in _pair_table(sentences, drop_stopwords, gated_parts):
+        f1s = sorted(pair.f1 for pair in table.pairs)
         if any(b - a < 1e-9 for a, b in zip(f1s, f1s[1:])):
             return True
     return False
@@ -149,8 +150,9 @@ def test_order_free_schemes_ignore_prediction_order(gold, pred):
     """wire57 and carb11 break F1 ties by prediction index, so the order
     only matters when two candidate pairs tie; without ties it must not."""
     reversed_pred = {s: exts[::-1] for s, exts in pred.items()}
-    for name, pair_fn in (("wire57", wire57_pair), ("carb11", carb_pair)):
-        if _f1_ties(pair_fn, gold, pred):
+    for name, drop_stopwords, gated_parts in (("wire57", False, _EVERY_PART),
+                                              ("carb11", True, _RELATION)):
+        if _f1_ties(gold, pred, drop_stopwords, gated_parts):
             continue
         forward = SCHEMES[name](gold, pred)
         backward = SCHEMES[name](gold, reversed_pred)
