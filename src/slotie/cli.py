@@ -379,23 +379,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _resolve(args, "score")
-    gold_records = read_tuples_tsv(args.gold)
-    for record in gold_records:
-        for ext in record.tuples:
-            # Predictions may carry empty parts (extract --no-require-all-parts);
-            # gold may not: no scheme could ever match it.
-            if not (ext.arg1.strip() and ext.rel.strip() and ext.arg2.strip()):
-                raise FormatError(
-                    f"{args.gold}: gold tuple {ext.as_tuple()} has an empty part "
-                    f"(sentence: {record.sentence[:60]})"
-                )
-    pred_records = read_tuples_tsv(args.pred)
-    gold = {r.sentence: list(r.tuples) for r in gold_records}
+    # Each map holds its records' own tuples: no copy, and no record outlives the read.
+    gold = {r.sentence: r.tuples for r in read_tuples_tsv(args.gold, gold=True)}
     pred = {}
     excluded = 0
-    for record in pred_records:
+    for record in read_tuples_tsv(args.pred):
         if record.sentence in gold:
-            pred[record.sentence] = list(record.tuples)
+            pred[record.sentence] = record.tuples
         else:
             excluded += 1
             print(
@@ -404,6 +394,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     report = SCHEMES[config["scheme"]](gold, pred)
+    del gold, pred  # the report holds what it needs; free the inputs before encoding it
     report.auc = auc_single_point(report.precision, report.recall)
     payload = report.to_dict()
     payload["config"] = config
@@ -419,29 +410,31 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process.  It holds no handlers: ``main`` looks
+    up the command's ``_cmd_*`` function when it runs."""
     parser = _Parser(prog="slotie", description=__doc__)
     parser.add_argument("--version", action="version", version=f"slotie {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "convert": (_cmd_convert, "convert a corpus into training grids",
+        "convert": ("convert a corpus into training grids",
                     {"--in": "infile", "--out": "out", "--report": "report"}),
-        "synth": (_cmd_synth, "generate synthetic sentences from a triplet pool",
+        "synth": ("generate synthetic sentences from a triplet pool",
                   {"--pool": "pool", "--out": "out"}),
-        "train": (_cmd_train, "train a tagger on converted grids",
+        "train": ("train a tagger on converted grids",
                   {"--data": "data", "--out": "out"}),
-        "extract": (_cmd_extract, "run a checkpoint over raw sentences",
+        "extract": ("run a checkpoint over raw sentences",
                     {"--checkpoint": "checkpoint", "--in": "infile", "--out": "out"}),
-        "score": (_cmd_score, "score predictions against gold tuples",
+        "score": ("score predictions against gold tuples",
                   {"--gold": "gold", "--pred": "pred", "--out": "out"}),
     }
-    for command, (handler, help_text, paths) in commands.items():
+    for command, (help_text, paths) in commands.items():
         p = sub.add_parser(command, help=help_text)
         for flag, dest in paths.items():
             p.add_argument(flag, dest=dest, required=True)
         p.add_argument("--config")
         _add_setting_flags(p, command)
-        p.set_defaults(handler=handler)
     return parser
 
 
@@ -452,8 +445,11 @@ def main(argv=None) -> int:
         # A required choice may come from the config file; validate after resolution.
         if setting.choices and getattr(args, name) is None and args.config is None:
             parser.error(f"--{name} is required (flag or config file)")
+    # Looked up on every call, so the parser, built once, holds no handler.
+    handler = {"convert": _cmd_convert, "synth": _cmd_synth, "train": _cmd_train,
+               "extract": _cmd_extract, "score": _cmd_score}[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -130,7 +130,7 @@ _PUNCT = re.escape(string.punctuation)
 TOKEN_PATTERN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSequence:
     """A tokenized sentence.
 
@@ -154,7 +154,7 @@ class TokenSequence:
         return self.tokens[:-3] if self.has_placeholders else self.tokens
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabelGrid:
     """The gold triplet masks of one sentence as one read-only (M, T) int64
     array of TokenClass ids, one row per mask; T is kept even when M = 0."""
@@ -180,7 +180,7 @@ class LabelGrid:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extraction:
     """An (arg1, rel, arg2) string triple with an optional confidence."""
 
@@ -197,7 +197,7 @@ class Extraction:
         return (self.arg1, self.rel, self.arg2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionTensor:
     """A (T, N, C) probability tensor; rows over the class axis sum to one."""
 

@@ -44,7 +44,7 @@ class ConfigError(SlotieError):
     """Raised for unusable configuration (e.g. a too-small triplet pool)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerativeRecord:
     """A sentence with its set of string tuples."""
 
@@ -52,7 +52,7 @@ class GenerativeRecord:
     tuples: tuple[Extraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConllRecord:
     """A tokenized sentence with one role-tag layer per tuple annotation."""
 
@@ -118,7 +118,7 @@ def _admit_triple(triple: tuple[str, str, str], seen: dict[tuple[str, str, str],
     return ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkippedTuple:
     """A tuple that a converter left out, and why; a CoNLL role layer has
     no ``extraction``.  ``unmatched``: tuple tokens no sentence token took."""
@@ -128,7 +128,7 @@ class SkippedTuple:
     unmatched: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedRecord:
     """Converter output, from ``lcs_align`` and ``lsoie_convert`` alike:
     the sentence, its placeholder-extended sequence, one mask row per kept
@@ -244,7 +244,9 @@ _TAG_RE = re.compile(r"^(P|A(\d+))-(B|I)$")
 
 def read_conll(path) -> list[ConllRecord]:
     """Read whitespace-separated CoNLL records: token column followed by one
-    tag column per tuple annotation; blank lines separate sentences."""
+    tag column per tuple annotation; blank lines separate sentences.  A tag
+    other than ``O`` and the ``P``/``A<n>`` ``-B``/``-I`` forms is a
+    FormatError naming its line."""
     records: list[ConllRecord] = []
     tokens: list[str] = []
     rows: list[list[str]] = []
@@ -269,6 +271,9 @@ def read_conll(path) -> list[ConllRecord]:
             flush(lineno)
             continue
         cols = stripped.split()
+        for tag in cols[1:]:
+            if tag != "O" and not _TAG_RE.match(tag):
+                raise FormatError(f"{path}:{lineno}: unknown role tag {tag!r}")
         tokens.append(cols[0])
         rows.append(cols[1:])
     flush(lineno)
@@ -326,7 +331,7 @@ def lsoie_convert(record: ConllRecord) -> AlignedRecord:
 
 # -- synthetic sentence generation --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthSample:
     record: GenerativeRecord
     template: str
@@ -390,10 +395,12 @@ def read_lines(path) -> list[str]:
     return read_text(path).removesuffix("\n").split("\n")
 
 
-def read_tuples_tsv(path) -> list[GenerativeRecord]:
+def read_tuples_tsv(path, gold: bool = False) -> list[GenerativeRecord]:
     """Read `sentence TAB confidence TAB arg1 TAB rel TAB arg2` lines,
     grouping consecutive-or-not lines of the same sentence together.  A
-    blank (whitespace-only) sentence is a FormatError: it has no tokens."""
+    blank (whitespace-only) sentence is a FormatError: it has no tokens.
+    With ``gold``, so is a tuple with an empty or whitespace-only part: no
+    scheme could ever match it.  Predictions may hold such parts."""
     grouped: dict[str, list[Extraction]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -410,6 +417,8 @@ def read_tuples_tsv(path) -> list[GenerativeRecord]:
             raise FormatError(f"{path}:{lineno}: bad confidence {conf_text!r}") from exc
         if not 0.0 <= confidence <= 1.0:
             raise FormatError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
+        if gold and not (arg1.strip() and rel.strip() and arg2.strip()):
+            raise FormatError(f"{path}:{lineno}: gold tuple {(arg1, rel, arg2)} has an empty part")
         grouped.setdefault(sentence, []).append(Extraction(arg1, rel, arg2, confidence))
     return [GenerativeRecord(s, tuple(exts)) for s, exts in grouped.items()]
 

@@ -51,7 +51,7 @@ class LossConfig:
             raise ValueError(f"class weights must be finite and >= 0: {self.class_weights}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """A partial bijection between slots and gold masks.
 

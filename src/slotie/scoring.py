@@ -13,10 +13,12 @@ matching strategy:
   head is a fixed heuristic (the last non-stopword token) and is
   intentionally parser-free.
 
-Each scorer is one function: it builds its whole-input step once (the pair
-table, or the heads), walks the gold sentences in order summing its own
-totals, and hands its per-sentence rows, precision, recall and totals to
-``_report``, which assembles the ``BenchmarkReport``.
+Each scorer is one function: it walks the gold sentences in order, reading
+their pairs from the pair table (built lazily, one block of at most
+``SCORE_BLOCK`` sentences at a time) or their heads (found once for the
+whole input), sums its own totals, and hands its per-sentence rows,
+precision, recall and totals to ``_report``, which assembles the
+``BenchmarkReport``.
 
 All scorers take ``{sentence: [Extraction, ...]}`` maps for gold and
 predictions, keyed by the exact sentence string.  Sentences present only
@@ -30,7 +32,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, pairwise
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,6 +162,10 @@ class MacroF1Accumulator:
 # -- the pair table -------------------------------------------------------------------
 
 _Sentences = Sequence[tuple[Sequence[Extraction], Sequence[Extraction]]]
+#: The most gold sentences one array pass of the pair table covers: the
+#: table is only as wide as its block's widest sentence, and it lives for
+#: one block.  A module constant, not a setting.
+SCORE_BLOCK = 256
 # Parts (arg1, rel, arg2) that must overlap for a pair to qualify, by scheme.
 _EVERY_PART = (0, 1, 2)
 _RELATION = (1,)
@@ -195,6 +201,16 @@ def _count_table(sentences: _Sentences, drop_stopwords: bool) -> tuple[np.ndarra
 
 
 def _pair_table(
+    sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
+) -> Iterator[_SentencePairs]:
+    """Each sentence's qualifying pairs, in order, scored by ``_block_pairs``
+    over at most ``SCORE_BLOCK`` sentences at a time, so that the count
+    table and its temporaries are as large as one block, not the input."""
+    for start in range(0, len(sentences), SCORE_BLOCK):
+        yield from _block_pairs(sentences[start:start + SCORE_BLOCK], drop_stopwords, gated_parts)
+
+
+def _block_pairs(
     sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
 ) -> list[_SentencePairs]:
     """Score every (prediction, gold) pair of every sentence at once: the
@@ -285,9 +301,9 @@ def _optimal(pairs: list[ScoredPair], n_pred: int, n_gold: int) -> list[ScoredPa
 _Corpus = Mapping[str, Sequence[Extraction]]
 
 
-def _sentences(gold: _Corpus, pred: _Corpus) -> list[tuple[list[Extraction], Sequence[Extraction]]]:
+def _sentences(gold: _Corpus, pred: _Corpus) -> _Sentences:
     """(pred_exts, gold_exts) of every gold sentence, in the order of ``gold``."""
-    return [(list(pred.get(s, ())), gold_exts) for s, gold_exts in gold.items()]
+    return [(pred.get(s, ()), gold_exts) for s, gold_exts in gold.items()]
 
 
 def _counts(sentences) -> tuple[int, int]:

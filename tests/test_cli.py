@@ -175,6 +175,14 @@ class TestConvertCommand:
         err = capsys.readouterr().err
         assert err == f"data error: {bad}:2: blank sentence\n"
 
+    def test_unknown_role_tag_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("Maria\tA0-B\nsold\tP-B\ncars\tZZ\n")
+        assert run("convert", "--format", "lsoie", "--in", bad,
+                   "--out", tmp_path / "o", "--report", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}:3: unknown role tag 'ZZ'\n"
+
     #: sha256 of the grids file and of the report that ``convert`` writes
     #: for each shipped input, so any change to a mask, a skip entry or a
     #: count shows up as a digest mismatch.
@@ -570,13 +578,15 @@ class TestScoreCommand:
         assert report["recall"] == pytest.approx(5 / 12, abs=1e-9)
         assert report["f1"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_gold_with_empty_part_is_data_error(self, tmp_path):
+    def test_gold_with_empty_part_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("s1\t1.0\tOak barrels\t\tcider\n")
         out = tmp_path / "r.json"
         assert run("score", "--scheme", "oie2016", "--gold", gold, "--pred", gold,
                    "--out", out) == 2
         assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"data error: {gold}:1: gold tuple ('Oak barrels', '', 'cider') has an empty part\n")
         # Predictions may have empty parts (extract --no-require-all-parts).
         good = tmp_path / "good.tsv"
         good.write_text("s1\t1.0\tOak barrels\tgive\tcider\n")
@@ -607,6 +617,20 @@ class TestScoreCommand:
 def all_subclasses(cls):
     subclasses = cls.__subclasses__()
     return subclasses + [sub for s in subclasses for sub in all_subclasses(s)]
+
+
+class TestParser:
+    def test_parser_is_built_once_and_serves_every_command(self, tmp_path, sample_gold_path):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        tsv = tmp_path / "s.tsv"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", 3, "--out", tsv) == 0
+        report = tmp_path / "r.json"
+        assert run("score", "--scheme", "carb", "--gold", sample_gold_path,
+                   "--pred", sample_gold_path, "--out", report) == 0
+        assert json.loads(report.read_text())["f1"] == 1.0
+        assert len(sl.read_tuples_tsv(tsv)) == 3
+        assert cli.build_parser() is parser
 
 
 class TestExitCodes:

@@ -7,20 +7,26 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slotie import (
+    Assignment,
     BadAnnotation,
+    ConllRecord,
     EmptyInput,
     Extraction,
+    GenerativeRecord,
     LabelGrid,
     NoTriplet,
     PLACEHOLDER_TOKENS,
     PredictionTensor,
+    SynthSample,
     TokenClass,
     grid_from_tuples,
+    lcs_align,
     mask_to_extraction,
     sequence_from_tokens,
     tokenize,
 )
 from slotie.core import N_CLASSES, class_argmax, class_max, class_sum
+from slotie.data import SkippedTuple
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -236,6 +242,23 @@ class TestGridAndTensorInvariants:
     def test_extraction_confidence_range(self):
         with pytest.raises(ValueError):
             Extraction("a", "b", "c", confidence=1.5)
+
+
+_RECORD = GenerativeRecord("Ada wrote notes .", (Extraction("Ada", "wrote", "notes"),))
+
+
+#: One instance of each record type that is made per tuple, sentence, pack or solve.
+@pytest.mark.parametrize("record", [
+    Extraction("a", "b", "c", 0.5), _RECORD, tokenize("a b", append_placeholders=True),
+    LabelGrid([[S, R, O]]), PredictionTensor(np.full((2, 3, 4), 0.25)), lcs_align(_RECORD),
+    SkippedTuple(None, "layer 0: no predicate"), SynthSample(_RECORD, "single"),
+    ConllRecord(("a",), (("O",),)), Assignment(((0, 0),), 1.0),
+], ids=lambda record: type(record).__name__)
+def test_record_types_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    # Bypassing the frozen ``__setattr__`` still finds no place for a new attribute.
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "extra", 1)
 
 
 #: Class-axis values: a few exact values that make ties, and any finite

@@ -1,6 +1,8 @@
 from collections import Counter
 from functools import reduce
+from itertools import product
 from operator import add
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from slotie import (
     wire57_pair,
     wire57_score,
 )
+from slotie import scoring
 from slotie.scoring import (
     _EVERY_PART,
     _RELATION,
@@ -141,8 +144,11 @@ _sentence_sets = st.lists(
                      [ext("cat cat", "is", "mat"), ext("of the", "[is]", "a")])])
 @example(sentences=[([ext("cat " * 300, "sat", "mat")], [ext("cat " * 280, "sat", "mat")])])
 def test_pair_table_equals_counter_oracle(sentences):
-    for drop_stopwords, gated_parts in ((False, _EVERY_PART), (True, _RELATION)):
-        table = _pair_table(sentences, drop_stopwords, gated_parts)
+    # Blocks of one and of two sentences split the input; the default holds it whole.
+    for block, (drop_stopwords, gated_parts) in product(
+            (scoring.SCORE_BLOCK, 1, 2), ((False, _EVERY_PART), (True, _RELATION))):
+        with patch.object(scoring, "SCORE_BLOCK", block):
+            table = list(_pair_table(sentences, drop_stopwords, gated_parts))
         assert len(table) == len(sentences)
         for (pred_exts, gold_exts), row in zip(sentences, table):
             expected = [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slotie import Extraction, read_tuples_tsv, synth_generate
+from slotie import scoring
 from slotie.scoring import _EVERY_PART, _RELATION, SCHEMES, _pair_table
 
 SYNTH_SENTENCES = 200
@@ -102,6 +103,16 @@ def test_report_json_is_pinned(scheme, inputs, pool, sample_gold_path, sample_pr
     report = SCHEMES[scheme](gold, pred)
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED[(scheme, inputs)]
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("inputs", ["sample", "synth", "empty-gold"])
+@pytest.mark.parametrize("scheme", ["carb", "carb11", "wire57"])  # the pair-table schemes
+def test_report_json_is_pinned_in_small_blocks(scheme, inputs, block, monkeypatch, pool,
+                                               sample_gold_path, sample_pred_path):
+    """The pair table built one or two sentences at a time gives the same bytes."""
+    monkeypatch.setattr(scoring, "SCORE_BLOCK", block)
+    test_report_json_is_pinned(scheme, inputs, pool, sample_gold_path, sample_pred_path)
 
 
 # -- properties over generated extraction sets -------------------------------------
