@@ -5,11 +5,12 @@ shape.  Operations record a closure that propagates the output gradient to
 the inputs; ``backward`` walks the recorded graph in reverse topological
 order.  Leaf gradients accumulate across repeated backward calls until
 their owner resets them in place (``train.adam_step`` zero-fills the
-tagger's gradient block).  Only the primitives needed by the token tagger
-are provided: arithmetic with broadcasting, matmul, transpose, reshape,
-relu, softmax, layer normalization, and embedding lookup.
-``softmax_array`` and ``layer_norm_array`` compute the same forward values
-on plain arrays, for inference without a graph.
+tagger's gradient block).  Only the operations that the token tagger
+records are provided: addition and multiplication (an operand may lack
+leading axes, as a bias row does), matmul, transpose, reshape, relu,
+softmax, layer normalization, and embedding lookup.  ``softmax_array`` and
+``layer_norm_array`` compute the same forward values on plain arrays, for
+inference without a graph.
 """
 
 from __future__ import annotations
@@ -18,25 +19,32 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SlotieError
+from .core import N_CLASSES, SlotieError, class_max, class_sum
 
 
 class GraphError(SlotieError):
     """Raised when backward is invoked without a usable forward graph."""
 
 
-def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of a plain array along ``axis``: the forward value of
-    ``Tensor.softmax``.  ``x`` is left as it is; the steps after the
-    shift run in place on the array the shift allocates."""
-    out = x - x.max(axis=axis, keepdims=True)
+#: The epsilon added to the variance by every layer norm.
+LAYER_NORM_EPS = 1e-5
+
+
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array over its last axis: the forward value of
+    ``Tensor.softmax``.  A last axis of ``N_CLASSES`` (the head's classes)
+    is reduced plane by plane through ``core.class_max``/``class_sum``,
+    which give numpy's bits faster at this width.  ``x`` is left as it is;
+    the steps after the shift run in place on the array the shift allocates."""
+    planes = x.shape[-1] == N_CLASSES
+    out = x - (class_max(x)[..., None] if planes else x.max(axis=-1, keepdims=True))
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= class_sum(out)[..., None] if planes else out.sum(axis=-1, keepdims=True)
     return out
 
 
 def layer_norm_array(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of a plain array over its last axis: the forward value of
     :func:`layer_norm`, plus the normalized rows and the per-row inverse
@@ -48,7 +56,7 @@ def layer_norm_array(
     normed = x - x.sum(axis=-1, keepdims=True) / width
     out = normed * normed
     var = out.sum(axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed *= inv
     np.multiply(normed, gain, out=out)
     out += bias
@@ -56,14 +64,12 @@ def layer_norm_array(
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
+    """Sum a gradient over the leading axes that broadcasting prepended to
+    an operand of ``shape``; the tape records no other broadcast."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+    if grad.shape != shape:
+        raise GraphError(f"a {shape} operand broadcasts to {grad.shape} on more than leading axes")
     return grad
 
 
@@ -168,17 +174,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor._lift(other))
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         out_data = self.data * other.data
@@ -190,8 +185,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
@@ -232,10 +225,9 @@ class Tensor:
 
         return Tensor._make(self.data * mask, (self,), backward)
 
-    def softmax(self, forward: Callable[[np.ndarray], np.ndarray] = softmax_array) -> "Tensor":
-        """Softmax over the last axis, its values computed by ``forward``,
-        which must equal ``softmax_array``."""
-        probs = forward(self.data)
+    def softmax(self) -> "Tensor":
+        """Softmax over the last axis, its values computed by ``softmax_array``."""
+        probs = softmax_array(self.data)
 
         def backward(grad: np.ndarray) -> None:
             inner = (grad * probs).sum(axis=-1, keepdims=True)
@@ -244,10 +236,10 @@ class Tensor:
         return Tensor._make(probs, (self,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
     and shift with learnable (H,) parameters."""
-    out_data, normed, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
+    out_data, normed, inv = layer_norm_array(x.data, gain.data, bias.data)
     width = x.data.shape[-1]
 
     def backward(grad: np.ndarray) -> None:

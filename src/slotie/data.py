@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -386,13 +386,23 @@ def read_text(path) -> str:
         raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file (``read_text``), broken at "\n" only:
-    ``str.splitlines`` would also break a record at U+0085, U+2028 and
-    other characters that ``json.dumps(ensure_ascii=False)`` and the TSV
-    writer leave raw inside a field.
+def read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file (as ``read_text`` reads it), yielded
+    as the file is read; an empty file is one empty line.  Lines break at
+    "\n" only: ``str.splitlines`` would also break a record at U+0085,
+    U+2028 and other characters that ``json.dumps(ensure_ascii=False)`` and
+    the TSV writer leave raw inside a field.
     """
-    return read_text(path).removesuffix("\n").split("\n")
+    try:
+        with open(path, encoding="utf-8") as file:
+            line = None
+            for line in file:
+                yield line.removesuffix("\n")
+            if line is None:
+                yield ""
+    except UnicodeDecodeError:
+        read_text(path)  # raises the FormatError that names the line
+        raise
 
 
 def read_tuples_tsv(path, gold: bool = False) -> list[GenerativeRecord]:
@@ -415,11 +425,13 @@ def read_tuples_tsv(path, gold: bool = False) -> list[GenerativeRecord]:
             confidence = float(conf_text)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad confidence {conf_text!r}") from exc
-        if not 0.0 <= confidence <= 1.0:
-            raise FormatError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
+        try:
+            extraction = Extraction(arg1, rel, arg2, confidence)
+        except ValueError as exc:  # the confidence's range
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if gold and not (arg1.strip() and rel.strip() and arg2.strip()):
             raise FormatError(f"{path}:{lineno}: gold tuple {(arg1, rel, arg2)} has an empty part")
-        grouped.setdefault(sentence, []).append(Extraction(arg1, rel, arg2, confidence))
+        grouped.setdefault(sentence, []).append(extraction)
     return [GenerativeRecord(s, tuple(exts)) for s, exts in grouped.items()]
 
 

@@ -7,8 +7,9 @@ self-attention with feedforward layers, residuals and layer normalization.
 The head maps each H-wide hidden state to N x C logits; a softmax over the
 class axis yields the (T, N, C) probability tensor.  Growing N only grows
 the head, the encoder is untouched.  Every reduction over the four-wide
-class axis (the head's softmax, the argmax of decoding) runs plane by
-plane through ``core.class_max``/``class_sum``/``class_argmax``.
+class axis (the head's softmax in ``autodiff.softmax_array``, the argmax
+of decoding) runs plane by plane through ``core.class_max``/``class_sum``/
+``class_argmax``.
 
 Training runs on the autodiff tape, one sentence at a time, and trains
 every parameter.  The parameters live in two flat float64 blocks owned by
@@ -51,7 +52,6 @@ from .core import (
     TokenSequence,
     class_argmax,
     class_max,
-    class_sum,
     mask_parts,
     typed_value,
 )
@@ -221,15 +221,6 @@ class ReferenceEncoder:
         return x
 
 
-def class_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the trailing class axis, reduced plane by plane; equal
-    to ``softmax_array(logits)`` bit for bit."""
-    exp = logits - class_max(logits)[..., None]
-    np.exp(exp, out=exp)
-    exp /= class_sum(exp)[..., None]
-    return exp
-
-
 class DetectionHead:
     """Affine map from H hidden features to N x C logits per token."""
 
@@ -241,12 +232,12 @@ class DetectionHead:
     def __call__(self, hidden: Tensor) -> Tensor:
         n_tokens = hidden.shape[0]
         logits = hidden @ self.weight + self.bias
-        return logits.reshape(n_tokens, self.config.n_slots, N_CLASSES).softmax(class_softmax)
+        return logits.reshape(n_tokens, self.config.n_slots, N_CLASSES).softmax()
 
     def probs(self, hidden: np.ndarray) -> np.ndarray:
         """``__call__``'s forward value on a plain (T, H) array."""
         logits = _affine(hidden, self.weight.data, self.bias.data)
-        return class_softmax(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
+        return softmax_array(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
 
 
 class SlotTagger:

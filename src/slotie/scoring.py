@@ -28,7 +28,6 @@ prediction sets score precision 0, not 1.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, pairwise
 from pathlib import Path
@@ -53,6 +52,8 @@ STOPWORDS = _load_stopwords()
 
 def stopwords_checksum() -> str:
     """SHA-256 of the shipped stopword file; pin this to reproduce scores."""
+    import hashlib  # here: nothing else in slotie needs its ~3.6 MB of imports
+
     return hashlib.sha256(_STOPWORDS_PATH.read_bytes()).hexdigest()
 
 
@@ -72,14 +73,8 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
-def _harmonic(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def _ratios(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """``_ratio`` elementwise; ``_harmonic`` is ``_ratios(2.0 * p * r, p + r)``."""
+    """``_ratio`` elementwise; F1 is ``_ratios(2.0 * p * r, p + r)``."""
     out = np.zeros(len(numerator))
     np.divide(numerator, denominator, out=out, where=denominator != 0)
     return out
@@ -214,9 +209,9 @@ def _block_pairs(
     sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
 ) -> list[_SentencePairs]:
     """Score every (prediction, gold) pair of every sentence at once: the
-    multiset overlaps are ``np.minimum`` over count-table rows, precision
-    and recall follow the scalar order of ``_ratio`` and ``_harmonic``, and
-    only pairs whose ``gated_parts`` all overlap become ScoredPairs."""
+    multiset overlaps are ``np.minimum`` over count-table rows, precision,
+    recall and F1 follow the scalar order of ``_ratio`` and ``_report``,
+    and only pairs whose ``gated_parts`` all overlap become ScoredPairs."""
     table, sizes = _count_table(sentences, drop_stopwords)
     n_pred, n_gold = np.array([(len(p), len(g)) for p, g in sentences], np.int64).reshape(-1, 2).T
     first = np.cumsum(n_pred + n_gold) - (n_pred + n_gold)  # each sentence's first extraction
@@ -321,7 +316,7 @@ def _report(scheme, gold, sentences, rows, precision, recall, totals) -> Benchma
     ]
     n_pred, n_gold = _counts(sentences)
     return BenchmarkReport(
-        scheme, precision, recall, _harmonic(precision, recall),
+        scheme, precision, recall, _ratio(2.0 * precision * recall, precision + recall),
         matched=sum(matched for matched, _ in rows), gold_count=n_gold, pred_count=n_pred,
         per_sentence=per_sentence, totals=totals,
     )

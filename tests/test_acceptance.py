@@ -378,7 +378,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
 # Prints the OpenBLAS thread count in use (None where this numpy build does
 # not expose it), then the sha256 of the packed probabilities over 200
-# held-out sentences and of the gradients summed over 40 training sentences.
+# held-out sentences plus held-out sentences of 60 to 90 tokens (synth
+# sentences joined), and of the gradients summed over 40 training sentences.
 _BLAS_BITS_SCRIPT = """
 import ctypes, hashlib, json, pathlib
 import numpy as np
@@ -398,6 +399,12 @@ pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
 aligned = [sl.lcs_align(s.record) for s in sl.synth_generate(pool, 40, seed=7)]
 heldout = [sl.tokenize(s.record.sentence, append_placeholders=True)
            for s in sl.synth_generate(pool, 200, seed=8)]
+text = ""
+for s in sl.synth_generate(pool, 300, seed=10):  # 75 of them, 60 to 90 tokens
+    seq = sl.tokenize(text + s.record.sentence, append_placeholders=True)
+    text = "" if len(seq) >= 60 else text + s.record.sentence + " "
+    if 60 <= len(seq) <= 90:
+        heldout.append(seq)
 model = sl.SlotTagger(sl.build_vocab(a.sequence for a in aligned), sl.ModelConfig(), seed=0)
 probs = hashlib.sha256()
 for _, p in model.predict_packs(heldout):

@@ -13,6 +13,8 @@ from slotie.cli import main
 
 
 ROOT = Path(__file__).resolve().parents[1]
+#: ``scoring.stopwords_checksum()`` of the shipped stopword file.
+STOPWORDS_SHA256 = "bb1864d04bb62abee3d8737128ec645c801bacf8b1282ebcc2a184f3b52783f1"
 
 
 def run(*argv):
@@ -594,6 +596,27 @@ class TestScoreCommand:
                    "--out", out) == 0
         assert json.loads(out.read_text())["pred_count"] == 1
 
+    def test_extract_and_score_leave_hashlib_unimported(self, tmp_path, checkpoint, synth_tsv,
+                                                        fresh_python):
+        # A fresh interpreter: pytest and this module import hashlib.
+        sentences = tmp_path / "sentences.txt"
+        records = sl.read_tuples_tsv(synth_tsv)
+        sentences.write_text("".join(r.sentence + "\n" for r in records), encoding="utf-8")
+        script = f"""
+import sys
+from slotie import cli, scoring
+d = {str(tmp_path)!r}
+for argv in (
+    ["extract", "--checkpoint", {str(checkpoint)!r}, "--in", d + "/sentences.txt",
+     "--out", d + "/x.tsv"],
+    ["score", "--scheme", "carb11", "--gold", {str(synth_tsv)!r}, "--pred", d + "/x.tsv",
+     "--out", d + "/c.json"],
+):
+    assert cli.main(argv) == 0, argv
+print("hashlib" in sys.modules, scoring.stopwords_checksum())
+"""
+        assert fresh_python(script).split()[-2:] == ["False", STOPWORDS_SHA256]
+
     def test_unknown_scheme_is_usage_error(self, tmp_path, sample_gold_path):
         with pytest.raises(SystemExit) as err:
             run("score", "--scheme", "bogus", "--gold", sample_gold_path,
@@ -650,8 +673,8 @@ class TestExitCodes:
     def test_undecodable_input_names_its_file_and_line(self, tmp_path, capsys,
                                                        sample_gold_path, read):
         bad = tmp_path / "bad.txt"
-        # The whole file is decoded before it is parsed.  "\r\n" and a lone
-        # "\r" each end one line, as the readers see them.
+        # A file this short is decoded in one chunk before a line is parsed.
+        # "\r\n" and a lone "\r" each end one line, as the readers see them.
         bad.write_bytes(b"a\r\nb\rc\nd\xff\n")
         out = tmp_path / "out"
         args = {

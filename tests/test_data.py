@@ -489,6 +489,26 @@ class TestTuplesTsv:
         with pytest.raises(FormatError):
             read_tuples_tsv(path)
 
+    @pytest.mark.parametrize("conf", ["1.5", "-0.25", "nan"])
+    def test_confidence_outside_the_unit_range_names_its_line(self, tmp_path, conf):
+        # Line 2 also has an empty gold part; the confidence is reported first.
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"s\t1.0\ta\tb\tc\ns\t{conf}\t \tb\tc\n")
+        with pytest.raises(FormatError, match=rf":2: confidence {float(conf)} outside \[0, 1\]$"):
+            read_tuples_tsv(path, gold=True)
+
+    def test_lines_are_parsed_as_the_file_is_read(self, tmp_path):
+        # The undecodable byte lies past the first chunk that the reader
+        # decodes, so the format error on line 1 is met first.
+        path = tmp_path / "bad.tsv"
+        body = b"s\t1.0\ta\tb\tc\n" * 2000 + b"\xff\n"
+        path.write_bytes(b"one\ttwo\n" + body)
+        with pytest.raises(FormatError, match=":1: expected 5 columns"):
+            read_tuples_tsv(path)
+        path.write_bytes(body)
+        with pytest.raises(FormatError, match=":2001: 'utf-8' codec can't decode byte 0xff"):
+            read_tuples_tsv(path)
+
     @pytest.mark.parametrize("sentence", ["", " ", "\u3000\x1c"])
     def test_blank_sentence_is_rejected(self, tmp_path, sentence):
         path = tmp_path / "bad.tsv"

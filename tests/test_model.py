@@ -20,8 +20,7 @@ from slotie import (
     sequence_from_tokens,
     tokenize,
 )
-from slotie.autodiff import softmax_array
-from slotie.model import PACK_TOKENS, class_softmax
+from slotie.model import PACK_TOKENS
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -420,19 +419,6 @@ class TestDecodePack:
         p = tensor_for_masks(np.zeros((2, 5), dtype=int))
         with pytest.raises(ValueError, match="different token counts"):
             decode_pack(p, [tokenize("a b"), tokenize("c d")])
-
-
-class TestClassSoftmax:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        logits=st.tuples(st.integers(1, 12), st.integers(1, 20)).flatmap(
-            lambda tn: st.lists(
-                st.floats(-60.0, 60.0), min_size=tn[0] * tn[1] * 4, max_size=tn[0] * tn[1] * 4
-            ).map(lambda v: np.array(v).reshape(tn[0], tn[1], 4))
-        )
-    )
-    def test_equals_softmax_array_bit_for_bit(self, logits):
-        assert class_softmax(logits).tobytes() == softmax_array(logits).tobytes()
 
 
 class TestCheckpoint:
