@@ -14,6 +14,7 @@ from .core import (
     LabelGrid,
     N_CLASSES,
     NoTriplet,
+    NumericalError,
     PLACEHOLDER_TOKENS,
     PredictionTensor,
     SlotieError,
@@ -47,7 +48,6 @@ from .model import (
 )
 from .train import (
     AdamState,
-    NumericalError,
     TrainConfig,
     TrainResult,
     adam_step,

@@ -2,15 +2,15 @@
 
 Each Tensor wraps a float64 ndarray plus an optional gradient of the same
 shape.  Operations record a closure that propagates the output gradient to
-the inputs; ``backward`` walks the recorded graph in reverse topological
-order.  Leaf gradients accumulate across repeated backward calls until
-their owner resets them in place (``train.adam_step`` zero-fills the
-tagger's gradient block).  Only the operations that the token tagger
-records are provided: addition and multiplication (an operand may lack
-leading axes, as a bias row does), matmul, transpose, reshape, relu,
-softmax, layer normalization, and embedding lookup.  ``softmax_array`` and
-``layer_norm_array`` compute the same forward values on plain arrays, for
-inference without a graph.
+the inputs; ``backward(grad)`` walks the recorded graph in reverse
+topological order from the seed ``grad`` its caller passes.  Leaf gradients
+accumulate across repeated backward calls until their owner resets them in
+place (``train.adam_step`` zero-fills the tagger's gradient block).  Only
+the operations that the token tagger records are provided: addition and
+multiplication (an operand may lack leading axes, as a bias row does),
+matmul, transpose, reshape, relu, softmax, layer normalization, and
+embedding lookup.  ``softmax_array`` and ``layer_norm_array`` compute the
+same forward values on plain arrays, for inference without a graph.
 """
 
 from __future__ import annotations
@@ -108,15 +108,9 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, grad=None) -> None:
-        """Propagate ``grad`` (default: ones, scalars only) through the graph.
-
-        Repeated calls accumulate into every reachable ``.grad``.
-        """
-        if grad is None:
-            if self.data.size != 1:
-                raise GraphError("backward on a non-scalar tensor needs an explicit gradient")
-            grad = np.ones_like(self.data)
+    def backward(self, grad) -> None:
+        """Propagate the seed ``grad``, of this tensor's shape, through the
+        graph.  Repeated calls accumulate into every reachable ``.grad``."""
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
             raise GraphError(f"gradient shape {grad.shape} does not match {self.data.shape}")
@@ -147,14 +141,9 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
 
-    # -- properties ----------------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- primitives ----------------------------------------------------------
 

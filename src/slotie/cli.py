@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__
-from .core import SlotieError, tokenize, typed_value
+from .core import NumericalError, SlotieError, tokenize, typed_value
 from .data import (
     AlignedRecord,
     ConfigError,
@@ -45,7 +45,7 @@ from .matching import LossConfig
 # ``decode`` is the one-sentence path whose output ``extract`` must equal.
 from .model import ModelConfig, SlotTagger, decode, decode_pack  # noqa: F401
 from .scoring import SCHEMES, auc_single_point
-from .train import NumericalError, TrainConfig, train
+from .train import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -25,6 +25,10 @@ class SlotieError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NumericalError(SlotieError):
+    """Raised when a loss, a gradient or the tagger's output is not finite."""
+
+
 class EmptyInput(SlotieError):
     """Raised when a sentence is empty or whitespace-only."""
 

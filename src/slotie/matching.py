@@ -7,6 +7,8 @@ picks which slot answers for which gold triplet; matched slots are trained
 toward their gold mask with class-weighted cross-entropy and every
 unmatched slot is trained toward all-Background.  The assignment is treated
 as a constant when differentiating (straight-through the matching).
+The functions take the (T, N, C) probabilities as an array; a grid with
+no gold is ordinary input, whose slots all target Background.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import N_CLASSES, LabelGrid, PredictionTensor, SlotieError, TokenClass
+from .core import N_CLASSES, LabelGrid, SlotieError, TokenClass
 
 
 class ShapeError(SlotieError):
@@ -63,19 +65,17 @@ class Assignment:
     total: float
 
 
-def _as_probs(p: PredictionTensor | np.ndarray) -> np.ndarray:
-    probs = p.probs if isinstance(p, PredictionTensor) else np.asarray(p, dtype=np.float64)
+def _as_probs(p: np.ndarray) -> np.ndarray:
+    probs = np.asarray(p, dtype=np.float64)
     if probs.ndim != 3 or probs.shape[2] != N_CLASSES:
         raise ShapeError(f"expected a (T, N, {N_CLASSES}) tensor, got {probs.shape}")
     return probs
 
 
-def similarity_matrix(p: PredictionTensor | np.ndarray, gold: LabelGrid) -> np.ndarray:
+def similarity_matrix(p: np.ndarray, gold: LabelGrid) -> np.ndarray:
     """Smooth IoU between every slot and every gold mask, shape (N, M),
-    over the non-Background classes."""
+    over the non-Background classes; (N, 0) for a grid with no gold."""
     probs = _as_probs(p)
-    if gold.n_gold == 0:
-        raise ValueError("similarity matrix needs at least one gold mask")
     if gold.labels.shape[1] != probs.shape[0]:
         raise ShapeError(
             f"grid covers {gold.labels.shape[1]} tokens but predictions cover {probs.shape[0]}"
@@ -126,8 +126,6 @@ def linear_sum_assignment(cost_matrix: np.ndarray, maximize: bool = False):
 
 
 def _optimal_total(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
     rows, cols = linear_sum_assignment(values, maximize=True)
     return float(values[rows, cols].sum())
 
@@ -219,19 +217,8 @@ def slot_targets(shape: tuple[int, int], gold: LabelGrid, assignment: Assignment
     return targets
 
 
-def optimal_assignment(probs: np.ndarray, gold: LabelGrid) -> Assignment:
-    """The loss-optimal slot-to-gold assignment; empty when there is no gold."""
-    if gold.n_gold == 0:
-        return Assignment((), 0.0)
-    if gold.n_gold > probs.shape[1]:
-        raise TooManyGold(
-            f"{gold.n_gold} gold masks exceed the {probs.shape[1]} available slots"
-        )
-    return hungarian_max(similarity_matrix(probs, gold))
-
-
 def loss_given_assignment(
-    p: PredictionTensor | np.ndarray,
+    p: np.ndarray,
     gold: LabelGrid,
     assignment: Assignment,
     cfg: LossConfig = LossConfig(),
@@ -256,16 +243,13 @@ def loss_given_assignment(
 
 
 def loss_assignment_gradient(
-    p: PredictionTensor | np.ndarray,
+    p: np.ndarray,
     gold: LabelGrid,
     cfg: LossConfig = LossConfig(),
 ) -> tuple[float, Assignment, np.ndarray]:
     """Matching loss for one sentence, its assignment, and the analytic
     gradient, holding the assignment fixed when differentiating.  The loss
     is invariant to the gold order and, up to slot relabeling, to the slot order."""
-    probs = _as_probs(p)
-    if gold.labels.shape[1] != probs.shape[0]:
-        raise ShapeError("gold grid and predictions cover different token counts")
-    assignment = optimal_assignment(probs, gold)
-    loss, grad = loss_given_assignment(probs, gold, assignment, cfg)
+    assignment = hungarian_max(similarity_matrix(p, gold))
+    loss, grad = loss_given_assignment(p, gold, assignment, cfg)
     return loss, assignment, grad

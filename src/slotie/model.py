@@ -47,6 +47,7 @@ from .autodiff import Tensor, embedding, layer_norm, layer_norm_array, softmax_a
 from .core import (
     N_CLASSES,
     Extraction,
+    NumericalError,
     PredictionTensor,
     SlotieError,
     TokenSequence,
@@ -150,7 +151,7 @@ class ReferenceEncoder:
         self.config = config
         self.embed = params["embed"]
         # Position signals are fixed; scaled down so content embeddings dominate.
-        self.positions = 0.1 * sinusoidal_positions(config.max_len, config.hidden)
+        self._rows = np.zeros((0, config.hidden))
         self.block_params: list[dict[str, Tensor]] = []
         for i in range(config.blocks):
             prefix = f"block{i}."
@@ -162,14 +163,16 @@ class ReferenceEncoder:
         oov = self.vocab[OOV_TOKEN]
         return np.array([self.vocab.get(tok, oov) for tok in seq.tokens], dtype=np.int64)
 
-    def _positions(self, seq: TokenSequence) -> np.ndarray:
+    def positions(self, seq: TokenSequence) -> np.ndarray:
         n_tokens = len(seq)
         if n_tokens > self.config.max_len:
             raise TooLong(f"{n_tokens} tokens exceed the {self.config.max_len}-token cap")
-        return self.positions[:n_tokens]
+        if n_tokens > len(self._rows):
+            self._rows = 0.1 * sinusoidal_positions(n_tokens, self.config.hidden)
+        return self._rows[:n_tokens]
 
     def encode(self, seq: TokenSequence) -> Tensor:
-        x = embedding(self.embed, self.token_ids(seq)) + Tensor(self._positions(seq))
+        x = embedding(self.embed, self.token_ids(seq)) + Tensor(self.positions(seq))
         scale = 1.0 / np.sqrt(self.config.hidden)
         for blk in self.block_params:
             q = x @ blk["wq"] + blk["bq"]
@@ -194,7 +197,7 @@ class ReferenceEncoder:
         """
         ids = np.concatenate([self.token_ids(seq) for seq in seqs])
         x = self.embed.data[ids]
-        x += np.concatenate([self._positions(seq) for seq in seqs])
+        x += np.concatenate([self.positions(seq) for seq in seqs])
         bounds = np.cumsum([0] + [len(seq) for seq in seqs]).tolist()
         spans = list(zip(bounds[:-1], bounds[1:]))
         scale = 1.0 / np.sqrt(self.config.hidden)
@@ -238,6 +241,12 @@ class DetectionHead:
         """``__call__``'s forward value on a plain (T, H) array."""
         logits = _affine(hidden, self.weight.data, self.bias.data)
         return softmax_array(logits.reshape(len(hidden), self.config.n_slots, N_CLASSES))
+
+
+def _checked(probs: np.ndarray) -> PredictionTensor:
+    if not np.isfinite(probs).all():
+        raise NumericalError("the tagger's probabilities are not finite")
+    return PredictionTensor(probs)
 
 
 class SlotTagger:
@@ -304,9 +313,8 @@ class SlotTagger:
 
     def forward(self, seq: TokenSequence) -> PredictionTensor:
         """Run the model, recording the graph for a later ``backward``."""
-        output = self.head(self.encoder.encode(seq))
-        self._last_output = output
-        return PredictionTensor(output.data)
+        self._last_output = self.head(self.encoder.encode(seq))
+        return _checked(self._last_output.data)
 
     def predict(self, seq: TokenSequence) -> PredictionTensor:
         """Inference-only forward; no graph is recorded."""
@@ -341,7 +349,7 @@ class SlotTagger:
             yield pack, self._predict_pack(pack)
 
     def _predict_pack(self, pack: list[TokenSequence]) -> PredictionTensor:
-        return PredictionTensor(self.head.probs(self.encoder.encode_packed(pack)))
+        return _checked(self.head.probs(self.encoder.encode_packed(pack)))
 
     def backward(self, prob_grad: np.ndarray) -> None:
         """Push a (T, N, C) gradient w.r.t. the probabilities into the

@@ -8,20 +8,17 @@ accumulation group.  Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import LabelGrid, SlotieError, TokenSequence
-from .matching import LossConfig, loss_assignment_gradient, optimal_assignment
-from .model import ModelConfig, SlotTagger, build_vocab, decode_grid
+from .core import LabelGrid, NumericalError, TokenSequence
+from .matching import LossConfig, TooManyGold, hungarian_max, loss_assignment_gradient
+from .matching import similarity_matrix
+from .model import ModelConfig, SlotTagger, TooLong, build_vocab, decode_grid
 from .scoring import MacroF1Accumulator
-
-
-class NumericalError(SlotieError):
-    """Raised when a loss or gradient stops being finite."""
-
 
 #: Adam's moment decay rates and denominator epsilon, the usual defaults.
 ADAM_BETA1 = 0.9
@@ -126,21 +123,36 @@ class TrainResult:
     diagnostics: str = ""
 
 
+@contextmanager
+def _naming_record(position: int, seq: TokenSequence):
+    """Name the record of a TooLong or TooManyGold error: position, first words."""
+    try:
+        yield
+    except (TooLong, TooManyGold) as exc:
+        words = " ".join(seq.body_tokens[:6]) + (" ..." if len(seq.body_tokens) > 6 else "")
+        exc.args = (f"record {position} ({words}): {exc}",)
+        raise
+
+
 def evaluate_macro_f1(
     model: SlotTagger,
     dataset: Sequence[tuple[TokenSequence, LabelGrid]],
+    positions: Sequence[int] | None = None,
 ) -> float:
     """Token-wise macro F1 of the argmax slot labels against gold, aggregated
-    over the dataset under the loss-optimal assignments."""
+    over the dataset under the loss-optimal assignments.  A TooManyGold
+    error names ``dataset[k]`` as record ``positions[k]`` (default k + 1)."""
     acc = MacroF1Accumulator()
-    grids = (grid for _, grid in dataset)
+    positions = range(1, len(dataset) + 1) if positions is None else positions
+    grids = zip(positions, (grid for _, grid in dataset))
     for pack, p in model.predict_packs(seq for seq, _ in dataset):
         labels = decode_grid(p)
         start = 0
         # The pack comes first, so zip reads no grid past the pack.
-        for seq, grid in zip(pack, grids):
+        for seq, (position, grid) in zip(pack, grids):
             rows = slice(start, start + len(seq))
-            acc.add(labels[rows], grid, optimal_assignment(p.probs[rows], grid))
+            with _naming_record(position, seq):
+                acc.add(labels[rows], grid, hungarian_max(similarity_matrix(p.probs[rows], grid)))
             start = rows.stop
     return acc.value()
 
@@ -159,20 +171,21 @@ def train(
     returned model carries the best snapshot.  On numeric divergence the
     loop aborts, keeps the last good snapshot, and flags the result.
     """
-    if not dataset:
-        raise ValueError("training needs at least one example")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     n_val = int(round(cfg.validation_fraction * len(dataset)))
-    val_indices = order[:n_val]
     train_indices = order[n_val:]
+    val_indices = order[:n_val] if n_val else train_indices
     if len(train_indices) == 0:
-        raise ValueError("validation fraction leaves no training examples")
+        raise ValueError(f"no training examples: {n_val} of {len(dataset)} held out for validation")
     train_set = [dataset[i] for i in train_indices]
-    val_set = [dataset[i] for i in val_indices] if n_val else train_set
+    val_set = [dataset[i] for i in val_indices]
 
     vocab = build_vocab(seq for seq, _ in train_set)
     model = SlotTagger(vocab, model_cfg, seed=cfg.seed)
+    for position, (seq, _) in enumerate(dataset, 1):
+        with _naming_record(position, seq):
+            model.encoder.positions(seq)  # TooLong past max_len, before any step
     state = AdamState(model.values.size)
 
     history: list[EpochStats] = []
@@ -191,17 +204,18 @@ def train(
                 for i in batch:
                     seq, grid = train_set[i]
                     probs = model.forward(seq)
-                    loss, _, grad = loss_assignment_gradient(probs.probs, grid, loss_cfg)
+                    with _naming_record(train_indices[i] + 1, seq):
+                        loss, _, grad = loss_assignment_gradient(probs.probs, grid, loss_cfg)
                     if not np.isfinite(loss):
                         raise NumericalError(f"non-finite loss on example {i} (epoch {epoch})")
                     model.backward(grad / len(batch))
                     epoch_loss += loss
                 adam_step(model, state, cfg)
+            val_f1 = evaluate_macro_f1(model, val_set, val_indices + 1)
         except NumericalError as exc:
             diverged = True
             diagnostics = str(exc)
             break
-        val_f1 = evaluate_macro_f1(model, val_set)
         is_best = val_f1 > best_f1
         if is_best:
             best_f1 = val_f1

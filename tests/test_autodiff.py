@@ -52,7 +52,7 @@ class TestPrimitives:
     def test_scalar_product_rule(self):
         x = Tensor(3.0, requires_grad=True)
         y = Tensor(4.0, requires_grad=True)
-        (x * y).backward()
+        (x * y).backward(1.0)
         assert x.grad == pytest.approx(4.0)
         assert y.grad == pytest.approx(3.0)
 
@@ -121,8 +121,8 @@ class TestGraphBehavior:
     def test_repeated_backward_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
         y = x * 3.0
-        y.backward()
-        y.backward()
+        y.backward(1.0)
+        y.backward(1.0)
         assert x.grad == pytest.approx(6.0)
 
     def test_second_backward_adds_exactly_the_same_gradients(self):
@@ -152,26 +152,21 @@ class TestGraphBehavior:
 
     def test_leaf_root_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
-        x.backward()
-        x.backward()
+        x.backward(1.0)
+        x.backward(1.0)
         assert x.grad == 2.0
 
     def test_unused_branch_gets_no_gradient(self):
         x = Tensor(2.0, requires_grad=True)
         unused = Tensor(5.0, requires_grad=True)
-        (x * x).backward()
+        (x * x).backward(1.0)
         assert unused.grad is None
 
     def test_shared_node_fanout(self):
         x = Tensor(3.0, requires_grad=True)
         y = x * x + x * 2.0
-        y.backward()
+        y.backward(1.0)
         assert x.grad == pytest.approx(2 * 3.0 + 2.0)
-
-    def test_backward_needs_seed_for_nonscalar(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(GraphError):
-            (x * 2.0).backward()
 
     def test_backward_without_graph(self):
         x = Tensor(np.ones(3))
@@ -193,7 +188,7 @@ class TestGraphBehavior:
         y = x
         for _ in range(5000):
             y = y + 1.0
-        y.backward()
+        y.backward(1.0)
         assert x.grad == pytest.approx(1.0)
 
 

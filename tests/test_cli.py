@@ -320,6 +320,33 @@ class TestTrainCommand:
         assert "learning_rate * weight_decay" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    def test_overflowing_probabilities_exit_3(self, tmp_path, capsys, grids_jsonl, batch_size):
+        out = tmp_path / "model.npz"
+        with np.errstate(all="ignore"):
+            code = run("train", "--data", grids_jsonl, "--out", out, "--n-slots", 10,
+                       "--hidden", 8, "--blocks", 1, "--weight-decay", 0,
+                       "--learning-rate", "1e150", "--batch-size", batch_size)
+        assert code == 3
+        metrics = json.loads(Path(str(out) + ".metrics.json").read_text())
+        assert metrics["diverged"] is True and metrics["best_epoch"] == 0
+        assert metrics["diagnostics"] == "the tagger's probabilities are not finite"
+        assert np.isfinite(sl.SlotTagger.load(out).values).all()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--n-slots", 2), "gold masks cannot be matched onto 2 slots"),
+        (("--max-len", 5), "tokens exceed the 5-token cap"),
+    ])
+    def test_record_the_config_cannot_take_is_named(self, tmp_path, capsys, grids_jsonl,
+                                                    flags, named):
+        capsys.readouterr()
+        assert run("train", "--data", grids_jsonl, "--out", tmp_path / "m.npz", *flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and named in err
+        position = int(err.removeprefix("data error: record ").split(" ", 1)[0])
+        seq, _ = sl.read_grid_jsonl(grids_jsonl)[position - 1]
+        assert f"record {position} ({' '.join(seq.body_tokens[:6])}" in err
+
     def test_more_gold_than_slots_is_data_error(self, tmp_path, capsys):
         tsv = tmp_path / "synth60.tsv"
         grids = tmp_path / "grids60.jsonl"
@@ -372,6 +399,37 @@ class TestExtractCommand:
                    "--no-require-all-parts") == 0
         lines = [l for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) <= 10 * len(sentences)
+
+    def test_huge_max_len_extracts_like_the_trained_cap(self, tmp_path, checkpoint, synth_tsv):
+        # Position rows are built only as far as the longest sentence seen.
+        data = dict(np.load(checkpoint, allow_pickle=False))
+        meta = json.loads(str(data["__meta__"]))
+        assert meta["config"]["max_len"] == 256
+        meta["config"]["max_len"] = 10**13
+        data["__meta__"] = np.array(json.dumps(meta))
+        huge = tmp_path / "huge.npz"
+        np.savez(huge, **data)
+        infile = tmp_path / "in.txt"
+        infile.write_text("\n".join(r.sentence for r in sl.read_tuples_tsv(synth_tsv)) + "\n")
+        outs = [tmp_path / "capped.tsv", tmp_path / "huge.tsv"]
+        for model, out in zip((checkpoint, huge), outs):
+            assert run("extract", "--checkpoint", model, "--in", infile, "--out", out) == 0
+        assert outs[0].read_bytes() and outs[1].read_bytes() == outs[0].read_bytes()
+
+    def test_overflowing_probabilities_exit_3(self, tmp_path, capsys, checkpoint):
+        model = sl.SlotTagger.load(checkpoint)
+        model.values *= 1e150
+        blown = tmp_path / "blown.npz"
+        model.save(blown)
+        infile = tmp_path / "in.txt"
+        infile.write_text("Ada wrote notes .\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert run("extract", "--checkpoint", blown, "--in", infile, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: the tagger's probabilities are not finite\n")
+        assert not out.exists()
 
     def _extract_fails(self, tmp_path, capsys, checkpoint) -> str:
         """Run extract on ``checkpoint``; assert exit 2 with one data-error

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from slotie import (
+    Assignment,
     LabelGrid,
     LossConfig,
     ShapeError,
@@ -271,6 +272,36 @@ class TestSimilarityMatrix:
             for m in range(2):
                 expected = smooth_iou(probs[:, n, :], onehot[m])
                 assert sim[n, m] == pytest.approx(expected, abs=1e-12)
+
+
+class TestGridWithoutGold:
+    """A grid with no gold masks is ordinary input to every function."""
+
+    def test_similarity_matrix_has_no_columns(self):
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(5, 3))
+        assert similarity_matrix(probs, LabelGrid(np.zeros((0, 5)))).shape == (3, 0)
+
+    def test_loss_trains_every_slot_toward_background(self):
+        probs = np.random.default_rng(4).dirichlet(np.ones(4), size=(5, 3))
+        cfg = LossConfig((1.5, 2.0, 2.0, 2.0))
+        loss, assignment, grad = loss_assignment_gradient(probs, LabelGrid(np.zeros((0, 5))), cfg)
+        assert assignment == Assignment((), 0.0)
+        background = probs[:, :, 0]
+        assert loss == pytest.approx(1.5 * -np.log(background).mean(), rel=1e-12)
+        expected = np.zeros_like(probs)
+        expected[:, :, 0] = -1.5 / background / background.size
+        np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+    def test_token_count_is_still_checked(self):
+        probs = np.full((5, 3, 4), 0.25)
+        with pytest.raises(ShapeError, match="grid covers 4 tokens"):
+            loss_assignment_gradient(probs, LabelGrid(np.zeros((0, 4))))
+
+
+def test_loss_refuses_more_gold_than_slots():
+    grid = LabelGrid([[S, R, O], [O, R, S]])
+    with pytest.raises(TooManyGold, match="2 gold masks cannot be matched onto 1 slots"):
+        loss_assignment_gradient(np.full((3, 1, 4), 0.25), grid)
 
 
 class TestGoldArrayProperties:

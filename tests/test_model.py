@@ -8,6 +8,7 @@ from slotie import (
     CheckpointError,
     Extraction,
     ModelConfig,
+    NumericalError,
     PredictionTensor,
     SlotTagger,
     TokenClass,
@@ -20,7 +21,7 @@ from slotie import (
     sequence_from_tokens,
     tokenize,
 )
-from slotie.model import PACK_TOKENS
+from slotie.model import PACK_TOKENS, sinusoidal_positions
 
 B, S, R, O = TokenClass.BACKGROUND, TokenClass.SUBJECT, TokenClass.RELATION, TokenClass.OBJECT
 
@@ -61,6 +62,24 @@ class TestForward:
         model = SlotTagger(vocab, ModelConfig(n_slots=2, hidden=8, blocks=1, max_len=4))
         with pytest.raises(TooLong):
             model.predict(tokenize("a a a a a"))
+
+    def test_position_rows_are_built_up_to_the_longest_sentence(self):
+        vocab = build_vocab([tokenize("a")])
+        model = SlotTagger(vocab, ModelConfig(n_slots=2, hidden=8, blocks=1, max_len=10**13))
+        for n_tokens, rows in ((3, 3), (7, 7), (5, 7)):
+            model.predict(tokenize(" ".join(["a"] * n_tokens)))
+            assert model.encoder._rows.shape == (rows, 8)
+        np.testing.assert_array_equal(model.encoder._rows,
+                                      0.1 * sinusoidal_positions(64, 8)[:7])
+
+    def test_non_finite_output_is_a_numerical_error(self, small_model):
+        blown = SlotTagger(small_model.vocab, small_model.config,
+                           values=small_model.values * 1e150)
+        seq = tokenize("the quick brown fox")
+        with np.errstate(all="ignore"):
+            for run in (blown.forward, blown.predict):
+                with pytest.raises(NumericalError, match="probabilities are not finite"):
+                    run(seq)
 
     def test_head_scales_but_encoder_does_not(self):
         vocab = build_vocab([tokenize("a b c d")])

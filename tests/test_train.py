@@ -273,6 +273,52 @@ class TestDivergence:
         np.testing.assert_array_equal(result.model.values, fresh.values)
 
 
+class TestNonFiniteProbabilities:
+    """A model whose probabilities overflow diverges like a non-finite loss."""
+
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    def test_diverges_with_the_initial_parameters(self, batch_size):
+        # At batch 4 the second step's forward meets the blow-up; at batch
+        # 64 (one step per epoch) validation meets it first.
+        cfg = TrainConfig(learning_rate=1e150, weight_decay=0.0, batch_size=batch_size,
+                          max_epochs=3, seed=0)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
+        with np.errstate(all="ignore"):
+            result = train(tiny_dataset(), cfg, model_cfg)
+        assert result.diverged
+        assert result.diagnostics == "the tagger's probabilities are not finite"
+        assert result.best_epoch == 0 and not result.history
+        fresh = sl.SlotTagger(result.model.vocab, model_cfg, seed=0)
+        np.testing.assert_array_equal(result.model.values, fresh.values)
+
+
+class TestRecordsTheConfigCannotTake:
+    """A record longer than ``max_len``, or with more gold masks than slots,
+    is named by its 1-based position in the dataset and its first words,
+    whether a training step or validation meets it."""
+
+    @pytest.mark.parametrize("split", [0, 1], ids=["validation", "training"])
+    @pytest.mark.parametrize("measure, setting, error", [
+        (lambda record: len(record[0]), "max_len", sl.TooLong),
+        (lambda record: record[1].n_gold, "n_slots", sl.TooManyGold),
+    ], ids=["too-long", "too-many-gold"])
+    def test_error_names_the_record(self, split, measure, setting, error):
+        # seed 1's 12 records have one longest sentence and one largest grid.
+        dataset = tiny_dataset(seed=1)
+        sizes = [measure(record) for record in dataset]
+        largest = int(np.argmax(sizes))
+        cap = sorted(sizes)[-2]
+        assert sizes[largest] > cap
+        # Seed 0 holds out order[0] for validation (12 records, fraction 0.1).
+        position = int(np.random.default_rng(0).permutation(len(dataset))[split])
+        dataset[position], dataset[largest] = dataset[largest], dataset[position]
+        model_cfg = sl.ModelConfig(hidden=8, blocks=1, **{setting: cap})
+        with pytest.raises(error) as info:
+            train(dataset, TrainConfig(max_epochs=1, seed=0), model_cfg)
+        words = " ".join(dataset[position][0].tokens[:6])
+        assert str(info.value).startswith(f"record {position + 1} ({words} ...): ")
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("learning_rate, weight_decay", [(1e6, 1e-6), (1.0, 1.0), (2.0, 1.5)])
     def test_rejects_a_decay_step_of_one_or_more(self, learning_rate, weight_decay):
