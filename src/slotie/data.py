@@ -388,18 +388,15 @@ def read_text(path) -> str:
 
 def read_lines(path) -> Iterator[str]:
     """The lines of a UTF-8 text file (as ``read_text`` reads it), yielded
-    as the file is read; an empty file is one empty line.  Lines break at
-    "\n" only: ``str.splitlines`` would also break a record at U+0085,
-    U+2028 and other characters that ``json.dumps(ensure_ascii=False)`` and
-    the TSV writer leave raw inside a field.
+    as the file is read; an empty file has none.  Lines break at "\n"
+    only: ``str.splitlines`` would also break a record at U+0085, U+2028
+    and other characters that ``json.dumps(ensure_ascii=False)`` and the
+    TSV writer leave raw inside a field.
     """
     try:
         with open(path, encoding="utf-8") as file:
-            line = None
             for line in file:
                 yield line.removesuffix("\n")
-            if line is None:
-                yield ""
     except UnicodeDecodeError:
         read_text(path)  # raises the FormatError that names the line
         raise

@@ -130,9 +130,10 @@ def _optimal_total(values: np.ndarray) -> float:
     return float(values[rows, cols].sum())
 
 
-def _unique_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]] | None:
-    """The optimal pairs when every other matching scores at least ``2*tol``
-    below them, else None.
+def _unique_optimum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    tol: float) -> list[tuple[int, int]] | None:
+    """The optimal pairs ``rows``, ``cols`` of ``values`` when every other
+    matching scores at least ``2*tol`` below them, else None.
 
     Lowering the chosen edges by ``2*tol`` costs the chosen matching at
     least ``2*tol`` more than any other matching, which shares at most M-1
@@ -142,7 +143,6 @@ def _unique_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]] | N
     """
     if not np.abs(values).max() < 1e3:
         return None
-    rows, cols = linear_sum_assignment(values, maximize=True)
     lowered = values.copy()
     lowered[rows, cols] -= 2.0 * tol
     again_rows, again_cols = linear_sum_assignment(lowered, maximize=True)
@@ -152,11 +152,11 @@ def _unique_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]] | N
     return None
 
 
-def _lexicographic_optimum(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+def _lexicographic_optimum(values: np.ndarray, target: float,
+                           tol: float) -> list[tuple[int, int]]:
     """The lowest-slot, then lowest-gold, matching within ``tol`` of the
-    optimum, fixed one slot at a time by re-solving the rest."""
+    optimal total ``target``, fixed one slot at a time by re-solving the rest."""
     n_slots, n_gold = values.shape
-    target = _optimal_total(values)
     rows = values.tolist()
     pairs: list[tuple[int, int]] = []
     remaining = list(range(n_gold))
@@ -190,7 +190,8 @@ def hungarian_max(sim: np.ndarray) -> Assignment:
     matched.  Among equally good assignments the result prefers the lowest
     slot index, then the lowest gold index, so ties resolve
     deterministically.  A unique optimum takes two solves; only near-ties
-    and values of 1e3 or more take the slot-by-slot search.
+    and values of 1e3 or more take the slot-by-slot search, which starts
+    from the first solve's total.
     """
     values = np.asarray(sim, dtype=np.float64)
     if values.ndim != 2:
@@ -201,9 +202,10 @@ def hungarian_max(sim: np.ndarray) -> Assignment:
     if n_gold == 0:
         return Assignment((), 0.0)
     tol = 1e-9
-    pairs = _unique_optimum(values, tol)
+    solved = linear_sum_assignment(values, maximize=True)
+    pairs = _unique_optimum(values, *solved, tol)
     if pairs is None:
-        pairs = _lexicographic_optimum(values, tol)
+        pairs = _lexicographic_optimum(values, float(values[solved].sum()), tol)
     rows = values.tolist()
     return Assignment(tuple(pairs), float(sum(rows[n][m] for n, m in pairs)))
 

@@ -87,8 +87,9 @@ class ModelConfig:
     max_len: int = 256
 
     def __post_init__(self) -> None:
-        if min(self.n_slots, self.hidden, self.blocks, self.max_len) < 1:
-            raise ValueError("all architecture sizes must be >= 1")
+        for name in ("n_slots", "hidden", "blocks", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def build_vocab(sequences) -> dict[str, int]:

@@ -18,7 +18,9 @@ their pairs from the pair table (built lazily, one block of at most
 ``SCORE_BLOCK`` sentences at a time) or their heads (found once for the
 whole input), sums its own totals, and hands its per-sentence rows,
 precision, recall and totals to ``_report``, which assembles the
-``BenchmarkReport``.
+``BenchmarkReport``.  The pair table takes one of two similarities:
+WiRe57's (every token counts, every part must overlap) or CaRB's
+(stopwords dropped, the relations must overlap).
 
 All scorers take ``{sentence: [Extraction, ...]}`` maps for gold and
 predictions, keyed by the exact sentence string.  Sentences present only
@@ -89,8 +91,6 @@ class ScoredPair(NamedTuple):
     recall: float
     f1: float
     overlap: int = 0
-    pred_size: int = 0
-    gold_size: int = 0
 
 
 @dataclass
@@ -161,9 +161,6 @@ _Sentences = Sequence[tuple[Sequence[Extraction], Sequence[Extraction]]]
 #: table is only as wide as its block's widest sentence, and it lives for
 #: one block.  A module constant, not a setting.
 SCORE_BLOCK = 256
-# Parts (arg1, rel, arg2) that must overlap for a pair to qualify, by scheme.
-_EVERY_PART = (0, 1, 2)
-_RELATION = (1,)
 
 
 class _SentencePairs(NamedTuple):
@@ -172,12 +169,13 @@ class _SentencePairs(NamedTuple):
     gold_tokens: int
 
 
-def _count_table(sentences: _Sentences, drop_stopwords: bool) -> tuple[np.ndarray, np.ndarray]:
+def _count_table(sentences: _Sentences, carb: bool) -> tuple[np.ndarray, np.ndarray]:
     """(extractions, 3, ids) token counts of each sentence's predictions, then
     gold tuples, over per-sentence token ids, and each extraction's token
-    count.  Each distinct part text is tokenized once."""
+    count; CaRB's similarity drops stopwords.  Each distinct part text is
+    tokenized once."""
     texts = [x for p, g in sentences for e in (*p, *g) for x in e.as_tuple()]
-    tokens_of = {x: scoring_tokens(x, drop_stopwords) for x in dict.fromkeys(texts)}
+    tokens_of = {x: scoring_tokens(x, drop_stopwords=carb) for x in dict.fromkeys(texts)}
     parts = list(map(tokens_of.__getitem__, texts))
     columns: list[int] = []
     bounds = accumulate((3 * (len(p) + len(g)) for p, g in sentences), initial=0)
@@ -195,24 +193,22 @@ def _count_table(sentences: _Sentences, drop_stopwords: bool) -> tuple[np.ndarra
     return table.reshape(len(parts) // 3, 3, width), part_sizes.reshape(-1, 3).sum(axis=1)
 
 
-def _pair_table(
-    sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
-) -> Iterator[_SentencePairs]:
-    """Each sentence's qualifying pairs, in order, scored by ``_block_pairs``
-    over at most ``SCORE_BLOCK`` sentences at a time, so that the count
-    table and its temporaries are as large as one block, not the input."""
+def _pair_table(sentences: _Sentences, carb: bool) -> Iterator[_SentencePairs]:
+    """Each sentence's qualifying pairs, in order, under CaRB's similarity
+    (``carb``) or WiRe57's, scored by ``_block_pairs`` over at most
+    ``SCORE_BLOCK`` sentences at a time, so that the count table and its
+    temporaries are as large as one block, not the input."""
     for start in range(0, len(sentences), SCORE_BLOCK):
-        yield from _block_pairs(sentences[start:start + SCORE_BLOCK], drop_stopwords, gated_parts)
+        yield from _block_pairs(sentences[start:start + SCORE_BLOCK], carb)
 
 
-def _block_pairs(
-    sentences: _Sentences, drop_stopwords: bool, gated_parts: tuple[int, ...]
-) -> list[_SentencePairs]:
+def _block_pairs(sentences: _Sentences, carb: bool) -> list[_SentencePairs]:
     """Score every (prediction, gold) pair of every sentence at once: the
     multiset overlaps are ``np.minimum`` over count-table rows, precision,
     recall and F1 follow the scalar order of ``_ratio`` and ``_report``,
-    and only pairs whose ``gated_parts`` all overlap become ScoredPairs."""
-    table, sizes = _count_table(sentences, drop_stopwords)
+    and only qualifying pairs become ScoredPairs: under CaRB's similarity
+    the relations must overlap, under WiRe57's every part must."""
+    table, sizes = _count_table(sentences, carb)
     n_pred, n_gold = np.array([(len(p), len(g)) for p, g in sentences], np.int64).reshape(-1, 2).T
     first = np.cumsum(n_pred + n_gold) - (n_pred + n_gold)  # each sentence's first extraction
     n_pairs = n_pred * n_gold
@@ -224,16 +220,13 @@ def _block_pairs(
     overlaps = np.stack([np.minimum(table[pred_ext, q], table[gold_ext, q]).sum(axis=1)
                          for q in range(3)], axis=1, dtype=np.int64)
 
-    keep = (overlaps[:, gated_parts] > 0).all(axis=1)
+    keep = overlaps[:, 1] > 0 if carb else (overlaps > 0).all(axis=1)
     overlap = overlaps[keep].sum(axis=1)
-    pred_size, gold_size = sizes[pred_ext[keep]], sizes[gold_ext[keep]]
-    precision = _ratios(overlap, pred_size)
-    recall = _ratios(overlap, gold_size)
+    precision = _ratios(overlap, sizes[pred_ext[keep]])
+    recall = _ratios(overlap, sizes[gold_ext[keep]])
     f1 = _ratios(2.0 * precision * recall, precision + recall)
-    pairs = list(map(
-        ScoredPair, pred_index[keep].tolist(), gold_index[keep].tolist(), precision.tolist(),
-        recall.tolist(), f1.tolist(), overlap.tolist(), pred_size.tolist(), gold_size.tolist(),
-    ))
+    pairs = list(map(ScoredPair, pred_index[keep].tolist(), gold_index[keep].tolist(),
+                     precision.tolist(), recall.tolist(), f1.tolist(), overlap.tolist()))
     ends = np.cumsum(np.bincount(sentence[keep], minlength=len(sentences))).tolist()
     # Token totals per (sentence, side): extractions carry 2 * sentence + (1 if gold).
     owner = np.repeat(np.arange(2 * len(sentences)), np.column_stack((n_pred, n_gold)).ravel())
@@ -255,7 +248,7 @@ def wire57_pair(
     per-part multiset overlaps by the prediction's token count, recall by
     the gold's token count.
     """
-    (pairs, _, _), = _pair_table([([t], [g])], False, _EVERY_PART)
+    (pairs, _, _), = _pair_table([([t], [g])], carb=False)
     return pairs[0]._replace(pred_index=pred_index, gold_index=gold_index) if pairs else None
 
 
@@ -330,7 +323,7 @@ def wire57_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     sentences = _sentences(gold, pred)
     rows = []
     overlap = pred_tokens = gold_tokens = 0
-    for table in _pair_table(sentences, False, _EVERY_PART):
+    for table in _pair_table(sentences, carb=False):
         chosen = _greedy(table.pairs, "f1")
         sentence_overlap = sum(p.overlap for p in chosen)
         rows.append((len(chosen), {"overlap": sentence_overlap, "pred_tokens": table.pred_tokens,
@@ -370,7 +363,7 @@ def carb_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     """
     sentences = _sentences(gold, pred)
     rows = []
-    for (_, gold_exts), table in zip(sentences, _pair_table(sentences, True, _RELATION)):
+    for (_, gold_exts), table in zip(sentences, _pair_table(sentences, carb=True)):
         recall_sum = 0.0
         for j in range(len(gold_exts)):
             recall_sum += max((p.recall for p in table.pairs if p.gold_index == j), default=0.0)
@@ -387,7 +380,7 @@ def carb_1to1_score(gold: _Corpus, pred: _Corpus) -> BenchmarkReport:
     total pair F1) driving both precision and recall."""
     sentences = _sentences(gold, pred)
     rows = []
-    for (pred_exts, gold_exts), table in zip(sentences, _pair_table(sentences, True, _RELATION)):
+    for (pred_exts, gold_exts), table in zip(sentences, _pair_table(sentences, carb=True)):
         chosen = _optimal(table.pairs, len(pred_exts), len(gold_exts))
         precision_sum = recall_sum = 0.0
         for pair in chosen:

@@ -56,10 +56,11 @@ class TrainConfig:
                 f"learning_rate * weight_decay must be below 1 (a decay step of "
                 f"{self.learning_rate * self.weight_decay} zeroes or flips every parameter)"
             )
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch size and epoch count must be >= 1")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must lie in [0, 1)")
+            raise ValueError(f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
 
 
 class AdamState:

@@ -746,6 +746,41 @@ class TestExitCodes:
         assert err.startswith(f"data error: {bad}:4: 'utf-8' codec can't decode byte 0xff")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    REJECTED = [
+        ("train", ("--hidden", 0), "hidden must be >= 1, got 0"),
+        ("train", ("--n-slots", 0), "n_slots must be >= 1, got 0"),
+        ("train", ("--blocks", 0), "blocks must be >= 1, got 0"),
+        ("train", ("--max-len", 0), "max_len must be >= 1, got 0"),
+        ("train", ("--batch-size", 0), "batch_size must be >= 1, got 0"),
+        ("train", ("--epochs", 0), "max_epochs must be >= 1, got 0"),
+        ("train", ("--validation-fraction", 1), "validation_fraction must lie in [0, 1), got 1.0"),
+        ("train", ("--config", "cfg.yaml"), "cfg.yaml must hold a mapping"),
+        ("convert", ("--format", "imojie"), "in.jsonl:2: tuples need at least 3 parts"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, named", REJECTED,
+                             ids=[" ".join(map(str, flags)) for _, flags, _ in REJECTED])
+    def test_rejected_setting_names_itself(self, tmp_path, capsys, request, command, flags,
+                                           named):
+        (tmp_path / "cfg.yaml").write_text("- train\n")
+        if command == "train":
+            inputs = ("--data", request.getfixturevalue("grids_jsonl"))
+        else:
+            infile = tmp_path / "in.jsonl"
+            infile.write_text(
+                '{"sentence": "Ada wrote notes .", "tuples": [["Ada", "wrote", "notes"]]}\n'
+                '{"sentence": "Ada wrote .", "tuples": [["Ada", "wrote"]]}\n'
+            )
+            inputs = ("--in", infile, "--report", tmp_path / "report.json")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = [tmp_path / flag if flag == "cfg.yaml" else flag for flag in flags]
+        assert run(command, *inputs, "--out", out, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert named in err
+        assert not out.exists()
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("text, named", [

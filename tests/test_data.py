@@ -30,6 +30,7 @@ from slotie.data import (
     SkippedTuple,
     read_grid_jsonl,
     read_imojie_jsonl,
+    read_lines,
     read_tuples_tsv,
     tuple_part_tokens,
     write_grid_jsonl,
@@ -78,6 +79,14 @@ class TestTuplePartTokens:
     @example(text="x[is] [IS]\u2028[is]. [to]\u3000([from] İ[is]")
     def test_matches_the_per_character_loop(self, text):
         assert tuple_part_tokens(text) == reference_part_tokens(text)
+
+
+def test_an_empty_file_has_no_lines(tmp_path):
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    assert list(read_lines(empty)) == []
+    for reader in (read_conll, read_tuples_tsv, read_imojie_jsonl, read_grid_jsonl):
+        assert reader(empty) == []
 
 
 class TestLcsAlign:

@@ -403,7 +403,18 @@ class TestHungarianMax:
         a = hungarian_max(values)
         assert a.pairs == ((0, 0), (1, 1))
         assert (a.pairs, a.total) == lexicographic_oracle(values)
-        assert len(calls) > 2
+        # The first solve and its lowered re-solve; the search starts from
+        # the first solve's total and, with one gold left, solves nothing.
+        assert len(calls) == 2
+
+    def test_large_values_take_one_solve(self, monkeypatch):
+        # At 1e3 and above a 2e-9 change is lost to rounding, so the search
+        # runs straight from the first solve.
+        values = np.array([[1e3, 0.0], [0.0, 1e3], [5e2, 5e2]])
+        calls = counting_solver(monkeypatch)
+        a = hungarian_max(values)
+        assert (a.pairs, a.total) == lexicographic_oracle(values)
+        assert len(calls) == 1
 
 
 @st.composite

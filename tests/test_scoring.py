@@ -23,8 +23,6 @@ from slotie import (
 )
 from slotie import scoring
 from slotie.scoring import (
-    _EVERY_PART,
-    _RELATION,
     MacroF1Accumulator,
     SCHEMES,
     STOPWORDS,
@@ -108,12 +106,14 @@ class TestWire57Pair:
                 assert ab.recall == pytest.approx(ba.precision, abs=1e-12)
 
 
-def counter_pair(t, g, i, j, drop_stopwords, gated_parts):
-    """Oracle: per-part token multisets as Counters, scored one pair at a time."""
-    t_parts = [Counter(scoring_tokens(x, drop_stopwords)) for x in t.as_tuple()]
-    g_parts = [Counter(scoring_tokens(x, drop_stopwords)) for x in g.as_tuple()]
+def counter_pair(t, g, i, j, carb):
+    """Oracle: per-part token multisets as Counters, scored one pair at a
+    time.  CaRB's similarity drops stopwords and needs the relations to
+    overlap; WiRe57's keeps every token and needs every part to overlap."""
+    t_parts = [Counter(scoring_tokens(x, drop_stopwords=carb)) for x in t.as_tuple()]
+    g_parts = [Counter(scoring_tokens(x, drop_stopwords=carb)) for x in g.as_tuple()]
     overlaps = [sum((tp & gp).values()) for tp, gp in zip(t_parts, g_parts)]
-    if not all(overlaps[k] > 0 for k in gated_parts):
+    if not all(overlaps[k] > 0 for k in ((1,) if carb else (0, 1, 2))):
         return None
     overlap = sum(overlaps)
     t_size = sum(sum(c.values()) for c in t_parts)
@@ -121,7 +121,7 @@ def counter_pair(t, g, i, j, drop_stopwords, gated_parts):
     precision = overlap / t_size if t_size else 0.0
     recall = overlap / g_size if g_size else 0.0
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-    return ScoredPair(i, j, precision, recall, f1, overlap, t_size, g_size)
+    return ScoredPair(i, j, precision, recall, f1, overlap)
 
 
 # Repeats, stopwords (alone they fall back to themselves), case, punctuation
@@ -145,21 +145,20 @@ _sentence_sets = st.lists(
 @example(sentences=[([ext("cat " * 300, "sat", "mat")], [ext("cat " * 280, "sat", "mat")])])
 def test_pair_table_equals_counter_oracle(sentences):
     # Blocks of one and of two sentences split the input; the default holds it whole.
-    for block, (drop_stopwords, gated_parts) in product(
-            (scoring.SCORE_BLOCK, 1, 2), ((False, _EVERY_PART), (True, _RELATION))):
+    for block, carb in product((scoring.SCORE_BLOCK, 1, 2), (False, True)):
         with patch.object(scoring, "SCORE_BLOCK", block):
-            table = list(_pair_table(sentences, drop_stopwords, gated_parts))
+            table = list(_pair_table(sentences, carb))
         assert len(table) == len(sentences)
         for (pred_exts, gold_exts), row in zip(sentences, table):
             expected = [
-                counter_pair(t, g, i, j, drop_stopwords, gated_parts)
+                counter_pair(t, g, i, j, carb)
                 for i, t in enumerate(pred_exts) for j, g in enumerate(gold_exts)
             ]
             assert row.pairs == [pair for pair in expected if pair is not None]
             for pair in row.pairs:  # plain Python numbers, as the JSON report needs
                 assert type(pair) is ScoredPair
-                assert list(map(type, pair)) == [int, int, float, float, float, int, int, int]
-            sizes = [sum(len(scoring_tokens(x, drop_stopwords)) for x in e.as_tuple())
+                assert list(map(type, pair)) == [int, int, float, float, float, int]
+            sizes = [sum(len(scoring_tokens(x, drop_stopwords=carb)) for x in e.as_tuple())
                      for e in (*pred_exts, *gold_exts)]
             assert (row.pred_tokens, row.gold_tokens) == (
                 sum(sizes[: len(pred_exts)]), sum(sizes[len(pred_exts):]))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from slotie import Extraction, read_tuples_tsv, synth_generate
 from slotie import scoring
-from slotie.scoring import _EVERY_PART, _RELATION, SCHEMES, _pair_table
+from slotie.scoring import SCHEMES, _pair_table
 
 SYNTH_SENTENCES = 200
 SYNTH_SEED = 7
@@ -144,11 +144,11 @@ def test_precision_and_recall_stay_in_unit_interval(gold, pred):
         assert 0.0 <= report.recall <= 1.0, name
 
 
-def _f1_ties(gold, pred, drop_stopwords, gated_parts):
-    """Whether two candidate pairs of one sentence tie on F1, under the
-    scheme that filters stopwords and gates parts this way."""
+def _f1_ties(gold, pred, carb):
+    """Whether two candidate pairs of one sentence tie on F1, under CaRB's
+    similarity (``carb``) or WiRe57's."""
     sentences = [(list(pred.get(sentence, ())), gold_exts) for sentence, gold_exts in gold.items()]
-    for table in _pair_table(sentences, drop_stopwords, gated_parts):
+    for table in _pair_table(sentences, carb):
         f1s = sorted(pair.f1 for pair in table.pairs)
         if any(b - a < 1e-9 for a, b in zip(f1s, f1s[1:])):
             return True
@@ -161,9 +161,8 @@ def test_order_free_schemes_ignore_prediction_order(gold, pred):
     """wire57 and carb11 break F1 ties by prediction index, so the order
     only matters when two candidate pairs tie; without ties it must not."""
     reversed_pred = {s: exts[::-1] for s, exts in pred.items()}
-    for name, drop_stopwords, gated_parts in (("wire57", False, _EVERY_PART),
-                                              ("carb11", True, _RELATION)):
-        if _f1_ties(gold, pred, drop_stopwords, gated_parts):
+    for name, carb in (("wire57", False), ("carb11", True)):
+        if _f1_ties(gold, pred, carb):
             continue
         forward = SCHEMES[name](gold, pred)
         backward = SCHEMES[name](gold, reversed_pred)
