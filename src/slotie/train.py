@@ -3,17 +3,32 @@ checkpoint selection by validation token-wise macro F1.
 
 Sentences are processed one at a time inside a batch; gradients average
 across the batch before each optimizer step, so a "batch" is a gradient
-accumulation group.  Everything is deterministic for a fixed seed.
+accumulation group.  A batch is an ordered gradient sum over processes:
+the main process runs the batch's first share on the tape, and forked
+workers, one per further usable core, run the later shares, each sentence
+on a tagger of its own.  Once every share is done, the batch gradient
+passes through a shared mapping, where each worker in turn adds its
+sentences' gradients in batch order.  Every parameter takes exactly one
+gradient term per sentence, so these are the additions that one process
+would make, in the same order, and the bits do not depend on the worker
+count.  Every process runs one OpenBLAS thread, so they do not depend on
+the core count either.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
+import signal
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .core import LabelGrid, NumericalError, TokenSequence
 from .matching import LossConfig, TooManyGold, hungarian_max, loss_assignment_gradient
 from .matching import similarity_matrix
@@ -158,6 +173,187 @@ def evaluate_macro_f1(
     return acc.value()
 
 
+@dataclass(frozen=True)
+class _Examples:
+    """The training split, with each example's 1-based dataset position
+    and the loss settings: what a sentence's gradient step reads besides
+    the tagger."""
+
+    pairs: list[tuple[TokenSequence, LabelGrid]]
+    positions: np.ndarray
+    loss_cfg: LossConfig
+
+    def backward(self, model: SlotTagger, i: int, epoch: int, batch_len: int) -> float:
+        """Run example ``i`` forward, add its share of its batch's loss
+        gradient into ``model.grads`` and return its loss."""
+        seq, grid = self.pairs[i]
+        probs = model.forward(seq)
+        with _naming_record(self.positions[i], seq):
+            loss, _, grad = loss_assignment_gradient(probs.probs, grid, self.loss_cfg)
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite loss on example {i} (epoch {epoch})")
+        model.backward(grad / batch_len)
+        return loss
+
+
+def _worker_count(batch_size: int) -> int:
+    """How many workers to fork beside the main process: one per further
+    usable core, at most one per further sentence of a batch, and none
+    where processes cannot be forked."""
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    if not forks or not hasattr(os, "sched_getaffinity"):
+        return 0
+    return min(len(os.sched_getaffinity(0)), batch_size) - 1
+
+
+def _views(buffer: mmap.mmap) -> tuple[np.ndarray, np.ndarray]:
+    """The shared mapping as a block of parameter values and one of gradients."""
+    values, grads = np.frombuffer(buffer).reshape(2, -1)
+    return values, grads
+
+
+def _work(conn, inherited, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
+    """A worker's loop, which ends when the main process's end of the pipe
+    closes.  A job is a share of a batch: the worker runs its k-th sentence
+    on its k-th tagger, all over the shared values, and answers with the
+    losses of the sentences done and the error that stopped the share, if
+    any.  A None job asks it to add those taggers' gradients, in order,
+    into the shared gradient block.  The worker prints nothing, not even a
+    warning: the main process reports what went wrong."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's to handle
+    warnings.simplefilter("ignore")
+    # Holding no copy of a main-process end, the worker sees EOF when the main process exits.
+    for end in inherited:
+        end.close()
+    values, shared_grads = _views(buffer)
+    taggers: list[SlotTagger] = []
+    done: list[float] = []
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):  # a closed end, or one closed with an answer unread
+            return
+        if job is None:
+            for model in taggers[: len(done)]:
+                shared_grads += model.grads
+            answer = None
+        else:
+            epoch, batch_len, share = job
+            done, error = [], None
+            try:
+                for i in share:
+                    if len(taggers) == len(done):
+                        taggers.append(SlotTagger(vocab, config, values=values))
+                    done.append(examples.backward(taggers[len(done)], i, epoch, batch_len))
+            except Exception as exc:  # answered, and raised by the main process in batch order
+                error = exc
+            answer = done, error
+        try:
+            conn.send(answer)
+        except OSError:
+            return
+        if job is None:  # after the answer, while the main process steps Adam
+            for model in taggers[: len(done)]:
+                model.grads.fill(0.0)
+
+
+class _Workers:
+    """Forked processes that run the later shares of every batch.
+
+    ``start`` copies the parameter values into the shared mapping and
+    hands each worker its share; the main process keeps the first share.
+    ``finish`` collects the workers' losses in batch order, or raises the
+    first error in batch order.  Then it passes the main process's
+    gradient block through the mapping, where each worker in turn adds its
+    sentences' gradients.  So the main process holds two parameter-sized
+    blocks of the mapping, whatever the batch size.  The split depends only
+    on the batch length and the worker count; with no workers, the main
+    process runs every batch.  ``close`` ends the workers, waits for them
+    and releases the mapping.
+    """
+
+    def __init__(self, count: int, model: SlotTagger, examples: _Examples):
+        self._model = model
+        self._conns: list = []
+        self._processes: list = []
+        self._active: list = []
+        self._buffer = mmap.mmap(-1, 2 * model.values.nbytes)
+        self._values, self._grads = _views(self._buffer)
+        context = multiprocessing.get_context("fork")
+        try:
+            for _ in range(count):
+                conn, child_end = context.Pipe()
+                self._conns.append(conn)
+                process = context.Process(
+                    target=_work,
+                    args=(child_end, tuple(self._conns), examples, model.vocab, model.config,
+                          self._buffer),
+                    daemon=True,
+                )
+                process.start()
+                child_end.close()
+                self._processes.append(process)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def start(self, batch: np.ndarray, epoch: int) -> int:
+        """Send the workers their shares of ``batch``; return the length of
+        the first share, which the main process runs."""
+        processes = min(len(self._conns) + 1, len(batch))
+        bounds = [len(batch) * p // processes for p in range(processes + 1)]
+        self._active = self._conns[: processes - 1]
+        if self._active:
+            self._values[...] = self._model.values
+        for conn, lo, hi in zip(self._active, bounds[1:], bounds[2:]):
+            self._ask(conn, (epoch, len(batch), batch[lo:hi].tolist()))
+        return bounds[1]
+
+    def finish(self) -> list[float]:
+        losses: list[float] = []
+        for conn in self._active:
+            done, error = self._answer(conn)
+            losses += done
+            if error is not None:
+                raise error
+        if self._active:
+            self._grads[...] = self._model.grads
+            for conn in self._active:
+                self._ask(conn, None)
+                self._answer(conn)
+            self._model.grads[...] = self._grads
+        return losses
+
+    # A lost worker is a RuntimeError, since the CLI reads an OSError as a data error.
+    @staticmethod
+    def _ask(conn, job) -> None:
+        try:
+            conn.send(job)
+        except OSError as exc:
+            raise RuntimeError(f"a training worker is gone: {exc}") from None
+
+    @staticmethod
+    def _answer(conn):
+        try:
+            return conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(f"a training worker is gone: {exc!r}") from None
+
+    def close(self) -> None:
+        for conn in self._conns:
+            conn.close()
+        for process in self._processes:
+            process.join()
+        del self._values, self._grads  # the mapping closes only once no array views it
+        self._buffer.close()
+
+
 def train(
     dataset: Sequence[tuple[TokenSequence, LabelGrid]],
     cfg: TrainConfig = TrainConfig(),
@@ -196,37 +392,35 @@ def train(
     diverged = False
     diagnostics = ""
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(len(train_set))
-        epoch_loss = 0.0
-        try:
-            for start in range(0, len(perm), cfg.batch_size):
-                batch = perm[start : start + cfg.batch_size]
-                for i in batch:
-                    seq, grid = train_set[i]
-                    probs = model.forward(seq)
-                    with _naming_record(train_indices[i] + 1, seq):
-                        loss, _, grad = loss_assignment_gradient(probs.probs, grid, loss_cfg)
-                    if not np.isfinite(loss):
-                        raise NumericalError(f"non-finite loss on example {i} (epoch {epoch})")
-                    model.backward(grad / len(batch))
-                    epoch_loss += loss
-                adam_step(model, state, cfg)
-            val_f1 = evaluate_macro_f1(model, val_set, val_indices + 1)
-        except NumericalError as exc:
-            diverged = True
-            diagnostics = str(exc)
-            break
-        is_best = val_f1 > best_f1
-        if is_best:
-            best_f1 = val_f1
-            best_epoch = epoch
-            best_values[...] = model.values
-        history.append(EpochStats(epoch, epoch_loss / len(train_set), val_f1, is_best))
-        if log is not None:
-            log(history[-1])
-        if cfg.target_f1 is not None and best_f1 >= cfg.target_f1:
-            break
+    examples = _Examples(train_set, train_indices + 1, loss_cfg)
+    count = _worker_count(min(cfg.batch_size, len(train_set)))
+    with blas.pinned(1) as pinned, _Workers(count if pinned else 0, model, examples) as workers:
+        for epoch in range(1, cfg.max_epochs + 1):
+            perm = rng.permutation(len(train_set))
+            epoch_loss = 0.0
+            try:
+                for start in range(0, len(perm), cfg.batch_size):
+                    batch = perm[start : start + cfg.batch_size]
+                    for i in batch[: workers.start(batch, epoch)]:
+                        epoch_loss += examples.backward(model, i, epoch, len(batch))
+                    for loss in workers.finish():
+                        epoch_loss += loss
+                    adam_step(model, state, cfg)
+                val_f1 = evaluate_macro_f1(model, val_set, val_indices + 1)
+            except NumericalError as exc:
+                diverged = True
+                diagnostics = str(exc)
+                break
+            is_best = val_f1 > best_f1
+            if is_best:
+                best_f1 = val_f1
+                best_epoch = epoch
+                best_values[...] = model.values
+            history.append(EpochStats(epoch, epoch_loss / len(train_set), val_f1, is_best))
+            if log is not None:
+                log(history[-1])
+            if cfg.target_f1 is not None and best_f1 >= cfg.target_f1:
+                break
 
     model.values[...] = best_values
     return TrainResult(model, history, best_epoch, best_f1, diverged, diagnostics)

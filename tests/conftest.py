@@ -1,5 +1,5 @@
 import importlib
-import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -44,16 +44,23 @@ def sample_pred_path():
 def nan_loss_from(monkeypatch):
     """``patch(first)``: from its ``first``-th call on (counting from 0),
     the training loop's loss is NaN.  The patch goes into the module
-    ``slotie.train``; the package attribute of that name is the function."""
+    ``slotie.train``; the package attribute of that name is the function.
+    Calls are counted across the training loop's processes, whose calls
+    for one batch all come before any call for the next; so with ``first``
+    at a batch boundary, the first NaN batch is the same at any worker
+    count."""
     module = importlib.import_module("slotie.train")
     real = module.loss_assignment_gradient
 
     def patch(first: int) -> None:
-        calls = itertools.count()
+        calls = multiprocessing.Value("q", 0)
 
         def loss_assignment_gradient(*args, **kwargs):
             loss, assignment, grad = real(*args, **kwargs)
-            return (float("nan") if next(calls) >= first else loss), assignment, grad
+            with calls.get_lock():
+                call = calls.value
+                calls.value += 1
+            return (float("nan") if call >= first else loss), assignment, grad
 
         monkeypatch.setattr(module, "loss_assignment_gradient", loss_assignment_gradient)
 

@@ -381,20 +381,12 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 # held-out sentences plus held-out sentences of 60 to 90 tokens (synth
 # sentences joined), and of the gradients summed over 40 training sentences.
 _BLAS_BITS_SCRIPT = """
-import ctypes, hashlib, json, pathlib
-import numpy as np
+import hashlib, json
 import slotie as sl
+from slotie import blas
 from slotie.matching import loss_assignment_gradient
 
-threads = None
-for lib_path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-    lib = ctypes.CDLL(str(lib_path))
-    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads"):
-        if threads is None and hasattr(lib, symbol):
-            get_threads = getattr(lib, symbol)
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            threads = get_threads()
+threads = blas.threads()
 pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
 aligned = [sl.lcs_align(s.record) for s in sl.synth_generate(pool, 40, seed=7)]
 heldout = [sl.tokenize(s.record.sentence, append_placeholders=True)
@@ -430,3 +422,45 @@ def test_blas_thread_count_leaves_bits_unchanged(fresh_python):
         assert runs[threads].pop("threads") in (None, threads)
     assert runs[1] == runs[2]
     report("blas-threads", f"1 and 2 OpenBLAS threads give identical bits: {runs[1]}")
+
+
+# Trains 2 epochs on 24 records of 91 to 108 tokens (synth sentences
+# joined), where one and two OpenBLAS threads round a product differently,
+# and prints the thread count in use after training with the sha256 of the
+# trained values and the loss and F1 history.
+_LONG_TRAINING_SCRIPT = """
+import hashlib, json
+import slotie as sl
+from slotie import blas
+from slotie.train import TrainConfig, train
+
+pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
+dataset, sentence, tuples = [], "", ()
+for s in sl.synth_generate(pool, 400, seed=10):
+    sentence, tuples = sentence + s.record.sentence + " ", tuples + s.record.tuples
+    n_tokens = len(sl.tokenize(sentence, append_placeholders=True))
+    if n_tokens > 90:
+        if n_tokens <= 108 and len(tuples) <= 20 and len(dataset) < 24:
+            aligned = sl.lcs_align(sl.GenerativeRecord(sentence.strip(), tuples))
+            dataset.append((aligned.sequence, aligned.grid))
+        sentence, tuples = "", ()
+assert len(dataset) == 24 and min(len(seq) for seq, _ in dataset) > 90
+result = train(dataset, TrainConfig(max_epochs=2, batch_size=4, seed=0))
+print(json.dumps({"threads": blas.threads(),
+                  "values": hashlib.sha256(result.model.values.tobytes()).hexdigest(),
+                  "history": [[s.train_loss, s.val_macro_f1] for s in result.history]}))
+"""
+
+
+def test_training_bits_do_not_follow_the_blas_thread_count(fresh_python):
+    """Past 90 tokens one and two OpenBLAS threads give different products,
+    but training runs every process on one thread: the trained values and
+    history are the same whatever count the host starts with, and that
+    count is back in place when ``train`` returns."""
+    runs = {}
+    for threads in (1, 2):
+        runs[threads] = json.loads(fresh_python(_LONG_TRAINING_SCRIPT,
+                                                OPENBLAS_NUM_THREADS=str(threads)))
+        assert runs[threads].pop("threads") in (None, threads)
+    assert runs[1] == runs[2]
+    report("blas-threads", f"training past 90 tokens is thread-count free: {runs[1]['values']}")

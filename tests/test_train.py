@@ -1,9 +1,17 @@
+import importlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import slotie as sl
+from slotie import blas
 from slotie.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -317,6 +325,157 @@ class TestRecordsTheConfigCannotTake:
             train(dataset, TrainConfig(max_epochs=1, seed=0), model_cfg)
         words = " ".join(dataset[position][0].tokens[:6])
         assert str(info.value).startswith(f"record {position + 1} ({words} ...): ")
+
+
+def forced_workers(monkeypatch, count):
+    """Fork ``count`` workers in every ``train`` call, whatever the host's
+    cores.  The package attribute ``slotie.train`` is the function."""
+    module = importlib.import_module("slotie.train")
+    monkeypatch.setattr(module, "_worker_count", lambda batch_size: count)
+
+
+def first_batch(n_records, cfg):
+    """The dataset indices of epoch 1's first batch, drawn as ``train`` draws them."""
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(n_records)
+    train_indices = order[int(round(cfg.validation_fraction * n_records)) :]
+    return train_indices[rng.permutation(len(train_indices))[: cfg.batch_size]]
+
+
+def too_many_gold_in_a_worker_share():
+    """A dataset, config and model config whose first batch of five holds
+    records with more gold masks than slots at batch positions 2 and 4,
+    after two that fit: in a worker's share at one or two workers, and at
+    two workers in both of theirs."""
+    cfg = TrainConfig(batch_size=5, max_epochs=1, seed=0, validation_fraction=0.25)
+    records = tiny_dataset()
+    fits = [record for record in records if record[1].n_gold <= 3]
+    big = [record for record in records if record[1].n_gold > 3]
+    batch = first_batch(len(records), cfg)
+    dataset = [fits[k % len(fits)] for k in range(len(records))]
+    dataset[batch[2]], dataset[batch[4]] = big[0], big[1]
+    return dataset, cfg, sl.ModelConfig(n_slots=3, hidden=8, blocks=1), batch[2] + 1
+
+
+def outcome(result):
+    return (result.model.values.tobytes(), result.history, result.best_epoch,
+            result.best_val_f1, result.diverged, result.diagnostics)
+
+
+class TestWorkers:
+    """A batch is split between the main process and forked workers; the
+    per-sentence gradients are summed in batch order, so the worker count
+    changes no bit and no error."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
+    def test_worker_count_changes_no_bit(self, monkeypatch, batch_size):
+        # 10 training records: batches of 3 and 4 end with a short batch.
+        dataset = tiny_dataset(n_sentences=14)
+        cfg = TrainConfig(learning_rate=2e-3, batch_size=batch_size, max_epochs=2, seed=4,
+                          validation_fraction=0.25)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
+        outcomes = []
+        for count in (0, 1, 2):
+            forced_workers(monkeypatch, count)
+            outcomes.append(outcome(train(dataset, cfg, model_cfg)))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert len(outcomes[0][1]) == 2 and not outcomes[0][4]
+
+    def test_the_earliest_too_many_gold_record_is_named(self, monkeypatch):
+        dataset, cfg, model_cfg, position = too_many_gold_in_a_worker_share()
+        messages = []
+        for count in (0, 1, 2):
+            forced_workers(monkeypatch, count)
+            with pytest.raises(sl.TooManyGold) as info:
+                train(dataset, cfg, model_cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == messages[2]
+        words = " ".join(dataset[position - 1][0].tokens[:6])
+        assert messages[0].startswith(f"record {position} ({words} ...): ")
+
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    def test_divergence_is_the_same_at_every_worker_count(self, monkeypatch, batch_size):
+        cfg = TrainConfig(learning_rate=1e150, weight_decay=0.0, batch_size=batch_size,
+                          max_epochs=3, seed=0)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
+        outcomes = []
+        for count in (0, 1, 2):
+            forced_workers(monkeypatch, count)
+            with np.errstate(all="ignore"):
+                outcomes.append(outcome(train(tiny_dataset(), cfg, model_cfg)))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][4:] == (True, "the tagger's probabilities are not finite")
+        assert outcomes[0][2] == 0
+
+    @pytest.mark.parametrize("case", ["returns", "too-many-gold", "diverges"])
+    def test_no_process_outlives_train(self, monkeypatch, case):
+        forced_workers(monkeypatch, 1)
+        # Two threads going in, so that a count left at training's one shows.
+        with blas.pinned(2) as pinned:
+            if case == "too-many-gold":
+                dataset, cfg, model_cfg, _ = too_many_gold_in_a_worker_share()
+                with pytest.raises(sl.TooManyGold):
+                    train(dataset, cfg, model_cfg)
+            else:
+                cfg = TrainConfig(learning_rate=1e150 if case == "diverges" else 1e-3,
+                                  weight_decay=0.0, batch_size=4, max_epochs=2, seed=0)
+                model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
+                with np.errstate(all="ignore"):
+                    result = train(tiny_dataset(), cfg, model_cfg)
+                assert result.diverged == (case == "diverges")
+            assert blas.threads() == (2 if pinned else None)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# Trains with one forced worker and, at the end of epoch 1, prints the
+# worker's pid and sleeps in the log callback, for the caller to kill it.
+_ORPHAN_SCRIPT = """
+import importlib, multiprocessing, time
+import slotie as sl
+
+importlib.import_module("slotie.train")._worker_count = lambda batch_size: 1
+
+def log(stats):
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+
+pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
+dataset = [(a.sequence, a.grid)
+           for a in (sl.lcs_align(s.record) for s in sl.synth_generate(pool, 12, seed=5))]
+sl.train(dataset, sl.TrainConfig(batch_size=4, max_epochs=1),
+         sl.ModelConfig(n_slots=10, hidden=8, blocks=1), log=log)
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_worker_exits_when_the_main_process_dies():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    main = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT], cwd=root, env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        workers = [int(pid) for pid in main.stdout.readline().split()]
+        assert len(workers) == 1 and running(workers[0])
+    finally:
+        main.kill()
+        main.wait(timeout=30)
+        main.stdout.close()
+    deadline = time.monotonic() + 30
+    while running(workers[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(workers[0])
 
 
 class TestTrainConfig:
