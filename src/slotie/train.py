@@ -4,11 +4,11 @@ checkpoint selection by validation token-wise macro F1.
 Sentences are processed one at a time inside a batch; gradients average
 across the batch before each optimizer step, so a "batch" is a gradient
 accumulation group.  A batch is an ordered gradient sum over processes:
-the main process runs the batch's first share on the tape, and forked
-workers, one per further usable core, run the later shares, each sentence
-on a tagger of its own.  Once every share is done, the batch gradient
-passes through a shared mapping, where each worker in turn adds its
-sentences' gradients in batch order.  Every parameter takes exactly one
+the main process runs the batch's first share on the tape, and a forked
+worker, where a second core is usable, runs the later share, keeping each
+sentence's gradient apart.  Once both shares are done, the batch gradient
+passes through a shared mapping, where the worker adds its sentences'
+gradients in batch order.  Every parameter takes exactly one
 gradient term per sentence, so these are the additions that one process
 would make, in the same order, and the bits do not depend on the worker
 count.  Every process runs one OpenBLAS thread, so they do not depend on
@@ -196,14 +196,21 @@ class _Examples:
         return loss
 
 
+#: The most processes that train a batch.  Two is the count measured to
+#: gain.  More would not be known to: workers add their gradients one
+#: after another, and the usable cores that ``os.sched_getaffinity``
+#: reports ignore a cgroup CPU quota.
+_MAX_PROCESSES = 2
+
+
 def _worker_count(batch_size: int) -> int:
-    """How many workers to fork beside the main process: one per further
-    usable core, at most one per further sentence of a batch, and none
-    where processes cannot be forked."""
+    """How many workers to fork beside the main process: one where a second
+    core is usable and a batch holds a second sentence, and none where
+    processes cannot be forked."""
     forks = "fork" in multiprocessing.get_all_start_methods()
     if not forks or not hasattr(os, "sched_getaffinity"):
         return 0
-    return min(len(os.sched_getaffinity(0)), batch_size) - 1
+    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), batch_size) - 1
 
 
 def _views(buffer: mmap.mmap) -> tuple[np.ndarray, np.ndarray]:
@@ -214,47 +221,45 @@ def _views(buffer: mmap.mmap) -> tuple[np.ndarray, np.ndarray]:
 
 def _work(conn, inherited, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
     """A worker's loop, which ends when the main process's end of the pipe
-    closes.  A job is a share of a batch: the worker runs its k-th sentence
-    on its k-th tagger, all over the shared values, and answers with the
-    losses of the sentences done and the error that stopped the share, if
-    any.  A None job asks it to add those taggers' gradients, in order,
-    into the shared gradient block.  The worker prints nothing, not even a
-    warning: the main process reports what went wrong."""
+    closes.  A job is a share of a batch: the worker runs it sentence by
+    sentence on one tagger over the shared values, keeps a copy of each
+    sentence's gradient, and answers with the losses of the sentences done
+    and the error that stopped the share, if any.  A None job asks it to
+    add those copies, in order, into the shared gradient block.  The
+    worker prints nothing, not even a warning: the main process reports
+    what went wrong."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's to handle
     warnings.simplefilter("ignore")
     # Holding no copy of a main-process end, the worker sees EOF when the main process exits.
     for end in inherited:
         end.close()
     values, shared_grads = _views(buffer)
-    taggers: list[SlotTagger] = []
-    done: list[float] = []
+    tagger = SlotTagger(vocab, config, values=values)
+    grads: list[np.ndarray] = []  # one per sentence of the share, in batch order
     while True:
         try:
             job = conn.recv()
         except (EOFError, OSError):  # a closed end, or one closed with an answer unread
             return
         if job is None:
-            for model in taggers[: len(done)]:
-                shared_grads += model.grads
+            for grad in grads:
+                shared_grads += grad
             answer = None
         else:
             epoch, batch_len, share = job
-            done, error = [], None
+            losses, grads, error = [], [], None
             try:
                 for i in share:
-                    if len(taggers) == len(done):
-                        taggers.append(SlotTagger(vocab, config, values=values))
-                    done.append(examples.backward(taggers[len(done)], i, epoch, batch_len))
+                    tagger.grads.fill(0.0)
+                    losses.append(examples.backward(tagger, i, epoch, batch_len))
+                    grads.append(tagger.grads.copy())
             except Exception as exc:  # answered, and raised by the main process in batch order
                 error = exc
-            answer = done, error
+            answer = losses, error
         try:
             conn.send(answer)
         except OSError:
             return
-        if job is None:  # after the answer, while the main process steps Adam
-            for model in taggers[: len(done)]:
-                model.grads.fill(0.0)
 
 
 class _Workers:
@@ -266,7 +271,8 @@ class _Workers:
     first error in batch order.  Then it passes the main process's
     gradient block through the mapping, where each worker in turn adds its
     sentences' gradients.  So the main process holds two parameter-sized
-    blocks of the mapping, whatever the batch size.  The split depends only
+    blocks of the mapping, whatever the batch size; a worker holds one
+    gradient copy per sentence of its share.  The split depends only
     on the batch length and the worker count; with no workers, the main
     process runs every batch.  ``close`` ends the workers, waits for them
     and releases the mapping.

@@ -367,6 +367,14 @@ class TestWorkers:
     per-sentence gradients are summed in batch order, so the worker count
     changes no bit and no error."""
 
+    @pytest.mark.parametrize("cores, batch_size, workers",
+                             [(1, 32, 0), (2, 1, 0), (2, 32, 1), (64, 2, 1), (64, 32, 1)])
+    def test_at_most_one_worker_is_forked(self, monkeypatch, cores, batch_size, workers):
+        module = importlib.import_module("slotie.train")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+        assert module._worker_count(batch_size) == workers
+
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
     def test_worker_count_changes_no_bit(self, monkeypatch, batch_size):
         # 10 training records: batches of 3 and 4 end with a short batch.
