@@ -197,7 +197,7 @@ class _Examples:
 
 
 #: The most processes that train a batch.  Two is the count measured to
-#: gain.  More would not be known to: workers add their gradients one
+#: gain.  More were never measured: workers add their gradients one
 #: after another, and the usable cores that ``os.sched_getaffinity``
 #: reports ignore a cgroup CPU quota.
 _MAX_PROCESSES = 2
