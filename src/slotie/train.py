@@ -3,16 +3,15 @@ checkpoint selection by validation token-wise macro F1.
 
 Sentences are processed one at a time inside a batch; gradients average
 across the batch before each optimizer step, so a "batch" is a gradient
-accumulation group.  A batch is an ordered gradient sum over processes:
-the main process runs the batch's first share on the tape, and a forked
-worker, where a second core is usable, runs the later share, keeping each
-sentence's gradient apart.  Once both shares are done, the batch gradient
-passes through a shared mapping, where the worker adds its sentences'
-gradients in batch order.  Every parameter takes exactly one
-gradient term per sentence, so these are the additions that one process
-would make, in the same order, and the bits do not depend on the worker
-count.  Every process runs one OpenBLAS thread, so they do not depend on
-the core count either.  Everything is deterministic for a fixed seed.
+accumulation group.  Where a second core is usable, a forked worker
+runs the later half of each batch while the main process runs the first
+half on the tape, and the worker adds its sentences' gradients, each kept
+apart, to the main process's in batch order.  Every parameter takes
+exactly one gradient term per sentence, so these are the additions that
+one process would make, in the same order, and the bits are the same with
+the worker or without it.  Every process runs one OpenBLAS thread, so they
+do not depend on the core count either.  Everything is deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ import multiprocessing
 import os
 import signal
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,8 +88,8 @@ class AdamState:
 
 def adam_step(model: SlotTagger, state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update with decoupled weight decay of ``model.values`` from
-    the gradients the tape accumulated in ``model.grads``; then the
-    gradient block is zero-filled for the next batch.
+    the batch gradient in ``model.grads``; then the gradient block is
+    zero-filled for the next batch.
 
     If any gradient is non-finite the step aborts with NumericalError and
     nothing changes.  The update runs in place, in the operation order of
@@ -196,57 +195,35 @@ class _Examples:
         return loss
 
 
-#: The most processes that train a batch.  Two is the count measured to
-#: gain.  More were never measured: workers add their gradients one
-#: after another, and the usable cores that ``os.sched_getaffinity``
-#: reports ignore a cgroup CPU quota.
-_MAX_PROCESSES = 2
+def _forks_a_worker(batch_size: int) -> bool:
+    """Whether to fork a worker beside the main process: where processes
+    can be forked, a second core is usable and a batch holds a second
+    sentence.  Two processes are the count measured to gain; more were
+    never measured, and the usable cores that ``os.sched_getaffinity``
+    reports ignore a cgroup CPU quota."""
+    return (
+        batch_size > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+    )
 
 
-def _worker_count(batch_size: int) -> int:
-    """How many workers to fork beside the main process: one where a second
-    core is usable and a batch holds a second sentence, and none where
-    processes cannot be forked."""
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    if not forks or not hasattr(os, "sched_getaffinity"):
-        return 0
-    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), batch_size) - 1
-
-
-def _views(buffer: mmap.mmap) -> tuple[np.ndarray, np.ndarray]:
-    """The shared mapping as a block of parameter values and one of gradients."""
-    values, grads = np.frombuffer(buffer).reshape(2, -1)
-    return values, grads
-
-
-def _work(conn, inherited, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
-    """A worker's loop, which ends when the main process's end of the pipe
-    closes.  A job is a share of a batch: the worker runs it sentence by
-    sentence on one tagger over the shared values, keeps a copy of each
-    sentence's gradient, and answers with the losses of the sentences done
-    and the error that stopped the share, if any.  A None job asks it to
-    add those copies, in order, into the shared gradient block.  The
-    worker prints nothing, not even a warning: the main process reports
-    what went wrong."""
+def _work(conn, main_end, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
+    """The worker's loop (see ``_Batches``), which ends when the main
+    process's end of the pipe closes.  It keeps a copy of each sentence's
+    gradient until its turn, and answers with the losses of the sentences
+    done and the error that stopped its share, if any.  It prints nothing,
+    not even a warning: the main process reports what went wrong."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's to handle
     warnings.simplefilter("ignore")
-    # Holding no copy of a main-process end, the worker sees EOF when the main process exits.
-    for end in inherited:
-        end.close()
-    values, shared_grads = _views(buffer)
+    # Holding no copy of the main process's end, the worker sees EOF when the main process exits.
+    main_end.close()
+    values, shared_grads = np.frombuffer(buffer).reshape(2, -1)
     tagger = SlotTagger(vocab, config, values=values)
-    grads: list[np.ndarray] = []  # one per sentence of the share, in batch order
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError):  # a closed end, or one closed with an answer unread
-            return
-        if job is None:
-            for grad in grads:
-                shared_grads += grad
-            answer = None
-        else:
-            epoch, batch_len, share = job
+    try:
+        while True:
+            epoch, batch_len, share = conn.recv()
             losses, grads, error = [], [], None
             try:
                 for i in share:
@@ -255,109 +232,88 @@ def _work(conn, inherited, examples: _Examples, vocab, config: ModelConfig, buff
                     grads.append(tagger.grads.copy())
             except Exception as exc:  # answered, and raised by the main process in batch order
                 error = exc
-            answer = losses, error
-        try:
-            conn.send(answer)
-        except OSError:
-            return
+            conn.recv()  # the main process's turn message
+            for grad in grads:
+                shared_grads += grad
+            conn.send((losses, error))
+    except (EOFError, OSError):  # a closed end, or one closed with an answer unread
+        return
 
 
-class _Workers:
-    """Forked processes that run the later shares of every batch.
+class _Batches:
+    """Runs each batch into the tagger's ``grads``; with ``fork``, a worker
+    forked here runs the later share of every batch of two or more
+    sentences, and the main process keeps the first ``len(batch) // 2``.
 
-    ``start`` copies the parameter values into the shared mapping and
-    hands each worker its share; the main process keeps the first share.
-    ``finish`` collects the workers' losses in batch order, or raises the
-    first error in batch order.  Then it passes the main process's
-    gradient block through the mapping, where each worker in turn adds its
-    sentences' gradients.  So the main process holds two parameter-sized
-    blocks of the mapping, whatever the batch size; a worker holds one
-    gradient copy per sentence of its share.  The split depends only
-    on the batch length and the worker count; with no workers, the main
-    process runs every batch.  ``close`` ends the workers, waits for them
-    and releases the mapping.
+    A batch takes one round trip.  The main process copies the parameter
+    values into a shared mapping, sends the worker its share and runs its
+    own on the tape.  Then it puts its share's gradient into the mapping and
+    gives the worker its turn: the worker adds its sentences' gradients
+    there in batch order and answers.  The main process holds the mapping's
+    two parameter-sized blocks and the worker one gradient copy per
+    sentence of its share.  Once the worker is lost, the main process runs
+    the rest of training alone, after one RuntimeWarning.
     """
 
-    def __init__(self, count: int, model: SlotTagger, examples: _Examples):
-        self._model = model
-        self._conns: list = []
-        self._processes: list = []
-        self._active: list = []
-        self._buffer = mmap.mmap(-1, 2 * model.values.nbytes)
-        self._values, self._grads = _views(self._buffer)
-        context = multiprocessing.get_context("fork")
-        try:
-            for _ in range(count):
-                conn, child_end = context.Pipe()
-                self._conns.append(conn)
-                process = context.Process(
-                    target=_work,
-                    args=(child_end, tuple(self._conns), examples, model.vocab, model.config,
-                          self._buffer),
-                    daemon=True,
-                )
-                process.start()
-                child_end.close()
-                self._processes.append(process)
-        except BaseException:
-            self.close()
-            raise
+    def __init__(self, model: SlotTagger, examples: _Examples, fork: bool):
+        self._model, self._examples = model, examples
+        self._process = None
+        if fork:
+            self._buffer = mmap.mmap(-1, 2 * model.values.nbytes)
+            self._values, self._grads = np.frombuffer(self._buffer).reshape(2, -1)
+            context = multiprocessing.get_context("fork")
+            self._conn, child_end = context.Pipe()
+            process = context.Process(
+                target=_work,
+                args=(child_end, self._conn, examples, model.vocab, model.config, self._buffer),
+                daemon=True,
+            )
+            process.start()
+            child_end.close()
+            self._process = process
 
-    def __enter__(self) -> "_Workers":
+    def __enter__(self) -> "_Batches":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """End the worker, wait for it and release the mapping."""
+        if self._process is not None:
+            self._conn.close()
+            self._process.join()
+            del self._values, self._grads  # the mapping closes only once no array views it
+            self._buffer.close()
 
-    def start(self, batch: np.ndarray, epoch: int) -> int:
-        """Send the workers their shares of ``batch``; return the length of
-        the first share, which the main process runs."""
-        processes = min(len(self._conns) + 1, len(batch))
-        bounds = [len(batch) * p // processes for p in range(processes + 1)]
-        self._active = self._conns[: processes - 1]
-        if self._active:
+    def run(self, batch: np.ndarray, epoch: int) -> Iterator[float]:
+        """Compute ``batch``'s gradient and yield its sentences' losses in
+        batch order, or raise the error of the earliest sentence that fails."""
+        working = self._process is not None and not self._conn.closed
+        split = len(batch) // 2 if working and len(batch) > 1 else len(batch)
+        if split < len(batch):
             self._values[...] = self._model.values
-        for conn, lo, hi in zip(self._active, bounds[1:], bounds[2:]):
-            self._ask(conn, (epoch, len(batch), batch[lo:hi].tolist()))
-        return bounds[1]
+            with suppress(OSError):  # a worker lost here is found when asked for its answer
+                self._conn.send((epoch, len(batch), batch[split:].tolist()))
+        for k, i in enumerate(batch):
+            if k == split and (losses := self._answer()) is not None:
+                yield from losses
+                return
+            yield self._examples.backward(self._model, i, epoch, len(batch))
 
-    def finish(self) -> list[float]:
-        losses: list[float] = []
-        for conn in self._active:
-            done, error = self._answer(conn)
-            losses += done
-            if error is not None:
-                raise error
-        if self._active:
-            self._grads[...] = self._model.grads
-            for conn in self._active:
-                self._ask(conn, None)
-                self._answer(conn)
-            self._model.grads[...] = self._grads
-        return losses
-
-    # A lost worker is a RuntimeError, since the CLI reads an OSError as a data error.
-    @staticmethod
-    def _ask(conn, job) -> None:
+    def _answer(self) -> list[float] | None:
+        """Give the worker its turn and return its share's losses, or None
+        once it is lost."""
+        self._grads[...] = self._model.grads
         try:
-            conn.send(job)
-        except OSError as exc:
-            raise RuntimeError(f"a training worker is gone: {exc}") from None
-
-    @staticmethod
-    def _answer(conn):
-        try:
-            return conn.recv()
+            self._conn.send(None)
+            losses, error = self._conn.recv()
         except (EOFError, OSError) as exc:
-            raise RuntimeError(f"a training worker is gone: {exc!r}") from None
-
-    def close(self) -> None:
-        for conn in self._conns:
-            conn.close()
-        for process in self._processes:
-            process.join()
-        del self._values, self._grads  # the mapping closes only once no array views it
-        self._buffer.close()
+            warnings.warn(f"the training worker is gone ({exc!r}); training goes on in one process",
+                          RuntimeWarning)
+            self._conn.close()
+            return None
+        if error is not None:
+            raise error
+        self._model.grads[...] = self._grads
+        return losses
 
 
 def train(
@@ -399,17 +355,15 @@ def train(
     diagnostics = ""
 
     examples = _Examples(train_set, train_indices + 1, loss_cfg)
-    count = _worker_count(min(cfg.batch_size, len(train_set)))
-    with blas.pinned(1) as pinned, _Workers(count if pinned else 0, model, examples) as workers:
+    fork = _forks_a_worker(min(cfg.batch_size, len(train_set)))
+    with blas.pinned(1) as pinned, _Batches(model, examples, fork and pinned) as batches:
         for epoch in range(1, cfg.max_epochs + 1):
             perm = rng.permutation(len(train_set))
             epoch_loss = 0.0
             try:
                 for start in range(0, len(perm), cfg.batch_size):
-                    batch = perm[start : start + cfg.batch_size]
-                    for i in batch[: workers.start(batch, epoch)]:
-                        epoch_loss += examples.backward(model, i, epoch, len(batch))
-                    for loss in workers.finish():
+                    # One addition at a time: a sum() would round differently.
+                    for loss in batches.run(perm[start : start + cfg.batch_size], epoch):
                         epoch_loss += loss
                     adam_step(model, state, cfg)
                 val_f1 = evaluate_macro_f1(model, val_set, val_indices + 1)

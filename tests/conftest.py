@@ -47,8 +47,8 @@ def nan_loss_from(monkeypatch):
     ``slotie.train``; the package attribute of that name is the function.
     Calls are counted across the training loop's processes, whose calls
     for one batch all come before any call for the next; so with ``first``
-    at a batch boundary, the first NaN batch is the same at any worker
-    count."""
+    at a batch boundary, the first NaN batch is the same with the worker
+    or without it."""
     module = importlib.import_module("slotie.train")
     real = module.loss_assignment_gradient
 

@@ -1,6 +1,7 @@
 import importlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -327,11 +328,12 @@ class TestRecordsTheConfigCannotTake:
         assert str(info.value).startswith(f"record {position + 1} ({words} ...): ")
 
 
-def forced_workers(monkeypatch, count):
-    """Fork ``count`` workers in every ``train`` call, whatever the host's
-    cores.  The package attribute ``slotie.train`` is the function."""
+def forced_worker(monkeypatch, fork):
+    """Fork a worker in every ``train`` call if ``fork``, and none if not,
+    whatever the host's cores.  The package attribute ``slotie.train`` is
+    the function."""
     module = importlib.import_module("slotie.train")
-    monkeypatch.setattr(module, "_worker_count", lambda batch_size: count)
+    monkeypatch.setattr(module, "_forks_a_worker", lambda batch_size: fork)
 
 
 def first_batch(n_records, cfg):
@@ -342,19 +344,20 @@ def first_batch(n_records, cfg):
     return train_indices[rng.permutation(len(train_indices))[: cfg.batch_size]]
 
 
-def too_many_gold_in_a_worker_share():
+def too_many_gold_at(*batch_positions):
     """A dataset, config and model config whose first batch of five holds
-    records with more gold masks than slots at batch positions 2 and 4,
-    after two that fit: in a worker's share at one or two workers, and at
-    two workers in both of theirs."""
+    records with more gold masks than slots at ``batch_positions``, and
+    the dataset position of the first.  The main process's share is batch
+    positions 0 and 1, the worker's 2 to 4."""
     cfg = TrainConfig(batch_size=5, max_epochs=1, seed=0, validation_fraction=0.25)
     records = tiny_dataset()
     fits = [record for record in records if record[1].n_gold <= 3]
     big = [record for record in records if record[1].n_gold > 3]
     batch = first_batch(len(records), cfg)
     dataset = [fits[k % len(fits)] for k in range(len(records))]
-    dataset[batch[2]], dataset[batch[4]] = big[0], big[1]
-    return dataset, cfg, sl.ModelConfig(n_slots=3, hidden=8, blocks=1), batch[2] + 1
+    for k, position in enumerate(batch_positions):
+        dataset[batch[position]] = big[k]
+    return dataset, cfg, sl.ModelConfig(n_slots=3, hidden=8, blocks=1), batch[batch_positions[0]] + 1
 
 
 def outcome(result):
@@ -362,9 +365,15 @@ def outcome(result):
             result.best_val_f1, result.diverged, result.diagnostics)
 
 
+def assert_no_child_remains():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkers:
-    """A batch is split between the main process and forked workers; the
-    per-sentence gradients are summed in batch order, so the worker count
+    """A batch is split between the main process and a forked worker; the
+    per-sentence gradients are summed in batch order, so the worker
     changes no bit and no error."""
 
     @pytest.mark.parametrize("cores, batch_size, workers",
@@ -373,7 +382,19 @@ class TestWorkers:
         module = importlib.import_module("slotie.train")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
-        assert module._worker_count(batch_size) == workers
+        assert module._forks_a_worker(batch_size) == bool(workers)
+
+    def test_trains_in_one_process_where_fork_is_missing(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        # As where fork is missing: get_context("fork") raises.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cfg = TrainConfig(batch_size=4, max_epochs=1, seed=0)
+        result = train(tiny_dataset(), cfg, sl.ModelConfig(n_slots=10, hidden=8, blocks=1))
+        assert len(result.history) == 1
+        assert_no_child_remains()
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
     def test_worker_count_changes_no_bit(self, monkeypatch, batch_size):
@@ -383,21 +404,21 @@ class TestWorkers:
                           validation_fraction=0.25)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
         outcomes = []
-        for count in (0, 1, 2):
-            forced_workers(monkeypatch, count)
+        for fork in (False, True):
+            forced_worker(monkeypatch, fork)
             outcomes.append(outcome(train(dataset, cfg, model_cfg)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][1]) == 2 and not outcomes[0][4]
 
     def test_the_earliest_too_many_gold_record_is_named(self, monkeypatch):
-        dataset, cfg, model_cfg, position = too_many_gold_in_a_worker_share()
+        dataset, cfg, model_cfg, position = too_many_gold_at(2, 4)
         messages = []
-        for count in (0, 1, 2):
-            forced_workers(monkeypatch, count)
+        for fork in (False, True):
+            forced_worker(monkeypatch, fork)
             with pytest.raises(sl.TooManyGold) as info:
                 train(dataset, cfg, model_cfg)
             messages.append(str(info.value))
-        assert messages[0] == messages[1] == messages[2]
+        assert messages[0] == messages[1]
         words = " ".join(dataset[position - 1][0].tokens[:6])
         assert messages[0].startswith(f"record {position} ({words} ...): ")
 
@@ -407,23 +428,32 @@ class TestWorkers:
                           max_epochs=3, seed=0)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
         outcomes = []
-        for count in (0, 1, 2):
-            forced_workers(monkeypatch, count)
+        for fork in (False, True):
+            forced_worker(monkeypatch, fork)
             with np.errstate(all="ignore"):
                 outcomes.append(outcome(train(tiny_dataset(), cfg, model_cfg)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
         assert outcomes[0][4:] == (True, "the tagger's probabilities are not finite")
         assert outcomes[0][2] == 0
 
-    @pytest.mark.parametrize("case", ["returns", "too-many-gold", "diverges"])
+    @pytest.mark.parametrize("case", ["returns", "too-many-gold", "too-many-gold-first",
+                                      "diverges"])
     def test_no_process_outlives_train(self, monkeypatch, case):
-        forced_workers(monkeypatch, 1)
+        # The worker holds its share while the main process's share fails
+        # in "too-many-gold-first", and fails its own in "too-many-gold".
+        if case.startswith("too-many-gold"):
+            positions = (0,) if case.endswith("first") else (2, 4)
+            dataset, cfg, model_cfg, _ = too_many_gold_at(*positions)
+            forced_worker(monkeypatch, False)
+            with pytest.raises(sl.TooManyGold) as alone:
+                train(dataset, cfg, model_cfg)
+        forced_worker(monkeypatch, True)
         # Two threads going in, so that a count left at training's one shows.
         with blas.pinned(2) as pinned:
-            if case == "too-many-gold":
-                dataset, cfg, model_cfg, _ = too_many_gold_in_a_worker_share()
-                with pytest.raises(sl.TooManyGold):
+            if case.startswith("too-many-gold"):
+                with pytest.raises(sl.TooManyGold) as info:
                     train(dataset, cfg, model_cfg)
+                assert str(info.value) == str(alone.value)
             else:
                 cfg = TrainConfig(learning_rate=1e150 if case == "diverges" else 1e-3,
                                   weight_decay=0.0, batch_size=4, max_epochs=2, seed=0)
@@ -432,18 +462,36 @@ class TestWorkers:
                     result = train(tiny_dataset(), cfg, model_cfg)
                 assert result.diverged == (case == "diverges")
             assert blas.threads() == (2 if pinned else None)
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_remains()
+
+    def test_training_goes_on_without_a_lost_worker(self, monkeypatch):
+        dataset = tiny_dataset(n_sentences=14)
+        cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=3, seed=4,
+                          validation_fraction=0.25)
+        model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
+        forced_worker(monkeypatch, False)
+        alone = outcome(train(dataset, cfg, model_cfg))
+
+        def kill_the_worker(stats):
+            if stats.epoch == 1:
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join()
+
+        forced_worker(monkeypatch, True)
+        with pytest.warns(RuntimeWarning, match="the training worker is gone") as caught:
+            assert outcome(train(dataset, cfg, model_cfg, log=kill_the_worker)) == alone
+        assert len(caught) == 1
+        assert_no_child_remains()
 
 
-# Trains with one forced worker and, at the end of epoch 1, prints the
+# Trains with a forced worker and, at the end of epoch 1, prints the
 # worker's pid and sleeps in the log callback, for the caller to kill it.
 _ORPHAN_SCRIPT = """
 import importlib, multiprocessing, time
 import slotie as sl
 
-importlib.import_module("slotie.train")._worker_count = lambda batch_size: 1
+importlib.import_module("slotie.train")._forks_a_worker = lambda batch_size: True
 
 def log(stats):
     print(*(p.pid for p in multiprocessing.active_children()), flush=True)
