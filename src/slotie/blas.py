@@ -1,5 +1,7 @@
 """The thread count of the OpenBLAS that numpy's wheel bundles in
-``numpy.libs``: read it, and set it for the length of a block.
+``numpy.libs``: read it, and set it for the length of a block; and
+whether a command may fork a worker that runs one such thread beside the
+main process.
 
 Where numpy links another BLAS, or names its OpenBLAS entry points
 otherwise, the count can be neither read nor set: ``threads()`` returns
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -61,3 +65,18 @@ def pinned(count: int) -> Iterator[bool]:
         yield True
     finally:
         set_(before)
+
+
+def forks_a_worker() -> bool:
+    """Whether ``train`` and ``extract`` may fork one worker beside the main
+    process, each process on one OpenBLAS thread: processes can be forked,
+    a second core is usable and the thread count can be set.  Two processes
+    are the count measured to gain; more were never measured, and the usable
+    cores that ``os.sched_getaffinity`` reports ignore a cgroup CPU quota.
+    Each command adds its own condition on the size of its work."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and _entry_points() is not None
+    )

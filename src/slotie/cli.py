@@ -14,13 +14,20 @@ import argparse
 import functools
 import itertools
 import json
+import os
+import pickle
+import signal
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Iterable, Iterator, get_args, get_type_hints
 
-from . import __version__
+import numpy as np
+
+from . import __version__, blas
 from .core import NumericalError, SlotieError, tokenize, typed_value
 from .data import (
     AlignedRecord,
@@ -317,20 +324,165 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 # -- extract ---------------------------------------------------------------------
 
-def _tokenized(sentences: list[str], max_len: int):
+#: Inputs of fewer non-blank sentences run in one process, where a fork
+#: costs more than it saves.  Medians of 41 one-call fresh processes
+#: (imports excluded, 2 vCPUs, the benchmark's checkpoint), forked vs one
+#: process: 16 sentences 20.6 vs 17.9 ms, 48: 28.9 vs 28.6, 64: 30.8 vs
+#: 33.9, 128: 46.8 vs 63.1; CHANGES.md has the whole table.
+_FORK_MIN_SENTENCES = 64
+
+#: Sentences per chunk of ``_extract``'s queue: small enough that the two
+#: processes finish within about 4 ms of one another, and no slower than
+#: one chunk of the whole input (medians of 15 runs of the benchmark's
+#: 250-sentence slice in one process: 61.3 ms whole, 62.2 in chunks of 16).
+_CHUNK_SENTENCES = 16
+
+#: Most chunks of one call: their numbers, two bytes each, then fill at
+#: most one 4,096-byte page, which an empty pipe takes without blocking.
+_MAX_CHUNKS = 2048
+
+
+def _tokenized(sentences: list[str], max_len: int, warned: list[str]):
     """(sentence, sequence) pairs, tokenized lazily so that only about one
-    pack's tokens are alive at a time; over-length sentences are skipped
-    with a warning."""
+    pack's tokens are alive at a time; an over-length sentence is skipped
+    and its warning appended to ``warned``."""
     for sentence in sentences:
         seq = tokenize(sentence, append_placeholders=True)
         if len(seq) > max_len:
-            print(
-                f"warning: skipping over-length sentence ({len(seq)} tokens): "
-                f"{sentence[:60]}...",
-                file=sys.stderr,
-            )
+            warned.append(f"warning: skipping over-length sentence ({len(seq)} tokens): "
+                          f"{sentence[:60]}...")
             continue
         yield sentence, seq
+
+
+def _extract_share(model: SlotTagger, require_all_parts: bool, sentences: list[str]):
+    """Extract from ``sentences`` in packs: the records of those with an
+    extraction, the over-length warnings and the count of sentences run."""
+    records: list[GenerativeRecord] = []
+    warned: list[str] = []
+    processed = 0
+    jobs, seqs = itertools.tee(_tokenized(sentences, model.config.max_len, warned))
+    for pack, probs in model.predict_packs(seq for _, seq in seqs):
+        processed += len(pack)
+        # The pack's list comes first, so zip reads no job past the pack.
+        decoded = decode_pack(probs, pack, require_all_parts=require_all_parts)
+        for extractions, (sentence, _) in zip(decoded, jobs):
+            if extractions:
+                records.append(GenerativeRecord(sentence, tuple(extractions)))
+    return records, warned, processed
+
+
+def _extract_chunks(share, chunks: list[list[str]], numbers: Iterable[int]) -> dict:
+    """``{k: share(chunks[k])}`` for each chunk number ``k`` drawn from
+    ``numbers``; the first chunk that fails maps to its error instead, and
+    no number is drawn after it."""
+    done: dict = {}
+    for k in numbers:
+        try:
+            done[k] = share(chunks[k])
+        except Exception as exc:  # raised in input order, once every earlier chunk is in
+            done[k] = exc
+            break
+    return done
+
+
+@contextmanager
+def _queue(count: int) -> Iterator[int]:
+    """Yield the read end of a pipe that holds the numbers ``0 .. count -
+    1`` in order, two bytes each, its write end already closed."""
+    read, write = os.pipe()
+    try:
+        os.write(write, b"".join(k.to_bytes(2, "little") for k in range(count)))
+    finally:
+        os.close(write)
+    try:
+        yield read
+    finally:
+        os.close(read)
+
+
+def _drawn(queue: int) -> Iterator[int]:
+    """The numbers read from ``queue`` until it is empty.  A pipe read is
+    atomic, so of the processes that read it, each number goes to one."""
+    while number := os.read(queue, 2):
+        yield int.from_bytes(number, "little")
+
+
+@contextmanager
+def _worker(function, *args):
+    """Fork a worker that runs ``function(*args)`` and pickles back its
+    result; yield the call that reads it.  That call returns the result,
+    or, once the worker is lost, issues one RuntimeWarning and returns
+    None.  The worker ignores SIGINT and warnings, prints nothing, and
+    exits once it has answered or found the main process's end of the pipe
+    closed.  It is killed if still running and reaped when the block
+    ends."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's
+            warnings.simplefilter("ignore")
+            with open(write, "wb") as pipe:
+                pickle.dump(function(*args), pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe = open(read, "rb")
+
+    def answer():
+        try:
+            return pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:  # no answer, or a cut-off one
+            warnings.warn(f"the extract worker is gone ({exc!r}); its share runs in the "
+                          "main process", RuntimeWarning)
+            return None
+
+    try:
+        yield answer
+    finally:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)  # its answer read or not needed; a zombie ignores it
+        os.waitpid(pid, 0)
+
+
+def _extract(model: SlotTagger, sentences: list[str], require_all_parts: bool):
+    """``_extract_share`` of all ``sentences``, with one OpenBLAS thread per
+    process and numpy's float warnings off (``_checked`` turns a blow-up
+    into a NumericalError).
+
+    The input is cut into chunks of ``_CHUNK_SENTENCES``.  Where
+    ``blas.forks_a_worker()`` and the input holds ``_FORK_MIN_SENTENCES``
+    or more sentences, the main process and a forked worker draw the chunk
+    numbers from one queue, each taking the next as it finishes one, so a
+    process that the host slows runs fewer chunks rather than holding up
+    the other; otherwise the main process runs every chunk.  A sentence's
+    extractions do not depend on its pack or process, so the result is the
+    same either way, and of two failing chunks the earlier one's error is
+    raised.  The main process runs the chunks of a lost worker itself."""
+    share = functools.partial(_extract_share, model, require_all_parts)
+    size = max(_CHUNK_SENTENCES, -(-len(sentences) // _MAX_CHUNKS))
+    chunks = [sentences[i : i + size] for i in range(0, len(sentences), size)]
+    fork = len(sentences) >= _FORK_MIN_SENTENCES and blas.forks_a_worker()
+    records, warned, processed = [], [], 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), blas.pinned(1):
+        if fork:
+            with (_queue(len(chunks)) as queue,
+                  _worker(_extract_chunks, share, chunks, _drawn(queue)) as answer):
+                done = _extract_chunks(share, chunks, _drawn(queue))
+                done.update(answer() or {})
+        else:
+            done = _extract_chunks(share, chunks, range(len(chunks)))
+        for k, chunk in enumerate(chunks):
+            # Missing: a lost worker's chunk, or one after a failed chunk.
+            result = done[k] if k in done else share(chunk)
+            if isinstance(result, Exception):
+                raise result
+            records += result[0]
+            warned += result[1]
+            processed += result[2]
+    return records, warned, processed
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -343,18 +495,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             raise FormatError(f"{args.infile}:{lineno}: a sentence may not hold a tab")
         if line.strip():
             sentences.append(line)
-    records: list[GenerativeRecord] = []
-    processed = 0
     tick = time.perf_counter()
-    jobs, seqs = itertools.tee(_tokenized(sentences, model.config.max_len))
-    for pack, probs in model.predict_packs(seq for _, seq in seqs):
-        processed += len(pack)
-        # The pack's list comes first, so zip reads no job past the pack.
-        decoded = decode_pack(probs, pack, require_all_parts=config["require_all_parts"])
-        for extractions, (sentence, _) in zip(decoded, jobs):
-            if extractions:
-                records.append(GenerativeRecord(sentence, tuple(extractions)))
+    records, warned, processed = _extract(model, sentences, config["require_all_parts"])
     elapsed = time.perf_counter() - tick
+    for line in warned:
+        print(line, file=sys.stderr)
     skipped_long = len(sentences) - processed
     write_tuples_tsv(args.out, records)
     _write_meta(

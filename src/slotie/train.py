@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing
-import os
 import signal
 import warnings
 from contextlib import contextmanager, suppress
@@ -195,20 +194,6 @@ class _Examples:
         return loss
 
 
-def _forks_a_worker(batch_size: int) -> bool:
-    """Whether to fork a worker beside the main process: where processes
-    can be forked, a second core is usable and a batch holds a second
-    sentence.  Two processes are the count measured to gain; more were
-    never measured, and the usable cores that ``os.sched_getaffinity``
-    reports ignore a cgroup CPU quota."""
-    return (
-        batch_size > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-    )
-
-
 def _work(conn, main_end, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
     """The worker's loop (see ``_Batches``), which ends when the main
     process's end of the pipe closes.  It keeps a copy of each sentence's
@@ -355,8 +340,9 @@ def train(
     diagnostics = ""
 
     examples = _Examples(train_set, train_indices + 1, loss_cfg)
-    fork = _forks_a_worker(min(cfg.batch_size, len(train_set)))
-    with blas.pinned(1) as pinned, _Batches(model, examples, fork and pinned) as batches:
+    # A worker needs a batch with a second sentence to share.
+    fork = min(cfg.batch_size, len(train_set)) > 1 and blas.forks_a_worker()
+    with blas.pinned(1), _Batches(model, examples, fork) as batches:
         for epoch in range(1, cfg.max_epochs + 1):
             perm = rng.permutation(len(train_set))
             epoch_loss = 0.0

@@ -67,6 +67,19 @@ def nan_loss_from(monkeypatch):
     return patch
 
 
+@pytest.fixture()
+def forced_worker(monkeypatch):
+    """``force(fork)``: from then on every ``train`` and ``extract`` call
+    forks a worker if ``fork`` and none if not, whatever the host's cores;
+    each command's own condition on the size of its work still applies."""
+    from slotie import blas
+
+    def force(fork: bool) -> None:
+        monkeypatch.setattr(blas, "forks_a_worker", lambda: fork)
+
+    return force
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     """``run(script, **env)``: the standard output of ``script`` run by a

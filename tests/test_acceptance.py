@@ -464,3 +464,54 @@ def test_training_bits_do_not_follow_the_blas_thread_count(fresh_python):
         assert runs[threads].pop("threads") in (None, threads)
     assert runs[1] == runs[2]
     report("blas-threads", f"training past 90 tokens is thread-count free: {runs[1]['values']}")
+
+
+# Writes 40 sentences of 91 to 256 tokens (synth sentences joined) and an
+# untrained default-size tagger to the directory ``d``, runs ``slotie
+# extract --no-require-all-parts`` on them (every extraction's confidence
+# is an argmax probability, written in full) and prints the thread count
+# in use afterwards with the sha256 of the TSV.
+_LONG_EXTRACT_SCRIPT = """
+import hashlib, io, json, contextlib
+import slotie as sl
+from slotie import blas, cli
+
+d = @DIR@
+pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
+sentences, text = [], ""
+for s in sl.synth_generate(pool, 2000, seed=11):
+    text += s.record.sentence + " "
+    n_tokens = len(sl.tokenize(text, append_placeholders=True))
+    if n_tokens > 90 + (10 * len(sentences)) % 166:
+        if n_tokens <= 256 and len(sentences) < 40:
+            sentences.append(text.strip())
+        text = ""
+assert len(sentences) == 40
+with open(d + "/in.txt", "w", encoding="utf-8") as f:
+    f.write("".join(s + "\\n" for s in sentences))
+vocab = sl.build_vocab(sl.tokenize(s) for s in sentences)
+sl.SlotTagger(vocab, sl.ModelConfig(), seed=0).save(d + "/model.npz")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["extract", "--checkpoint", d + "/model.npz", "--in", d + "/in.txt",
+                     "--out", d + "/out.tsv", "--no-require-all-parts"]) == 0
+tsv = open(d + "/out.tsv", "rb").read()
+print(json.dumps({"threads": blas.threads(), "lines": tsv.count(b"\\n"),
+                  "tsv": hashlib.sha256(tsv).hexdigest()}))
+"""
+
+
+def test_extract_bits_do_not_follow_the_blas_thread_count(fresh_python, tmp_path):
+    """Past 90 tokens one and two OpenBLAS threads give different products,
+    but ``extract`` runs every process on one thread: its TSV is the same
+    whatever count the host starts with, and that count is back in place
+    when ``extract`` returns."""
+    runs = {}
+    for threads in (1, 2):
+        d = tmp_path / str(threads)
+        d.mkdir()
+        runs[threads] = json.loads(fresh_python(_LONG_EXTRACT_SCRIPT.replace("@DIR@", repr(str(d))),
+                                                OPENBLAS_NUM_THREADS=str(threads)))
+        assert runs[threads].pop("threads") in (None, threads)
+    assert runs[1] == runs[2]
+    assert runs[1]["lines"] > 40
+    report("blas-threads", f"extract past 90 tokens is thread-count free: {runs[1]['tsv']}")

@@ -2,13 +2,19 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slotie as sl
-from slotie import cli
+from slotie import blas, cli
 from slotie.cli import main
 
 
@@ -594,6 +600,208 @@ class TestExtractCommand:
             sl.write_tuples_tsv(want, expected)
             assert len(expected) > 20
             assert out.read_text().splitlines() == want.read_text().splitlines()
+
+
+@pytest.fixture()
+def extract_with(monkeypatch, capsys, forced_worker, tmp_path):
+    """``extract(fork, checkpoint, infile)``: run ``slotie extract`` in
+    chunks of 4 sentences with a worker forked if ``fork``, whatever the
+    input's size, and none if not.  Returns the exit code, the output path,
+    standard error with the throughput figure masked, and the number of
+    processes forked; ``extract.forks`` lists the last call's worker pids."""
+    monkeypatch.setattr(cli, "_FORK_MIN_SENTENCES", 2)
+    monkeypatch.setattr(cli, "_CHUNK_SENTENCES", 4)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def extract(fork, checkpoint, infile):
+        forced_worker(fork)
+        out = tmp_path / f"out-{fork}.tsv"
+        forks.clear()
+        capsys.readouterr()
+        code = run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out)
+        err = re.sub(r"throughput: [0-9.]+", "throughput: X", capsys.readouterr().err)
+        return code, out, err, len(forks)
+
+    extract.forks = forks
+    return extract
+
+
+def extract_input(tmp_path, n, inserts=()):
+    """A file of ``n`` synth sentences with ``(index, line)`` inserts, each
+    placed at its index in turn."""
+    corpus = tmp_path / "corpus.tsv"
+    assert run("synth", "--pool", "data/pool_en.tsv", "--n", n, "--seed", 5, "--out", corpus) == 0
+    lines = [r.sentence for r in sl.read_tuples_tsv(corpus)]
+    for index, line in inserts:
+        lines.insert(index, line)
+    infile = tmp_path / "in.txt"
+    infile.write_text("".join(line + "\n" for line in lines))
+    return infile
+
+
+def assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def held_until_the_worker_ends(monkeypatch, extract_with, in_the_worker=None):
+    """Patch ``cli._extract_share`` so that the main process's first chunk
+    waits for the worker to end (without reaping it), and the worker runs
+    ``in_the_worker`` before each of its chunks.  Returns the list of the
+    main process's drawn chunk numbers, filled by ``cli._extract_chunks``."""
+    main_pid, real_share, real_chunks = os.getpid(), cli._extract_share, cli._extract_chunks
+    drawn = []
+
+    def share(*args):
+        if os.getpid() != main_pid:
+            if in_the_worker:
+                in_the_worker()
+        elif not drawn:
+            drawn.append(None)
+            os.waitid(os.P_PID, extract_with.forks[0], os.WEXITED | os.WNOWAIT)
+        return real_share(*args)
+
+    def chunks(share, chunks, numbers):
+        done = real_chunks(share, chunks, numbers)
+        if os.getpid() == main_pid:
+            drawn[:] = sorted(done)
+        return done
+
+    monkeypatch.setattr(cli, "_extract_share", share)
+    monkeypatch.setattr(cli, "_extract_chunks", chunks)
+    return drawn
+
+
+class TestExtractWorker:
+    """``extract`` shares its input's chunks between the main process and
+    one forked worker; the output, standard error and exit code do not show
+    it."""
+
+    def test_a_worker_changes_no_byte(self, tmp_path, checkpoint, extract_with):
+        # 30 sentences in 8 chunks, two of them over-length, with blank
+        # lines around them.
+        infile = extract_input(tmp_path, 28, [(3, " ".join(["word"] * 300)), (5, ""),
+                                              (20, "   "), (26, " ".join(["term"] * 280)),
+                                              (29, "")])
+        runs = []
+        # Two threads going in, so that a count left at extract's one shows.
+        with blas.pinned(2) as pinned:
+            for fork in (False, True):
+                runs.append(extract_with(fork, checkpoint, infile))
+                assert blas.threads() == (2 if pinned else None)
+        (code0, out0, err0, forks0), (code1, out1, err1, forks1) = runs
+        assert (code0, forks0, code1, forks1) == (0, 0, 0, 1)
+        assert out0.read_bytes() and out1.read_bytes() == out0.read_bytes()
+        meta = [json.loads(Path(f"{out}.meta.json").read_text()) for out in (out0, out1)]
+        assert meta[0] == meta[1] and meta[0]["skipped_over_length"] == 2
+        assert err1 == err0
+        warned = [line for line in err0.splitlines() if line.startswith("warning: ")]
+        assert [line.split("): ")[1][:4] for line in warned] == ["word", "term"]
+        assert_no_child_remains()
+
+    @pytest.mark.parametrize("failing", [("main",), ("worker",), ("main", "worker")],
+                             ids=["main", "worker", "both"])
+    def test_the_earliest_error_wins(self, tmp_path, monkeypatch, checkpoint, extract_with,
+                                     failing):
+        # 20 sentences in 5 chunks; the failing ones lie in chunks 0 and 3,
+        # which either process may run.
+        inserts = [(2, "Zedmain fails .")] if "main" in failing else []
+        inserts += [(15, "Zedworker fails .")] if "worker" in failing else []
+        infile = extract_input(tmp_path, 20 - len(inserts), inserts)
+        errors = {"Zedmain": sl.NumericalError("the main share fails"),
+                  "Zedworker": sl.SlotieError("the worker's share fails")}
+        real = cli.decode_pack
+
+        def decode_pack(probs, pack, **kwargs):
+            for seq in pack:
+                if seq.tokens[0] in errors:
+                    raise errors[seq.tokens[0]]
+            return real(probs, pack, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_pack", decode_pack)
+        with blas.pinned(2) as pinned:
+            runs = [extract_with(fork, checkpoint, infile) for fork in (False, True)]
+            assert blas.threads() == (2 if pinned else None)
+        (code0, out0, err0, forks0), (code1, out1, err1, forks1) = runs
+        assert (forks0, forks1) == (0, 1)
+        assert (code1, err1) == (code0, err0)
+        assert (code0, err0) == ((3, "numeric failure: the main share fails\n") if "main" in failing
+                                 else (2, "data error: the worker's share fails\n"))
+        assert not out0.exists() and not out1.exists()
+        assert_no_child_remains()
+
+    def test_a_lost_worker_leaves_the_output_unchanged(self, tmp_path, monkeypatch, checkpoint,
+                                                       extract_with):
+        infile = extract_input(tmp_path, 20)
+        code0, out0, err0, _ = extract_with(False, checkpoint, infile)
+        # The worker dies on the first chunk it draws, which the main
+        # process, held on its own first chunk until then, runs itself.
+        drawn = held_until_the_worker_ends(
+            monkeypatch, extract_with, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.warns(RuntimeWarning, match="the extract worker is gone") as caught:
+            code1, out1, err1, forks = extract_with(True, checkpoint, infile)
+        assert len(caught) == 1 and forks == 1
+        assert len(drawn) == 4
+        assert (code1, err1) == (code0, err0) == (0, "throughput: X sentences/sec\n")
+        assert out1.read_bytes() == out0.read_bytes()
+        assert_no_child_remains()
+
+    def test_a_held_up_process_runs_fewer_chunks(self, tmp_path, monkeypatch, checkpoint,
+                                                  extract_with):
+        infile = extract_input(tmp_path, 20)
+        code0, out0, err0, _ = extract_with(False, checkpoint, infile)
+        # The main process draws one chunk and is held there until the
+        # worker has run the other four and answered.
+        drawn = held_until_the_worker_ends(monkeypatch, extract_with)
+        code1, out1, err1, forks = extract_with(True, checkpoint, infile)
+        assert forks == 1 and len(drawn) == 1
+        assert (code1, err1) == (code0, err0)
+        assert out1.read_bytes() == out0.read_bytes()
+        assert_no_child_remains()
+
+    def test_extracts_in_one_process_where_fork_is_missing(self, tmp_path, monkeypatch,
+                                                           checkpoint):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        # As on Windows: no os.fork, and get_context("fork") raises.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_FORK_MIN_SENTENCES", 2)
+        out = tmp_path / "out.tsv"
+        assert run("extract", "--checkpoint", checkpoint, "--in", extract_input(tmp_path, 20),
+                   "--out", out) == 0
+        assert out.read_bytes()
+        assert_no_child_remains()
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["one-process", "forked"])
+    def test_a_blow_up_prints_one_line(self, tmp_path, checkpoint, fork):
+        # A fresh interpreter, so that numpy's float warnings reach stderr
+        # as they would from the shell.
+        model = sl.SlotTagger.load(checkpoint)
+        model.values *= 1e150
+        blown = tmp_path / "blown.npz"
+        model.save(blown)
+        argv = ["extract", "--checkpoint", str(blown), "--in", str(extract_input(tmp_path, 8)),
+                "--out", str(tmp_path / "out.tsv")]
+        script = (f"import sys\nfrom slotie import blas, cli\n"
+                  f"blas.forks_a_worker = lambda: {fork}\ncli._FORK_MIN_SENTENCES = 2\n"
+                  f"cli._CHUNK_SENTENCES = 2\n"
+                  f"sys.exit(cli.main({argv!r}))\n")
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert (done.returncode, done.stderr) == (
+            3, "numeric failure: the tagger's probabilities are not finite\n")
 
 
 class TestScoreCommand:

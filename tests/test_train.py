@@ -1,4 +1,3 @@
-import importlib
 import multiprocessing
 import os
 import signal
@@ -328,14 +327,6 @@ class TestRecordsTheConfigCannotTake:
         assert str(info.value).startswith(f"record {position + 1} ({words} ...): ")
 
 
-def forced_worker(monkeypatch, fork):
-    """Fork a worker in every ``train`` call if ``fork``, and none if not,
-    whatever the host's cores.  The package attribute ``slotie.train`` is
-    the function."""
-    module = importlib.import_module("slotie.train")
-    monkeypatch.setattr(module, "_forks_a_worker", lambda batch_size: fork)
-
-
 def first_batch(n_records, cfg):
     """The dataset indices of epoch 1's first batch, drawn as ``train`` draws them."""
     rng = np.random.default_rng(cfg.seed)
@@ -379,10 +370,26 @@ class TestWorkers:
     @pytest.mark.parametrize("cores, batch_size, workers",
                              [(1, 32, 0), (2, 1, 0), (2, 32, 1), (64, 2, 1), (64, 32, 1)])
     def test_at_most_one_worker_is_forked(self, monkeypatch, cores, batch_size, workers):
-        module = importlib.import_module("slotie.train")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
-        assert module._forks_a_worker(batch_size) == bool(workers)
+        seen = []
+        cfg = TrainConfig(batch_size=batch_size, max_epochs=1, seed=0)
+        train(tiny_dataset(), cfg, sl.ModelConfig(n_slots=10, hidden=8, blocks=1),
+              log=lambda stats: seen.append(len(multiprocessing.active_children())))
+        # A worker also needs an OpenBLAS whose thread count can be set.
+        assert seen == [workers if blas.threads() is not None else 0]
+
+    @pytest.mark.parametrize("methods, cores, settable, forks", [
+        (["fork", "spawn"], 2, True, True), (["spawn"], 2, True, False),
+        (["fork", "spawn"], 1, True, False), (["fork", "spawn"], 2, False, False)],
+        ids=["fork-2-cores-settable", "no-fork", "one-core", "unsettable-blas"])
+    def test_a_worker_needs_fork_a_second_core_and_a_settable_blas(self, monkeypatch, methods,
+                                                                  cores, settable, forks):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        if not settable:
+            monkeypatch.setattr(blas, "_entry_points", lambda: None)
+        assert blas.forks_a_worker() == forks
 
     def test_trains_in_one_process_where_fork_is_missing(self, monkeypatch):
         def no_fork(method=None):
@@ -397,7 +404,7 @@ class TestWorkers:
         assert_no_child_remains()
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
-    def test_worker_count_changes_no_bit(self, monkeypatch, batch_size):
+    def test_worker_count_changes_no_bit(self, forced_worker, batch_size):
         # 10 training records: batches of 3 and 4 end with a short batch.
         dataset = tiny_dataset(n_sentences=14)
         cfg = TrainConfig(learning_rate=2e-3, batch_size=batch_size, max_epochs=2, seed=4,
@@ -405,16 +412,16 @@ class TestWorkers:
         model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
         outcomes = []
         for fork in (False, True):
-            forced_worker(monkeypatch, fork)
+            forced_worker(fork)
             outcomes.append(outcome(train(dataset, cfg, model_cfg)))
         assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][1]) == 2 and not outcomes[0][4]
 
-    def test_the_earliest_too_many_gold_record_is_named(self, monkeypatch):
+    def test_the_earliest_too_many_gold_record_is_named(self, forced_worker):
         dataset, cfg, model_cfg, position = too_many_gold_at(2, 4)
         messages = []
         for fork in (False, True):
-            forced_worker(monkeypatch, fork)
+            forced_worker(fork)
             with pytest.raises(sl.TooManyGold) as info:
                 train(dataset, cfg, model_cfg)
             messages.append(str(info.value))
@@ -423,13 +430,13 @@ class TestWorkers:
         assert messages[0].startswith(f"record {position} ({words} ...): ")
 
     @pytest.mark.parametrize("batch_size", [4, 64])
-    def test_divergence_is_the_same_at_every_worker_count(self, monkeypatch, batch_size):
+    def test_divergence_is_the_same_at_every_worker_count(self, forced_worker, batch_size):
         cfg = TrainConfig(learning_rate=1e150, weight_decay=0.0, batch_size=batch_size,
                           max_epochs=3, seed=0)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1)
         outcomes = []
         for fork in (False, True):
-            forced_worker(monkeypatch, fork)
+            forced_worker(fork)
             with np.errstate(all="ignore"):
                 outcomes.append(outcome(train(tiny_dataset(), cfg, model_cfg)))
         assert outcomes[0] == outcomes[1]
@@ -438,16 +445,16 @@ class TestWorkers:
 
     @pytest.mark.parametrize("case", ["returns", "too-many-gold", "too-many-gold-first",
                                       "diverges"])
-    def test_no_process_outlives_train(self, monkeypatch, case):
+    def test_no_process_outlives_train(self, forced_worker, case):
         # The worker holds its share while the main process's share fails
         # in "too-many-gold-first", and fails its own in "too-many-gold".
         if case.startswith("too-many-gold"):
             positions = (0,) if case.endswith("first") else (2, 4)
             dataset, cfg, model_cfg, _ = too_many_gold_at(*positions)
-            forced_worker(monkeypatch, False)
+            forced_worker(False)
             with pytest.raises(sl.TooManyGold) as alone:
                 train(dataset, cfg, model_cfg)
-        forced_worker(monkeypatch, True)
+        forced_worker(True)
         # Two threads going in, so that a count left at training's one shows.
         with blas.pinned(2) as pinned:
             if case.startswith("too-many-gold"):
@@ -464,12 +471,12 @@ class TestWorkers:
             assert blas.threads() == (2 if pinned else None)
         assert_no_child_remains()
 
-    def test_training_goes_on_without_a_lost_worker(self, monkeypatch):
+    def test_training_goes_on_without_a_lost_worker(self, forced_worker):
         dataset = tiny_dataset(n_sentences=14)
         cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=3, seed=4,
                           validation_fraction=0.25)
         model_cfg = sl.ModelConfig(n_slots=10, hidden=8, blocks=1, max_len=64)
-        forced_worker(monkeypatch, False)
+        forced_worker(False)
         alone = outcome(train(dataset, cfg, model_cfg))
 
         def kill_the_worker(stats):
@@ -478,7 +485,7 @@ class TestWorkers:
                 os.kill(worker.pid, signal.SIGKILL)
                 worker.join()
 
-        forced_worker(monkeypatch, True)
+        forced_worker(True)
         with pytest.warns(RuntimeWarning, match="the training worker is gone") as caught:
             assert outcome(train(dataset, cfg, model_cfg, log=kill_the_worker)) == alone
         assert len(caught) == 1
@@ -488,10 +495,11 @@ class TestWorkers:
 # Trains with a forced worker and, at the end of epoch 1, prints the
 # worker's pid and sleeps in the log callback, for the caller to kill it.
 _ORPHAN_SCRIPT = """
-import importlib, multiprocessing, time
+import multiprocessing, time
 import slotie as sl
+from slotie import blas
 
-importlib.import_module("slotie.train")._forks_a_worker = lambda batch_size: True
+blas.forks_a_worker = lambda: True
 
 def log(stats):
     print(*(p.pid for p in multiprocessing.active_children()), flush=True)
