@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,13 +68,14 @@ def pinned(count: int) -> Iterator[bool]:
 
 def forks_a_worker() -> bool:
     """Whether ``train`` and ``extract`` may fork one worker beside the main
-    process, each process on one OpenBLAS thread: processes can be forked,
-    a second core is usable and the thread count can be set.  Two processes
-    are the count measured to gain; more were never measured, and the usable
-    cores that ``os.sched_getaffinity`` reports ignore a cgroup CPU quota.
-    Each command adds its own condition on the size of its work."""
+    process (``worker.forked``), each process on one OpenBLAS thread:
+    ``os.fork`` exists, a second core is usable and the thread count can be
+    set; if not, the main process runs alone.  Two processes are the count
+    measured to gain; more were never measured, and the usable cores that
+    ``os.sched_getaffinity`` reports ignore a cgroup CPU quota.  Each command
+    adds its own condition on the size of its work."""
     return (
-        "fork" in multiprocessing.get_all_start_methods()
+        hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
         and _entry_points() is not None

@@ -15,11 +15,8 @@ import functools
 import itertools
 import json
 import os
-import pickle
-import signal
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,7 +24,7 @@ from typing import Iterable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
-from . import __version__, blas
+from . import __version__, blas, worker
 from .core import NumericalError, SlotieError, tokenize, typed_value
 from .data import (
     AlignedRecord,
@@ -288,17 +285,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_cfg, model_cfg, loss_cfg = (
         _pick(cls, config) for cls in (TrainConfig, ModelConfig, LossConfig)
     )
-    result = train(
-        dataset,
-        train_cfg,
-        model_cfg,
-        loss_cfg,
-        log=lambda s: print(
-            f"epoch {s.epoch}: loss {s.train_loss:.4f} val-F1 {s.val_macro_f1:.4f}"
-            + (" *" if s.is_best else ""),
-            file=sys.stderr,
-        ),
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = train(
+            dataset,
+            train_cfg,
+            model_cfg,
+            loss_cfg,
+            log=lambda s: print(
+                f"epoch {s.epoch}: loss {s.train_loss:.4f} val-F1 {s.val_macro_f1:.4f}"
+                + (" *" if s.is_best else ""),
+                file=sys.stderr,
+            ),
+        )
     result.model.save(args.out)
     metrics = {
         "command": "train",
@@ -408,45 +406,6 @@ def _drawn(queue: int) -> Iterator[int]:
         yield int.from_bytes(number, "little")
 
 
-@contextmanager
-def _worker(function, *args):
-    """Fork a worker that runs ``function(*args)`` and pickles back its
-    result; yield the call that reads it.  That call returns the result,
-    or, once the worker is lost, issues one RuntimeWarning and returns
-    None.  The worker ignores SIGINT and warnings, prints nothing, and
-    exits once it has answered or found the main process's end of the pipe
-    closed.  It is killed if still running and reaped when the block
-    ends."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read)
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's
-            warnings.simplefilter("ignore")
-            with open(write, "wb") as pipe:
-                pickle.dump(function(*args), pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write)
-    pipe = open(read, "rb")
-
-    def answer():
-        try:
-            return pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError) as exc:  # no answer, or a cut-off one
-            warnings.warn(f"the extract worker is gone ({exc!r}); its share runs in the "
-                          "main process", RuntimeWarning)
-            return None
-
-    try:
-        yield answer
-    finally:
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)  # its answer read or not needed; a zombie ignores it
-        os.waitpid(pid, 0)
-
-
 def _extract(model: SlotTagger, sentences: list[str], require_all_parts: bool):
     """``_extract_share`` of all ``sentences``, with one OpenBLAS thread per
     process and numpy's float warnings off (``_checked`` turns a blow-up
@@ -469,9 +428,10 @@ def _extract(model: SlotTagger, sentences: list[str], require_all_parts: bool):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), blas.pinned(1):
         if fork:
             with (_queue(len(chunks)) as queue,
-                  _worker(_extract_chunks, share, chunks, _drawn(queue)) as answer):
+                  worker.forked("extract", lambda channel: channel.send(
+                      _extract_chunks(share, chunks, _drawn(queue)))) as channel):
                 done = _extract_chunks(share, chunks, _drawn(queue))
-                done.update(answer() or {})
+                done.update(channel.recv() or {})
         else:
             done = _extract_chunks(share, chunks, range(len(chunks)))
         for k, chunk in enumerate(chunks):

@@ -3,30 +3,27 @@ checkpoint selection by validation token-wise macro F1.
 
 Sentences are processed one at a time inside a batch; gradients average
 across the batch before each optimizer step, so a "batch" is a gradient
-accumulation group.  Where a second core is usable, a forked worker
-runs the later half of each batch while the main process runs the first
-half on the tape, and the worker adds its sentences' gradients, each kept
-apart, to the main process's in batch order.  Every parameter takes
-exactly one gradient term per sentence, so these are the additions that
-one process would make, in the same order, and the bits are the same with
-the worker or without it.  Every process runs one OpenBLAS thread, so they
-do not depend on the core count either.  Everything is deterministic for
-a fixed seed.
+accumulation group.  Where ``blas.forks_a_worker()``, a worker forked by
+``worker.forked`` runs the later half of each batch while the main process
+runs the first half on the tape, and the worker adds its sentences'
+gradients, each kept apart, to the main process's in batch order.  Every
+parameter takes exactly one gradient term per sentence, so these are the
+additions that one process would make, in the same order, and the bits are
+the same with the worker or without it.  Every process runs one OpenBLAS
+thread, so they do not depend on the core count either.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import mmap
-import multiprocessing
-import signal
-import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import blas
+from . import blas, worker
 from .core import LabelGrid, NumericalError, TokenSequence
 from .matching import LossConfig, TooManyGold, hungarian_max, loss_assignment_gradient
 from .matching import similarity_matrix
@@ -194,35 +191,28 @@ class _Examples:
         return loss
 
 
-def _work(conn, main_end, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
-    """The worker's loop (see ``_Batches``), which ends when the main
-    process's end of the pipe closes.  It keeps a copy of each sentence's
-    gradient until its turn, and answers with the losses of the sentences
-    done and the error that stopped its share, if any.  It prints nothing,
-    not even a warning: the main process reports what went wrong."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's to handle
-    warnings.simplefilter("ignore")
-    # Holding no copy of the main process's end, the worker sees EOF when the main process exits.
-    main_end.close()
+def _work(channel, examples: _Examples, vocab, config: ModelConfig, buffer) -> None:
+    """The worker's loop (see ``_Batches``), which ends once the main
+    process's end of the channel closes.  It keeps a copy of each
+    sentence's gradient until its turn, and answers with the losses of the
+    sentences done and the error that stopped its share, if any."""
     values, shared_grads = np.frombuffer(buffer).reshape(2, -1)
     tagger = SlotTagger(vocab, config, values=values)
-    try:
-        while True:
-            epoch, batch_len, share = conn.recv()
-            losses, grads, error = [], [], None
-            try:
-                for i in share:
-                    tagger.grads.fill(0.0)
-                    losses.append(examples.backward(tagger, i, epoch, batch_len))
-                    grads.append(tagger.grads.copy())
-            except Exception as exc:  # answered, and raised by the main process in batch order
-                error = exc
-            conn.recv()  # the main process's turn message
-            for grad in grads:
-                shared_grads += grad
-            conn.send((losses, error))
-    except (EOFError, OSError):  # a closed end, or one closed with an answer unread
-        return
+    while (job := channel.recv()) is not None:
+        epoch, batch_len, share = job
+        losses, grads, error = [], [], None
+        try:
+            for i in share:
+                tagger.grads.fill(0.0)
+                losses.append(examples.backward(tagger, i, epoch, batch_len))
+                grads.append(tagger.grads.copy())
+        except Exception as exc:  # answered, and raised by the main process in batch order
+            error = exc
+        if channel.recv() is None:  # the main process's turn message
+            return
+        for grad in grads:
+            shared_grads += grad
+        channel.send((losses, error))
 
 
 class _Batches:
@@ -237,46 +227,36 @@ class _Batches:
     there in batch order and answers.  The main process holds the mapping's
     two parameter-sized blocks and the worker one gradient copy per
     sentence of its share.  Once the worker is lost, the main process runs
-    the rest of training alone, after one RuntimeWarning.
+    the rest of training alone.
     """
 
     def __init__(self, model: SlotTagger, examples: _Examples, fork: bool):
         self._model, self._examples = model, examples
-        self._process = None
+        self._worker = self._channel = None
         if fork:
             self._buffer = mmap.mmap(-1, 2 * model.values.nbytes)
             self._values, self._grads = np.frombuffer(self._buffer).reshape(2, -1)
-            context = multiprocessing.get_context("fork")
-            self._conn, child_end = context.Pipe()
-            process = context.Process(
-                target=_work,
-                args=(child_end, self._conn, examples, model.vocab, model.config, self._buffer),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._process = process
+            self._worker = worker.forked("training", lambda channel: _work(
+                channel, examples, model.vocab, model.config, self._buffer))
+            self._channel = self._worker.__enter__()
 
     def __enter__(self) -> "_Batches":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """End the worker, wait for it and release the mapping."""
-        if self._process is not None:
-            self._conn.close()
-            self._process.join()
+        """End the worker and release the mapping."""
+        if self._worker is not None:
+            self._worker.__exit__(*exc_info)
             del self._values, self._grads  # the mapping closes only once no array views it
             self._buffer.close()
 
     def run(self, batch: np.ndarray, epoch: int) -> Iterator[float]:
         """Compute ``batch``'s gradient and yield its sentences' losses in
         batch order, or raise the error of the earliest sentence that fails."""
-        working = self._process is not None and not self._conn.closed
-        split = len(batch) // 2 if working and len(batch) > 1 else len(batch)
+        split = len(batch) // 2 if self._channel is not None and len(batch) > 1 else len(batch)
         if split < len(batch):
             self._values[...] = self._model.values
-            with suppress(OSError):  # a worker lost here is found when asked for its answer
-                self._conn.send((epoch, len(batch), batch[split:].tolist()))
+            self._channel.send((epoch, len(batch), batch[split:].tolist()))
         for k, i in enumerate(batch):
             if k == split and (losses := self._answer()) is not None:
                 yield from losses
@@ -287,14 +267,11 @@ class _Batches:
         """Give the worker its turn and return its share's losses, or None
         once it is lost."""
         self._grads[...] = self._model.grads
-        try:
-            self._conn.send(None)
-            losses, error = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            warnings.warn(f"the training worker is gone ({exc!r}); training goes on in one process",
-                          RuntimeWarning)
-            self._conn.close()
+        self._channel.send(True)
+        if (answer := self._channel.recv()) is None:
+            self._channel = None
             return None
+        losses, error = answer
         if error is not None:
             raise error
         self._model.grads[...] = self._grads

@@ -80,6 +80,23 @@ def forced_worker(monkeypatch):
     return force
 
 
+@pytest.fixture()
+def fork_pids(monkeypatch):
+    """The pids of the processes forked from here on, in order: ``os.fork``
+    is wrapped to record them."""
+    pids = []
+    real_fork = os.fork
+
+    def recorded_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     """``run(script, **env)``: the standard output of ``script`` run by a

@@ -2,12 +2,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +292,28 @@ class TestTrainCommand:
         assert f"training diverged: {diagnostics}" in capsys.readouterr().err.splitlines()
         np.testing.assert_array_equal(sl.SlotTagger.load(out).values,
                                       sl.SlotTagger.load(epoch_1).values)
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["one-process", "forked"])
+    def test_a_divergence_prints_only_its_verdict(self, tmp_path, fork):
+        # A fresh interpreter, so that numpy's float warnings reach stderr
+        # as they would from the shell.
+        corpus, grids = tmp_path / "corpus.tsv", tmp_path / "grids.jsonl"
+        assert run("synth", "--pool", "data/pool_en.tsv", "--n", 12, "--seed", 0,
+                   "--out", corpus) == 0
+        assert run("convert", "--format", "tuples", "--in", corpus, "--out", grids,
+                   "--report", tmp_path / "report.json") == 0
+        out = tmp_path / "model.npz"
+        argv = ["train", "--data", str(grids), "--out", str(out), "--learning-rate", "1e150",
+                "--weight-decay", "0", "--epochs", "3", "--batch-size", "4"]
+        script = (f"import sys\nfrom slotie import blas, cli\n"
+                  f"blas.forks_a_worker = lambda: {fork}\n"
+                  f"sys.exit(cli.main({argv!r}))\n")
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert (done.returncode, done.stderr) == (
+            3, "training diverged: the tagger's probabilities are not finite\n"
+               f"best checkpoint (epoch 0) retained at {out}\n")
 
     def test_non_list_mask_row_is_data_error(self, tmp_path, capsys):
         grids = tmp_path / "grids.jsonl"
@@ -603,7 +625,7 @@ class TestExtractCommand:
 
 
 @pytest.fixture()
-def extract_with(monkeypatch, capsys, forced_worker, tmp_path):
+def extract_with(monkeypatch, capsys, forced_worker, fork_pids, tmp_path):
     """``extract(fork, checkpoint, infile)``: run ``slotie extract`` in
     chunks of 4 sentences with a worker forked if ``fork``, whatever the
     input's size, and none if not.  Returns the exit code, the output path,
@@ -611,26 +633,17 @@ def extract_with(monkeypatch, capsys, forced_worker, tmp_path):
     processes forked; ``extract.forks`` lists the last call's worker pids."""
     monkeypatch.setattr(cli, "_FORK_MIN_SENTENCES", 2)
     monkeypatch.setattr(cli, "_CHUNK_SENTENCES", 4)
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
 
     def extract(fork, checkpoint, infile):
         forced_worker(fork)
         out = tmp_path / f"out-{fork}.tsv"
-        forks.clear()
+        fork_pids.clear()
         capsys.readouterr()
         code = run("extract", "--checkpoint", checkpoint, "--in", infile, "--out", out)
         err = re.sub(r"throughput: [0-9.]+", "throughput: X", capsys.readouterr().err)
-        return code, out, err, len(forks)
+        return code, out, err, len(fork_pids)
 
-    extract.forks = forks
+    extract.forks = fork_pids
     return extract
 
 
@@ -767,15 +780,27 @@ class TestExtractWorker:
         assert out1.read_bytes() == out0.read_bytes()
         assert_no_child_remains()
 
+    def test_an_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, checkpoint,
+                                           extract_with):
+        main_pid = os.getpid()
+
+        def share(*args):
+            if os.getpid() != main_pid:
+                time.sleep(60)  # still running when the main process is interrupted
+            (worker,) = extract_with.forks
+            assert os.waitid(os.P_PID, worker, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_extract_share", share)
+        with blas.pinned(2) as pinned:
+            with pytest.raises(KeyboardInterrupt):
+                extract_with(True, checkpoint, extract_input(tmp_path, 20))
+            assert blas.threads() == (2 if pinned else None)
+        assert_no_child_remains()
+
     def test_extracts_in_one_process_where_fork_is_missing(self, tmp_path, monkeypatch,
                                                            checkpoint):
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        # As on Windows: no os.fork, and get_context("fork") raises.
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "fork")  # as on Windows
         monkeypatch.setattr(cli, "_FORK_MIN_SENTENCES", 2)
         out = tmp_path / "out.tsv"
         assert run("extract", "--checkpoint", checkpoint, "--in", extract_input(tmp_path, 20),

@@ -2,8 +2,9 @@
 
 Demo 04 trains a model for about 20 s, so it is left to be run by hand;
 every demo's imports from slotie are still checked against the package,
-and the package's own modules against imports they never use and against
-module-level names and methods that nothing reads.
+and the package's own modules against imports they never use, against
+module-level names and methods that nothing reads, and against a fork
+outside ``worker.py``.
 """
 
 import ast
@@ -72,6 +73,26 @@ def test_module_imports_are_used(module):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_only_the_worker_module_forks():
+    """No module imports ``multiprocessing``, and only ``worker.py`` calls
+    ``os.fork``: the package has one worker lifecycle."""
+    imports, forks = [], []
+    for path in sorted((ROOT / "src" / "slotie").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [path.name for alias in node.names
+                            if alias.name.split(".")[0] == "multiprocessing"]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [path.name] * ((node.module or "").split(".")[0] == "multiprocessing")
+                forks += [path.name for alias in node.names
+                          if node.module == "os" and alias.name == "fork"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                forks.append(path.name)
+    assert imports == []
+    assert forks == ["worker.py"]
 
 
 def _references(tree: ast.AST) -> list[str]:

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -357,7 +356,6 @@ def outcome(result):
 
 
 def assert_no_child_remains():
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -369,35 +367,31 @@ class TestWorkers:
 
     @pytest.mark.parametrize("cores, batch_size, workers",
                              [(1, 32, 0), (2, 1, 0), (2, 32, 1), (64, 2, 1), (64, 32, 1)])
-    def test_at_most_one_worker_is_forked(self, monkeypatch, cores, batch_size, workers):
+    def test_at_most_one_worker_is_forked(self, monkeypatch, fork_pids, cores, batch_size,
+                                          workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
         seen = []
         cfg = TrainConfig(batch_size=batch_size, max_epochs=1, seed=0)
         train(tiny_dataset(), cfg, sl.ModelConfig(n_slots=10, hidden=8, blocks=1),
-              log=lambda stats: seen.append(len(multiprocessing.active_children())))
+              log=lambda stats: seen.append(len(fork_pids)))
         # A worker also needs an OpenBLAS whose thread count can be set.
         assert seen == [workers if blas.threads() is not None else 0]
 
-    @pytest.mark.parametrize("methods, cores, settable, forks", [
-        (["fork", "spawn"], 2, True, True), (["spawn"], 2, True, False),
-        (["fork", "spawn"], 1, True, False), (["fork", "spawn"], 2, False, False)],
+    @pytest.mark.parametrize("has_fork, cores, settable, forks", [
+        (True, 2, True, True), (False, 2, True, False),
+        (True, 1, True, False), (True, 2, False, False)],
         ids=["fork-2-cores-settable", "no-fork", "one-core", "unsettable-blas"])
-    def test_a_worker_needs_fork_a_second_core_and_a_settable_blas(self, monkeypatch, methods,
+    def test_a_worker_needs_fork_a_second_core_and_a_settable_blas(self, monkeypatch, has_fork,
                                                                   cores, settable, forks):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        if not has_fork:
+            monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         if not settable:
             monkeypatch.setattr(blas, "_entry_points", lambda: None)
         assert blas.forks_a_worker() == forks
 
     def test_trains_in_one_process_where_fork_is_missing(self, monkeypatch):
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        # As where fork is missing: get_context("fork") raises.
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.delattr(os, "fork")  # as on Windows
         cfg = TrainConfig(batch_size=4, max_epochs=1, seed=0)
         result = train(tiny_dataset(), cfg, sl.ModelConfig(n_slots=10, hidden=8, blocks=1))
         assert len(result.history) == 1
@@ -471,7 +465,7 @@ class TestWorkers:
             assert blas.threads() == (2 if pinned else None)
         assert_no_child_remains()
 
-    def test_training_goes_on_without_a_lost_worker(self, forced_worker):
+    def test_training_goes_on_without_a_lost_worker(self, forced_worker, fork_pids):
         dataset = tiny_dataset(n_sentences=14)
         cfg = TrainConfig(learning_rate=2e-3, batch_size=4, max_epochs=3, seed=4,
                           validation_fraction=0.25)
@@ -481,9 +475,9 @@ class TestWorkers:
 
         def kill_the_worker(stats):
             if stats.epoch == 1:
-                (worker,) = multiprocessing.active_children()
-                os.kill(worker.pid, signal.SIGKILL)
-                worker.join()
+                (worker,) = fork_pids
+                os.kill(worker, signal.SIGKILL)
+                os.waitid(os.P_PID, worker, os.WEXITED | os.WNOWAIT)  # dead, and not reaped
 
         forced_worker(True)
         with pytest.warns(RuntimeWarning, match="the training worker is gone") as caught:
@@ -491,26 +485,75 @@ class TestWorkers:
         assert len(caught) == 1
         assert_no_child_remains()
 
+    def test_an_interrupt_leaves_no_worker(self, forced_worker, fork_pids):
+        def interrupt(stats):
+            (worker,) = fork_pids
+            assert os.waitid(os.P_PID, worker, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+            raise KeyboardInterrupt
 
-# Trains with a forced worker and, at the end of epoch 1, prints the
-# worker's pid and sleeps in the log callback, for the caller to kill it.
+        forced_worker(True)
+        # Two threads going in, so that a count left at training's one shows.
+        with blas.pinned(2) as pinned:
+            with pytest.raises(KeyboardInterrupt):
+                train(tiny_dataset(), TrainConfig(batch_size=4, max_epochs=2, seed=0),
+                      sl.ModelConfig(n_slots=10, hidden=8, blocks=1), log=interrupt)
+            assert blas.threads() == (2 if pinned else None)
+        assert_no_child_remains()
+
+
+# Runs a command with a forced worker whose pid, recorded by a wrapped
+# os.fork, the main process prints before it sleeps, for the caller to kill
+# it: ``train`` at the end of epoch 1, in the log callback; ``extract`` in
+# its first chunk, while the worker is held for 2 s in its own first chunk.
 _ORPHAN_SCRIPT = """
-import multiprocessing, time
+import os, time
 import slotie as sl
-from slotie import blas
+from slotie import blas, cli
 
 blas.forks_a_worker = lambda: True
+pids, real_fork = [], os.fork
 
+def recorded_fork():
+    pids.append(real_fork())
+    return pids[-1]
+
+os.fork = recorded_fork
+pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
+samples = sl.synth_generate(pool, 12, seed=5)
+"""
+_ORPHAN_COMMANDS = {
+    "train": """
 def log(stats):
-    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    print(*pids, flush=True)
     time.sleep(60)
 
-pool = sl.TripletPool.from_tsv("data/pool_en.tsv")
-dataset = [(a.sequence, a.grid)
-           for a in (sl.lcs_align(s.record) for s in sl.synth_generate(pool, 12, seed=5))]
+dataset = [(a.sequence, a.grid) for a in (sl.lcs_align(s.record) for s in samples)]
 sl.train(dataset, sl.TrainConfig(batch_size=4, max_epochs=1),
          sl.ModelConfig(n_slots=10, hidden=8, blocks=1), log=log)
-"""
+""",
+    "extract": """
+main, real_share, held = os.getpid(), cli._extract_share, []
+
+def share(*args):
+    if os.getpid() == main:
+        print(*pids, flush=True)
+        time.sleep(60)
+    elif not held:
+        held.append(True)
+        time.sleep(2)
+    return real_share(*args)
+
+cli._FORK_MIN_SENTENCES, cli._CHUNK_SENTENCES, cli._extract_share = 2, 2, share
+sentences = [s.record.sentence for s in samples]
+tagger = sl.SlotTagger(sl.build_vocab(map(sl.tokenize, sentences)),
+                       sl.ModelConfig(n_slots=10, hidden=8, blocks=1))
+tagger.save("{tmp}/model.npz")
+with open("{tmp}/in.txt", "w") as infile:
+    infile.writelines(sentence + "\\n" for sentence in sentences)
+cli.main(["extract", "--checkpoint", "{tmp}/model.npz", "--in", "{tmp}/in.txt",
+          "--out", "{tmp}/out.tsv"])
+""",
+}
 
 
 def running(pid):
@@ -523,11 +566,13 @@ def running(pid):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-def test_a_worker_exits_when_the_main_process_dies():
+@pytest.mark.parametrize("command", sorted(_ORPHAN_COMMANDS))
+def test_a_worker_exits_when_the_main_process_dies(tmp_path, command):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
                                                         os.environ.get("PYTHONPATH", "")])}
-    main = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT], cwd=root, env=env,
+    script = _ORPHAN_SCRIPT + _ORPHAN_COMMANDS[command].replace("{tmp}", str(tmp_path))
+    main = subprocess.Popen([sys.executable, "-c", script], cwd=root, env=env,
                             stdout=subprocess.PIPE, text=True)
     try:
         workers = [int(pid) for pid in main.stdout.readline().split()]
